@@ -60,11 +60,19 @@ def _effective(args: argparse.Namespace) -> dict:
             raise UsageError(f"unknown config keys {sorted(unknown)} in {file_path}")
         cfg.update(loaded)
     for key, value in vars(args).items():
-        if key in ("command", "func", "config", "verbose", "threads"):
+        if key in ("command", "func", "config", "verbose"):
             continue
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _config(cls, **fields):
+    """Build a config object, reporting out-of-range values as usage errors."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_run_info(out_dir: Path, command: str, cfg: dict) -> None:
@@ -130,9 +138,8 @@ def _cmd_train(cfg: dict) -> int:
     from .mkd import TrainConfig, save_model, train, tune
     from .mtsdata import load_dataset
 
-    seen = load_dataset(cfg["manifest"], role="seen")
-    ks = load_kernelset(cfg["kernels"])
-    train_cfg = TrainConfig(
+    train_cfg = _config(
+        TrainConfig,
         k=int(cfg["k"]),
         t_x=int(cfg["tx"]),
         t_a=None if cfg["ta"] is None else int(cfg["ta"]),
@@ -141,6 +148,8 @@ def _cmd_train(cfg: dict) -> int:
         tol=float(cfg["tol"]),
         seed=int(cfg["seed"]),
     )
+    seen = load_dataset(cfg["manifest"], role="seen")
+    ks = load_kernelset(cfg["kernels"])
     if cfg["tune"]:
         grid_spec = read_json(cfg["tune"])
         grid = [(int(k), int(tx)) for k, tx in grid_spec["grid"]]
@@ -211,22 +220,27 @@ def _parse_order(spec: str, ids: list[str]) -> list[str]:
 def _cmd_cluster(cfg: dict) -> int:
     from .inclust import ClusterConfig, Dendrogram
 
-    enc_dir = Path(cfg["enc"])
-    index = read_json(enc_dir / "index.json")["ids"]
-    order = _parse_order(cfg["order"], index)
-    tree = Dendrogram(ClusterConfig(
+    tree = Dendrogram(_config(
+        ClusterConfig,
         k_clust=float(cfg["kclust"]),
         k_rmv=float(cfg["krmv"]),
         gamma=float(cfg["gamma"]),
         split_min=int(cfg["split_min"]),
         dup_eps=float(cfg["dup_eps"]),
     ))
+    enc_dir = Path(cfg["enc"])
+    index = read_json(enc_dir / "index.json")["ids"]
+    order = _parse_order(cfg["order"], index)
+    if not index:
+        raise DataError(f"{enc_dir / 'index.json'} lists no encoded sequences")
     for sid in order:
         tree.insert(sid, read_matrix(enc_dir / f"{sid}.R.bin"))
-    tree.save(cfg["out"])
+    out = Path(cfg["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tree.save(out)
     if cfg["dot"]:
         Path(cfg["dot"]).write_text(tree.to_dot() + "\n", encoding="utf-8")
-    _write_run_info(Path(cfg["out"]).parent, "cluster", cfg)
+    _write_run_info(out.parent, "cluster", cfg)
     print(f"tree with {len(tree.roots)} top-level nodes over {tree.size()} sequences", file=sys.stderr)
     return 0
 
@@ -297,7 +311,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--threads", type=int, default=None, help="worker hint; results do not depend on it")
         p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic seen/unseen dataset")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
-from .kernels import dtw
+from .kernels import pairwise_dtw
 from .mtsdata import Dataset
 
 log = logging.getLogger(__name__)
@@ -143,11 +143,7 @@ def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int 
     n = len(unseen)
     sim = np.zeros((n, n))
     for l in range(unseen.dims):
-        series = [s.dim(l) for s in unseen.sequences]
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = dtw(series[i], series[j])
+        d = pairwise_dtw([s.dim(l) for s in unseen.sequences])
         sim += np.exp(-d / bandwidths[l])
     sim /= unseen.dims
 
@@ -188,27 +184,27 @@ def run_experiment(config: dict, out_dir) -> dict:
     timings: dict[str, float] = {}
     try:
         stage = "synth"
-        t0 = time.time()
+        t0 = time.perf_counter()
         synth_cfg = SynthConfig(**config.get("synth", {}))
         seen, unseen, provenance = synth_dataset(synth_cfg)
         save_dataset(seen, out_dir / "data", "seen")
         save_dataset(unseen, out_dir / "data", "unseen")
         write_json(out_dir / "data" / "provenance.json", provenance)
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
 
         stage = "kernels"
-        t0 = time.time()
+        t0 = time.perf_counter()
         ks = build_or_load_kernelset(seen, out_dir / "kernels", config.get("bandwidth", "median"))
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
 
         stage = "train"
-        t0 = time.time()
+        t0 = time.perf_counter()
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
 
         stage = "encode"
-        t0 = time.time()
+        t0 = time.perf_counter()
         seen_labels = seen.labels()
         threshold = float(config.get("threshold", 0.1))
         t_x = train_cfg.t_x
@@ -219,10 +215,10 @@ def run_experiment(config: dict, out_dir) -> dict:
             x = encode(result.dictionary, ks, ck, t_x)
             encodings.append((seq.id, encoding_matrix(result.dictionary, x, seq.id)))
             reports.append((seq.id, reconstruction_report(result.dictionary, ks, ck, x, seen_labels, threshold)))
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
 
         stage = "cluster"
-        t0 = time.time()
+        t0 = time.perf_counter()
         cl_conf = config.get("cluster", {})
         tree = Dendrogram(ClusterConfig(**{k: v for k, v in cl_conf.items() if k != "order_seed"}))
         order = np.random.default_rng(cl_conf.get("order_seed", synth_cfg.seed)).permutation(len(encodings))
@@ -230,10 +226,10 @@ def run_experiment(config: dict, out_dir) -> dict:
             sid, enc = encodings[idx]
             tree.insert(sid, enc.values)
         tree.save(out_dir / "tree.json")
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
 
         stage = "score"
-        t0 = time.time()
+        t0 = time.perf_counter()
         truth = {seq.id: int(seq.label) for seq in unseen.sequences}
         pred = tree.flat_clusters()
         ours = score_clustering(pred, truth)
@@ -241,7 +237,7 @@ def run_experiment(config: dict, out_dir) -> dict:
             unseen, ks.bandwidths, num_clusters=synth_cfg.num_unseen_classes, seed=synth_cfg.seed
         )
         spectral = score_clustering(spectral_pred, truth)
-        timings[stage] = time.time() - t0
+        timings[stage] = time.perf_counter() - t0
     except Exception as exc:
         try:
             wrapped = type(exc)(f"[stage {stage}] {exc}")

@@ -30,7 +30,10 @@ def write_matrix(path: str | Path, m: np.ndarray) -> None:
 
 def read_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read matrix ({exc.strerror or exc})") from None
     if len(raw) < 16:
         raise DataError(f"{path}: truncated matrix file")
     rows, cols = np.frombuffer(raw[:16], dtype=_HEADER_DTYPE)

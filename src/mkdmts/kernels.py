@@ -69,81 +69,108 @@ class CrossKernel:
         return len(self.cross)
 
 
-def dtw(a, b) -> float:
-    """Dynamic time warping cost with squared-difference local cost.
+# Pairs per dtw_many wavefront are capped so that the reversed, zero-bordered
+# reference block holds at most this many float64 values (2 MiB); larger
+# pair sets run in consecutive chunks, each padded on its own, with
+# identical per-pair results.
+_WAVEFRONT_ELEMENTS = 1 << 18
 
-    Full window, steps (1,0), (0,1), (1,1); returns the accumulated cost
-    of the optimal monotone alignment (no square root).
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
-        raise ValueError("dtw: empty input sequence")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+
+def _padded(series: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded ``len(series) x width`` block and the per-row lengths."""
+    block = np.zeros((len(series), width))
+    lengths = np.empty(len(series), dtype=np.intp)
+    for k, s in enumerate(series):
+        block[k, : s.size] = s
+        lengths[k] = s.size
+    if not np.isfinite(block).all():
         raise ValueError("dtw: non-finite input")
+    return block, lengths
 
-    # Anti-diagonal sweep: every cell on diagonal i+j = d depends only on
-    # diagonals d-1 and d-2, so the update vectorizes while keeping the
-    # exact per-cell rounding D[i,j] = fl(c[i,j] + min(neighbors)).
-    # Rounding is monotone, so this equals the minimum over all monotone
-    # alignment paths of their left-to-right accumulated costs, bit for bit.
-    n, m = a.size, b.size
-    diff = a[:, None] - b[None, :]
-    cost = diff * diff  # plain multiply; scalar x**2 may take a libm path
-    if n == 1 or m == 1:
-        # single monotone path; cumsum keeps left-to-right accumulation
-        return float(cost.ravel().cumsum()[-1])
-    flat = cost.ravel()
-    stride = flat.strides[0] * (m - 1)
 
-    def diag_view(d, lo, hi):
-        # cells (i, d - i) for i in [lo, hi]; flat offset d + i*(m-1)
-        return np.lib.stride_tricks.as_strided(
-            flat[d + lo * (m - 1):], shape=(hi - lo + 1,), strides=(stride,)
-        )
+def _wavefront(q: np.ndarray, n: np.ndarray, r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """DTW end cells of every row pair (q[k, :n[k]], r[k, :m[k]]).
 
-    prev = np.array([flat[0]])
-    prev_lo = 0
-    prevprev, pp_lo = None, 0
-    for d in range(1, n + m - 1):
-        lo = max(0, d - m + 1)
-        hi = min(n - 1, d)
-        length = hi - lo + 1
-        best = np.full(length, np.inf)
-        # up neighbor (i-1, j): cells with i >= 1
-        s = max(lo, 1)
-        if s <= hi:
-            best[s - lo:] = prev[s - 1 - prev_lo: hi - prev_lo]
-        # left neighbor (i, j-1): cells with j >= 1, i.e. i <= d-1
-        e = min(hi, d - 1)
-        if e >= lo:
-            np.minimum(best[: e - lo + 1], prev[lo - prev_lo: e + 1 - prev_lo], out=best[: e - lo + 1])
-        # diagonal neighbor (i-1, j-1): cells with i >= 1 and i <= d-1
-        if prevprev is not None:
-            ds, de = max(lo, 1), min(hi, d - 1)
-            if ds <= de:
-                np.minimum(
-                    best[ds - lo: de - lo + 1],
-                    prevprev[ds - 1 - pp_lo: de - pp_lo],
-                    out=best[ds - lo: de - lo + 1],
-                )
-        best += diag_view(d, lo, hi)
-        prevprev, pp_lo = prev, prev_lo
-        prev, prev_lo = best, lo
-    return float(prev[-1])
+    Anti-diagonal sweep over all pairs at once: cell (i, j) lies on
+    diagonal d = i + j and depends only on diagonals d-1 and d-2, so each
+    diagonal is a few array operations over a ``pairs x rows`` block while
+    every cell keeps the exact rounding D[i,j] = fl(c[i,j] + min(up, left,
+    diag)).  Rounding is monotone, so this equals the minimum over all
+    monotone alignment paths of their left-to-right accumulated costs, bit
+    for bit.  Padded cells (i >= n[k] or j >= m[k]) lie past a pair's own
+    end cell, which depends only on smaller indices, so their values never
+    matter.  Cells off the grid (i < 0 or j < 0) come out +inf whatever their
+    cost, because their own neighbours are off the grid too, down to the
+    inf-initialised diagonals -1 and -2; all inputs stay finite, so no NaN
+    arises.
+    """
+    pairs, rows = q.shape
+    cols = r.shape[1]
+    # e[k, s + i] = r[k, d - i] for s = rows + cols - 2 - d
+    e = np.zeros((pairs, 2 * rows + cols - 2))
+    e[:, rows - 1: rows - 1 + cols] = r[:, ::-1]
+    ends = n + m - 2
+    finishing = {int(d): np.flatnonzero(ends == d) for d in np.unique(ends)}
+    out = np.empty(pairs)
+    # D on the two previous diagonals by row i, with column 0 holding row -1
+    # (always inf) except on diagonal -2, where it seeds D[0,0] = c[0,0] + 0.
+    prevprev = np.full((pairs, rows + 1), np.inf)
+    prevprev[:, 0] = 0.0
+    prev = np.full((pairs, rows + 1), np.inf)
+    for d in range(int(ends.max()) + 1):
+        s = rows + cols - 2 - d
+        diff = q - e[:, s: s + rows]
+        best = np.minimum(prev[:, 1:], prev[:, :-1])
+        np.minimum(best, prevprev[:, :-1], out=best)
+        cur = np.empty_like(prev)
+        cur[:, 0] = np.inf
+        np.add(diff * diff, best, out=cur[:, 1:])
+        done = finishing.get(d)
+        if done is not None:
+            out[done] = cur[done, n[done]]
+        prevprev, prev = prev, cur
+    return out
+
+
+def dtw_many(queries, references) -> np.ndarray:
+    """DTW cost of each pair (queries[k], references[k]) of 1-d series.
+
+    Squared-difference local cost, full window, steps (1,0), (0,1), (1,1);
+    entry k is the accumulated cost of the optimal monotone alignment (no
+    square root).  Every entry is bit-identical to a scalar double-loop DP
+    with D[i,j] = fl((a_i - b_j)^2 + min(neighbours)) and does not depend
+    on the other pairs, their order, or how they are chunked.  This is the
+    package's only DTW dynamic program.
+    """
+    queries = [np.asarray(a, dtype=np.float64).ravel() for a in queries]
+    references = [np.asarray(b, dtype=np.float64).ravel() for b in references]
+    if len(queries) != len(references):
+        raise ValueError("dtw: query and reference counts differ")
+    if not queries:
+        return np.empty(0)
+    if any(s.size == 0 for s in queries) or any(s.size == 0 for s in references):
+        raise ValueError("dtw: empty input sequence")
+    rows = max(s.size for s in queries)
+    cols = max(s.size for s in references)
+    step = max(1, _WAVEFRONT_ELEMENTS // (2 * rows + cols))
+    return np.concatenate([
+        _wavefront(*_padded(queries[lo: lo + step], rows), *_padded(references[lo: lo + step], cols))
+        for lo in range(0, len(queries), step)
+    ])
+
+
+def dtw(a, b) -> float:
+    """DTW cost of one pair of 1-d series; see ``dtw_many``."""
+    return float(dtw_many([a], [b])[0])
 
 
 def pairwise_dtw(series: list[np.ndarray]) -> np.ndarray:
-    """Symmetric matrix of DTW costs between all pairs of 1-d series.
-
-    Pairs are independent pure computations; any evaluation order or
-    parallel schedule yields the same matrix.
-    """
+    """Symmetric matrix of DTW costs between all pairs of 1-d series."""
     n = len(series)
+    iu, ju = np.triu_indices(n, k=1)
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = dtw(series[i], series[j])
+    d[iu, ju] = dtw_many([series[i] for i in iu], [series[j] for j in ju])
+    d[ju, iu] = d[iu, ju]
     return d
 
 
@@ -216,10 +243,11 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     bandwidths = np.asarray(bandwidths, dtype=np.float64)
     if bandwidths.shape != (seen.dims,):
         raise DataError("bandwidth vector does not match the dimension count")
-    cross = []
-    for l in range(seen.dims):
-        dists = np.array([dtw(z.dim(l), s.dim(l)) for s in seen.sequences])
-        cross.append(np.exp(-dists / bandwidths[l]))
+    dists = dtw_many(
+        [z.dim(l) for l in range(seen.dims) for _ in seen.sequences],
+        [s.dim(l) for l in range(seen.dims) for s in seen.sequences],
+    ).reshape(seen.dims, len(seen))
+    cross = [np.exp(-dists[l] / bandwidths[l]) for l in range(seen.dims)]
     return CrossKernel(
         cross=cross,
         self_k=np.ones(seen.dims),
@@ -250,15 +278,22 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     meta = read_json(cache_dir / "meta.json")
     if meta.get("format") != CACHE_FORMAT:
         raise DataError(f"{cache_dir}: unknown kernel cache format {meta.get('format')!r}")
-    kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(meta["f"])]
+    try:
+        n, dims = int(meta["n"]), int(meta["f"])
+        bandwidths = np.asarray(meta["bandwidths"], dtype=np.float64)
+        repair_shift = np.asarray(meta["repair_shift"], dtype=np.float64)
+        dataset_hash = str(meta["dataset_hash"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{cache_dir}: malformed kernel cache metadata ({exc!r})") from None
+    kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(dims)]
     for l, k in enumerate(kernels):
-        if k.shape != (meta["n"], meta["n"]):
+        if k.shape != (n, n):
             raise DataError(f"{cache_dir}: dimension {l} matrix has shape {k.shape}")
     return KernelSet(
         kernels=kernels,
-        bandwidths=np.asarray(meta["bandwidths"], dtype=np.float64),
-        repair_shift=np.asarray(meta["repair_shift"], dtype=np.float64),
-        dataset_hash=meta["dataset_hash"],
+        bandwidths=bandwidths,
+        repair_shift=repair_shift,
+        dataset_hash=dataset_hash,
     )
 
 

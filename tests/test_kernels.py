@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from mkdmts.errors import DataError
+from mkdmts.ioutil import read_json, write_json
 from mkdmts.kernels import (
     KernelSet,
     build_kernelset,
     build_or_load_kernelset,
     cross_kernel,
     dtw,
+    dtw_many,
     load_kernelset,
     pairwise_dtw,
     psd_repair,
@@ -40,6 +42,78 @@ def dtw_enumerate(a, b):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_loop(a, b):
+    """Reference: plain double-loop DP with the package's per-cell rounding."""
+    a = [float(x) for x in np.asarray(a, dtype=float).ravel()]
+    b = [float(x) for x in np.asarray(b, dtype=float).ravel()]
+    inf = float("inf")
+    d = [[inf] * len(b) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b)):
+            diff = a[i] - b[j]
+            if i == 0 and j == 0:
+                d[i][j] = diff * diff
+                continue
+            up = d[i - 1][j] if i else inf
+            left = d[i][j - 1] if j else inf
+            diag = d[i - 1][j - 1] if i and j else inf
+            d[i][j] = diff * diff + min(up, left, diag)
+    return d[-1][-1]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _ragged_pairs(rng, count, max_len=40):
+    queries, refs = [], []
+    for _ in range(count):
+        queries.append(rng.normal(size=int(rng.integers(1, max_len + 1))) * rng.choice([1e-3, 1.0, 1e3]))
+        refs.append(rng.normal(size=int(rng.integers(1, max_len + 1))))
+    # degenerate shapes: single-row, single-column and single-cell grids
+    queries += [rng.normal(size=1), rng.normal(size=17), rng.normal(size=1), np.zeros(6)]
+    refs += [rng.normal(size=23), rng.normal(size=1), rng.normal(size=1), np.zeros(9)]
+    return queries, refs
+
+
+def test_dtw_many_bit_identical_to_double_loop(rng):
+    queries, refs = _ragged_pairs(rng, 150)
+    got = dtw_many(queries, refs)
+    expected = [dtw_loop(a, b) for a, b in zip(queries, refs)]
+    assert _bits(got) == _bits(expected)
+
+
+def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
+    queries, refs = _ragged_pairs(rng, 60)
+    whole = dtw_many(queries, refs)
+    perm = rng.permutation(len(queries))
+    shuffled = dtw_many([queries[i] for i in perm], [refs[i] for i in perm])
+    assert _bits(shuffled) == _bits(whole[perm])
+    for budget in (1, 300, 5000):  # one pair per chunk, a few chunks, ragged chunk tails
+        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", budget)
+        assert _bits(dtw_many(queries, refs)) == _bits(whole)
+
+
+@pytest.mark.parametrize(
+    "queries, refs",
+    [
+        ([[1.0, 2.0], []], [[1.0], [2.0]]),
+        ([[1.0]], [[]]),
+        ([[1.0, np.nan]], [[1.0]]),
+        ([[1.0]], [[np.inf, 0.0]]),
+        ([[-np.inf]], [[1.0]]),
+        ([[1.0], [2.0]], [[1.0]]),
+    ],
+)
+def test_dtw_many_rejects_empty_nonfinite_and_unpaired(queries, refs):
+    with pytest.raises(ValueError):
+        dtw_many(queries, refs)
+
+
+def test_dtw_many_of_no_pairs_is_empty():
+    assert dtw_many([], []).shape == (0,)
 
 
 def test_dtw_known_small_cases():
@@ -188,3 +262,66 @@ def test_pairwise_dtw_symmetric(rng):
     d = pairwise_dtw(series)
     np.testing.assert_array_equal(d, d.T)
     assert (np.diag(d) == 0).all()
+
+
+def _reference_pairwise(series):
+    n = len(series)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = dtw_loop(series[i], series[j])
+    return d
+
+
+def test_pairwise_and_cross_kernel_equal_per_pair_reference(rng):
+    seqs = [rng.normal(size=(3, int(rng.integers(5, 30)))) for _ in range(7)]
+    ds = _dataset(seqs)
+    for l in range(3):
+        series = [s[l] for s in seqs]
+        assert _bits(pairwise_dtw(series)) == _bits(_reference_pairwise(series))
+    bandwidths = np.array([0.7, 3.0, 11.0])
+    z = TimeSeries(id="z", values=rng.normal(size=(3, 12)))
+    ck = cross_kernel(ds, z, bandwidths)
+    for l in range(3):
+        dists = np.array([dtw_loop(z.values[l], s[l]) for s in seqs])
+        assert _bits(ck.cross[l]) == _bits(np.exp(-dists / bandwidths[l]))
+
+
+def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):
+    from mkdmts import evalx
+
+    _, unseen, _ = synth_dataset(SynthConfig(seed=5, samples_per_class=3, length_range=(8, 14)))
+    seen_matrices = []
+
+    def spy(series):
+        d = pairwise_dtw(series)
+        seen_matrices.append((series, d))
+        return d
+
+    monkeypatch.setattr(evalx, "pairwise_dtw", spy)
+    evalx.spectral_baseline(unseen, np.ones(unseen.dims), num_clusters=2)
+    assert len(seen_matrices) == unseen.dims
+    for series, d in seen_matrices:
+        assert _bits(d) == _bits(_reference_pairwise(series))
+
+
+@pytest.mark.parametrize("damage", ["delete", "truncate", "meta"])
+def test_damaged_cache_rebuilds(tmp_path, damage):
+    seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
+    cache = tmp_path / "cache"
+    ks = build_or_load_kernelset(seen, cache)
+    victim = cache / "dim001.bin"
+    if damage == "delete":
+        victim.unlink()
+    elif damage == "truncate":
+        victim.write_bytes(victim.read_bytes()[:40])
+    else:
+        meta = read_json(cache / "meta.json")
+        del meta["f"]
+        write_json(cache / "meta.json", meta)
+    with pytest.raises(DataError):
+        load_kernelset(cache)
+    rebuilt = build_or_load_kernelset(seen, cache)
+    for a, b in zip(rebuilt.kernels, ks.kernels):
+        assert _bits(a) == _bits(b)
+    assert _bits(load_kernelset(cache).kernels[1]) == _bits(ks.kernels[1])
