@@ -15,13 +15,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import DataError, MkdError, NumericalError, UsageError
 from .ioutil import read_json, read_matrix, write_json, write_matrix
-
-log = logging.getLogger("mkdmts")
 
 DEFAULTS: dict[str, dict] = {
     "synth": {
@@ -67,6 +63,17 @@ def _effective(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _num(cfg: dict, key: str, kind: type, optional: bool = False):
+    """``cfg[key]`` as an int or float (None stays None if optional); a bad value is a usage error."""
+    value = cfg[key]
+    if value is None and optional:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
 def _config(cls, **fields):
     """Build a config object, reporting out-of-range values as usage errors."""
     try:
@@ -88,34 +95,29 @@ def _write_run_info(out_dir: Path, command: str, cfg: dict) -> None:
 
 
 def _cmd_synth(cfg: dict) -> int:
-    from .mtsdata import SynthConfig, save_dataset, synth_dataset
+    from .evalx import synthesize
+    from .mtsdata import SynthConfig
 
     synth_cfg = SynthConfig(
-        num_seen_classes=int(cfg["seen_classes"]),
-        num_unseen_classes=int(cfg["unseen_classes"]),
-        dims=int(cfg["dims"]),
-        length_range=(int(cfg["length_min"]), int(cfg["length_max"])),
-        samples_per_class=int(cfg["samples"]),
-        noise_std=float(cfg["noise"]),
-        seed=int(cfg["seed"]),
+        num_seen_classes=_num(cfg, "seen_classes", int),
+        num_unseen_classes=_num(cfg, "unseen_classes", int),
+        dims=_num(cfg, "dims", int),
+        length_range=(_num(cfg, "length_min", int), _num(cfg, "length_max", int)),
+        samples_per_class=_num(cfg, "samples", int),
+        noise_std=_num(cfg, "noise", float),
+        seed=_num(cfg, "seed", int),
     )
-    seen, unseen, provenance = synth_dataset(synth_cfg)
     out = Path(cfg["out"])
-    save_dataset(seen, out, "seen")
-    save_dataset(unseen, out, "unseen")
-    write_json(out / "provenance.json", provenance)
+    seen, unseen = synthesize(synth_cfg, out)
     _write_run_info(out, "synth", cfg)
     print(f"wrote {len(seen)} seen and {len(unseen)} unseen sequences to {out}", file=sys.stderr)
     return 0
 
 
-def _parse_bandwidth(raw) -> float | str:
-    if raw == "median":
+def _parse_bandwidth(cfg: dict) -> float | str:
+    if cfg["bandwidth"] == "median":
         return "median"
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"bandwidth must be 'median' or a number, got {raw!r}") from None
+    value = _num(cfg, "bandwidth", float)
     if value <= 0:
         raise UsageError("bandwidth must be positive")
     return value
@@ -125,7 +127,7 @@ def _cmd_kernels(cfg: dict) -> int:
     from .kernels import build_or_load_kernelset
     from .mtsdata import load_dataset
 
-    bandwidth = _parse_bandwidth(cfg["bandwidth"])
+    bandwidth = _parse_bandwidth(cfg)
     seen = load_dataset(cfg["manifest"], role="seen")
     ks = build_or_load_kernelset(seen, cfg["out"], bandwidth=bandwidth)
     _write_run_info(Path(cfg["out"]), "kernels", cfg)
@@ -140,13 +142,13 @@ def _cmd_train(cfg: dict) -> int:
 
     train_cfg = _config(
         TrainConfig,
-        k=int(cfg["k"]),
-        t_x=int(cfg["tx"]),
-        t_a=None if cfg["ta"] is None else int(cfg["ta"]),
-        t_beta=None if cfg["tbeta"] is None else int(cfg["tbeta"]),
-        max_iters=int(cfg["iters"]),
-        tol=float(cfg["tol"]),
-        seed=int(cfg["seed"]),
+        k=_num(cfg, "k", int),
+        t_x=_num(cfg, "tx", int),
+        t_a=_num(cfg, "ta", int, optional=True),
+        t_beta=_num(cfg, "tbeta", int, optional=True),
+        max_iters=_num(cfg, "iters", int),
+        tol=_num(cfg, "tol", float),
+        seed=_num(cfg, "seed", int),
     )
     seen = load_dataset(cfg["manifest"], role="seen")
     ks = load_kernelset(cfg["kernels"])
@@ -166,75 +168,61 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_encode(cfg: dict) -> int:
-    from .kernels import cross_kernel, load_kernelset
+    from .evalx import describe
+    from .kernels import load_kernelset
     from .mkd import load_model
     from .mtsdata import load_dataset
-    from .zeroshot import encode, encoding_matrix, reconstruction_report
 
+    t_x, threshold = _num(cfg, "tx", int, optional=True), _num(cfg, "threshold", float)
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
     ks = load_kernelset(cfg["kernels"])
     model, meta = load_model(cfg["model"])
-    if model.dataset_hash != ks.dataset_hash:
-        raise DataError("model and kernel cache were built on different datasets")
-    t_x = int(cfg["tx"]) if cfg["tx"] is not None else int(meta["t_x"])
-    threshold = float(cfg["threshold"])
+    if t_x is None:
+        t_x = int(meta["t_x"])
+    described = describe(seen, ks, model, unseen, t_x, threshold)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    labels = seen.labels()
-    index = []
-    for seq in unseen.sequences:
-        ck = cross_kernel(seen, seq, ks.bandwidths)
-        x = encode(model, ks, ck, t_x)
-        enc = encoding_matrix(model, x, seq.id)
-        rep = reconstruction_report(model, ks, ck, x, labels, threshold=threshold)
-        write_json(out / f"{seq.id}.code.json", {"id": seq.id, "code": [float(v) for v in x]})
-        write_matrix(out / f"{seq.id}.R.bin", enc.values)
-        write_json(out / f"{seq.id}.report.json", {
-            "id": seq.id,
-            "per_dim_error": [float(e) for e in rep.per_dim_error],
-            "dra": rep.dra,
-            "attribution": rep.attribution,
-            "threshold": rep.threshold,
-        })
-        index.append(seq.id)
-    write_json(out / "index.json", {"ids": index})
+    for r in described:
+        write_json(out / f"{r.id}.code.json", {"id": r.id, "code": [float(v) for v in r.code]})
+        write_matrix(out / f"{r.id}.R.bin", r.encoding.values)
+        write_json(out / f"{r.id}.report.json", r.row() | {"threshold": r.report.threshold})
+    write_json(out / "index.json", {"ids": [r.id for r in described]})
     _write_run_info(out, "encode", cfg | {"tx": t_x})
-    print(f"encoded {len(index)} sequences into {out}", file=sys.stderr)
+    print(f"encoded {len(described)} sequences into {out}", file=sys.stderr)
     return 0
 
 
-def _parse_order(spec: str, ids: list[str]) -> list[str]:
+def _parse_order(spec: str) -> int | None:
+    """Arrival-order seed of ``shuffle:SEED``; None for ``file`` order."""
     if spec == "file":
-        return ids
+        return None
     if spec.startswith("shuffle:"):
         try:
-            seed = int(spec.split(":", 1)[1])
+            return int(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad order {spec!r}; expected file or shuffle:SEED") from None
-        perm = np.random.default_rng(seed).permutation(len(ids))
-        return [ids[i] for i in perm]
+            pass
     raise UsageError(f"bad order {spec!r}; expected file or shuffle:SEED")
 
 
 def _cmd_cluster(cfg: dict) -> int:
-    from .inclust import ClusterConfig, Dendrogram
+    from .evalx import cluster
+    from .inclust import ClusterConfig
 
-    tree = Dendrogram(_config(
+    cluster_cfg = _config(
         ClusterConfig,
-        k_clust=float(cfg["kclust"]),
-        k_rmv=float(cfg["krmv"]),
-        gamma=float(cfg["gamma"]),
-        split_min=int(cfg["split_min"]),
-        dup_eps=float(cfg["dup_eps"]),
-    ))
+        k_clust=_num(cfg, "kclust", float),
+        k_rmv=_num(cfg, "krmv", float),
+        gamma=_num(cfg, "gamma", float),
+        split_min=_num(cfg, "split_min", int),
+        dup_eps=_num(cfg, "dup_eps", float),
+    )
     enc_dir = Path(cfg["enc"])
     index = read_json(enc_dir / "index.json")["ids"]
-    order = _parse_order(cfg["order"], index)
+    order_seed = _parse_order(cfg["order"])
     if not index:
         raise DataError(f"{enc_dir / 'index.json'} lists no encoded sequences")
-    for sid in order:
-        tree.insert(sid, read_matrix(enc_dir / f"{sid}.R.bin"))
+    tree = cluster([(sid, read_matrix(enc_dir / f"{sid}.R.bin")) for sid in index], cluster_cfg, order_seed)
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     tree.save(out)

@@ -1,4 +1,7 @@
-"""Clustering metrics, the spectral baseline, and experiment orchestration.
+"""Pipeline stages, clustering metrics, the spectral baseline, and experiment orchestration.
+
+The CLI subcommands and ``run_experiment`` share the stages ``synthesize``,
+``describe`` and ``cluster``.
 
 Clustering error (CE) is one minus the accuracy of the best injective
 cluster-to-class matching on the contingency table.  NMI normalizes
@@ -9,18 +12,23 @@ directly on its averaged per-dimension Gaussian-of-DTW affinities.
 
 from __future__ import annotations
 
-import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import __version__
 from .errors import DataError, NumericalError
-from .kernels import pairwise_dtw
-from .mtsdata import Dataset
-
-log = logging.getLogger(__name__)
+from .inclust import ClusterConfig, Dendrogram
+from .ioutil import write_json
+from .kernels import KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
+from .mkd import Dictionary, TrainConfig, train
+from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
+from .zeroshot import EncodingMatrix, ReconstructionReport, encode, encoding_matrix, reconstruction_report
 
 # Published results for this method family on the four motion benchmarks
 # (Cricket, CMU, Words, Squat); kept as report context only, the datasets
@@ -161,6 +169,77 @@ def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int 
     return {seq.id: int(labels[i]) for i, seq in enumerate(unseen.sequences)}
 
 
+def synthesize(cfg: SynthConfig, out_dir: Path) -> tuple[Dataset, Dataset]:
+    """Synthesize a seen/unseen pair and save both plus ``provenance.json`` in ``out_dir``."""
+    seen, unseen, provenance = synth_dataset(cfg)
+    save_dataset(seen, out_dir, "seen")
+    save_dataset(unseen, out_dir, "unseen")
+    write_json(out_dir / "provenance.json", provenance)
+    return seen, unseen
+
+
+class Description(NamedTuple):
+    """One described unseen sequence."""
+
+    id: str
+    code: np.ndarray
+    encoding: EncodingMatrix
+    report: ReconstructionReport
+
+    def row(self) -> dict:
+        """The report as JSON: id, DRA, per-dimension errors and attribution."""
+        errors = [float(e) for e in self.report.per_dim_error]
+        return {"id": self.id, "dra": self.report.dra, "per_dim_error": errors, "attribution": self.report.attribution}
+
+
+def describe(seen: Dataset, ks: KernelSet, d: Dictionary, unseen: Dataset, t_x: int, threshold: float) -> list[Description]:
+    """Code, encode and score every unseen sequence against a trained dictionary.
+
+    Per sequence, in order: ``cross_kernel``, ``encode``, ``encoding_matrix``
+    and ``reconstruction_report``, called through this module's names so
+    that instrumentation rebinding them (perfbench) sees every call.
+    """
+    if d.dataset_hash != ks.dataset_hash:
+        raise DataError("model and kernel cache were built on different datasets")
+    labels = seen.labels()
+    out = []
+    for seq in unseen.sequences:
+        ck = cross_kernel(seen, seq, ks.bandwidths)
+        x = encode(d, ks, ck, t_x)
+        enc = encoding_matrix(d, x, seq.id)
+        out.append(Description(seq.id, x, enc, reconstruction_report(d, ks, ck, x, labels, threshold)))
+    return out
+
+
+def cluster(encodings: list[tuple[str, np.ndarray]], cfg: ClusterConfig, order_seed: int | None) -> Dendrogram:
+    """Insert (id, encoding matrix) pairs into a new dendrogram.
+
+    With an ``order_seed``, pair ``order[i]`` arrives i-th, where ``order =
+    default_rng(order_seed).permutation(len(encodings))``; without one the
+    pairs arrive as given.
+    """
+    tree = Dendrogram(cfg)
+    n = len(encodings)
+    for i in range(n) if order_seed is None else np.random.default_rng(order_seed).permutation(n):
+        tree.insert(*encodings[i])
+    return tree
+
+
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Time one stage of ``run_experiment``; an exception raised in it names the stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        try:
+            wrapped = type(exc)(f"[stage {name}] {exc}")
+        except Exception:
+            wrapped = RuntimeError(f"[stage {name}] {exc}")
+        raise wrapped from exc
+    timings[name] = time.perf_counter() - t0
+
+
 def run_experiment(config: dict, out_dir) -> dict:
     """Synthesize, train, encode, cluster, and score one end-to-end run.
 
@@ -168,68 +247,26 @@ def run_experiment(config: dict, out_dir) -> dict:
     derived from the global seed so reruns are bit-identical.  Artifacts
     and the report land in ``out_dir``; the report dict is returned.
     """
-    from pathlib import Path
-
-    from . import __version__
-    from .inclust import ClusterConfig, Dendrogram
-    from .ioutil import write_json
-    from .kernels import build_or_load_kernelset, cross_kernel
-    from .mkd import TrainConfig, train
-    from .mtsdata import SynthConfig, save_dataset, synth_dataset
-    from .zeroshot import encode, encoding_matrix, reconstruction_report
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage = "setup"
     timings: dict[str, float] = {}
-    try:
-        stage = "synth"
-        t0 = time.perf_counter()
+    with _stage("synth", timings):
         synth_cfg = SynthConfig(**config.get("synth", {}))
-        seen, unseen, provenance = synth_dataset(synth_cfg)
-        save_dataset(seen, out_dir / "data", "seen")
-        save_dataset(unseen, out_dir / "data", "unseen")
-        write_json(out_dir / "data" / "provenance.json", provenance)
-        timings[stage] = time.perf_counter() - t0
-
-        stage = "kernels"
-        t0 = time.perf_counter()
+        seen, unseen = synthesize(synth_cfg, out_dir / "data")
+    with _stage("kernels", timings):
         ks = build_or_load_kernelset(seen, out_dir / "kernels", config.get("bandwidth", "median"))
-        timings[stage] = time.perf_counter() - t0
-
-        stage = "train"
-        t0 = time.perf_counter()
+    with _stage("train", timings):
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
-        timings[stage] = time.perf_counter() - t0
-
-        stage = "encode"
-        t0 = time.perf_counter()
-        seen_labels = seen.labels()
+    with _stage("encode", timings):
         threshold = float(config.get("threshold", 0.1))
-        t_x = train_cfg.t_x
-        encodings = []
-        reports = []
-        for seq in unseen.sequences:
-            ck = cross_kernel(seen, seq, ks.bandwidths)
-            x = encode(result.dictionary, ks, ck, t_x)
-            encodings.append((seq.id, encoding_matrix(result.dictionary, x, seq.id)))
-            reports.append((seq.id, reconstruction_report(result.dictionary, ks, ck, x, seen_labels, threshold)))
-        timings[stage] = time.perf_counter() - t0
-
-        stage = "cluster"
-        t0 = time.perf_counter()
-        cl_conf = config.get("cluster", {})
-        tree = Dendrogram(ClusterConfig(**{k: v for k, v in cl_conf.items() if k != "order_seed"}))
-        order = np.random.default_rng(cl_conf.get("order_seed", synth_cfg.seed)).permutation(len(encodings))
-        for idx in order:
-            sid, enc = encodings[idx]
-            tree.insert(sid, enc.values)
+        described = describe(seen, ks, result.dictionary, unseen, train_cfg.t_x, threshold)
+    with _stage("cluster", timings):
+        cl_conf = dict(config.get("cluster", {}))
+        order_seed = cl_conf.pop("order_seed", synth_cfg.seed)
+        tree = cluster([(r.id, r.encoding.values) for r in described], ClusterConfig(**cl_conf), order_seed)
         tree.save(out_dir / "tree.json")
-        timings[stage] = time.perf_counter() - t0
-
-        stage = "score"
-        t0 = time.perf_counter()
+    with _stage("score", timings):
         truth = {seq.id: int(seq.label) for seq in unseen.sequences}
         pred = tree.flat_clusters()
         ours = score_clustering(pred, truth)
@@ -237,31 +274,13 @@ def run_experiment(config: dict, out_dir) -> dict:
             unseen, ks.bandwidths, num_clusters=synth_cfg.num_unseen_classes, seed=synth_cfg.seed
         )
         spectral = score_clustering(spectral_pred, truth)
-        timings[stage] = time.perf_counter() - t0
-    except Exception as exc:
-        try:
-            wrapped = type(exc)(f"[stage {stage}] {exc}")
-        except Exception:
-            wrapped = RuntimeError(f"[stage {stage}] {exc}")
-        raise wrapped from exc
 
-    dra_values = [rep.dra for _, rep in reports]
-    attribution_rows = []
-    for sid, rep in reports:
-        attribution_rows.append(
-            {
-                "id": sid,
-                "dra": rep.dra,
-                "per_dim_error": [float(e) for e in rep.per_dim_error],
-                "attribution": rep.attribution,
-            }
-        )
     report = {
         "version": __version__,
         "config": config,
         "loss_trace": [float(x) for x in result.loss_trace],
-        "dra_mean": float(np.mean(dra_values)),
-        "attribution": attribution_rows,
+        "dra_mean": float(np.mean([r.report.dra for r in described])),
+        "attribution": [r.row() for r in described],
         "clustering": {
             "incremental": {"ce": ours.ce, "nmi": ours.nmi, "clusters": len(set(pred.values()))},
             "spectral_baseline": {"ce": spectral.ce, "nmi": spectral.nmi},

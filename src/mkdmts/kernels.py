@@ -42,10 +42,6 @@ class KernelSet:
     def n(self) -> int:
         return self.kernels[0].shape[0]
 
-    def diag_sum(self) -> float:
-        """Sum of all diagonal entries, the loss of the all-zero coding."""
-        return float(sum(np.trace(k) for k in self.kernels))
-
     def subset(self, indices, dataset_hash: str) -> "KernelSet":
         idx = np.asarray(indices)
         return KernelSet(

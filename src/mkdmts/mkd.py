@@ -127,29 +127,53 @@ def atom_gram(d: Dictionary, ks: KernelSet) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def atom_data_cross(d: Dictionary, ks: KernelSet) -> np.ndarray:
-    """k x N inner products between atoms and data embeddings.
+def atom_data_cross(d: Dictionary, cross) -> np.ndarray:
+    """k x M inner products between the atoms and M all-ones-weighted embeddings.
 
-    Data samples embed with all-ones dimension weights, so entry (t, n) is
-    sum_l sqrt(B[l,t]) * (A[:,t]' K_l[:,n]).
+    ``cross[l]`` holds dimension l's kernel values between the N training
+    samples and the embeddings (N x M; ``K_l`` itself for the training
+    data), so entry (t, m) is sum_l sqrt(B[l,t]) * A[:,t]' cross[l][:,m].
     """
     a, b = d.sample_weights, d.dim_weights
-    c = np.zeros((d.k, d.n))
-    for l, kl in enumerate(ks.kernels):
-        c += np.sqrt(b[l])[:, None] * (a.T @ kl)
+    c = np.zeros((d.k, cross[0].shape[1]))
+    for l, cl in enumerate(cross):
+        c += np.sqrt(b[l])[:, None] * (a.T @ cl)
     return c
+
+
+def residuals(d: Dictionary, kernels, cross, self_k, codes) -> np.ndarray:
+    """f x M squared feature-space residuals of M coded embeddings, per dimension.
+
+    Codes (k x M) rebuild dimension l of embedding m as w = A diag(sqrt(B[l,:])) x_m,
+    leaving self_k[l,m] - 2 w' cross[l][:,m] + w' K_l w.  ``kernels`` are the
+    training Grams K_l, ``cross`` and ``self_k`` (f x M) the embeddings' kernel
+    values against the training samples and themselves.  Round-off can leave
+    values slightly below zero; callers clamp what they report.
+    """
+    a, b = d.sample_weights, d.dim_weights
+    out = np.empty((d.dims, codes.shape[1]))
+    for l, (kl, cl) in enumerate(zip(kernels, cross)):
+        w = a @ (np.sqrt(b[l])[:, None] * codes)
+        out[l] = self_k[l] - 2.0 * np.sum(w * cl, axis=0) + np.sum(w * (kl @ w), axis=0)
+    return out
+
+
+def clamp_residual(value: float, what: str) -> float:
+    """A summed residual with round-off below zero clamped to zero."""
+    if value < -1e-8:
+        log.debug("%s clamped to 0 from %.3e", what, value)
+    return max(value, 0.0)
+
+
+def _data_residuals(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> np.ndarray:
+    """Per-dimension residuals of the coded training samples (f x N)."""
+    self_k = np.stack([np.diag(kl) for kl in ks.kernels])
+    return residuals(d, ks.kernels, ks.kernels, self_k, codes)
 
 
 def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
     """Frobenius reconstruction loss of the coded data, clamped at zero."""
-    cross = atom_data_cross(d, ks)
-    gram = atom_gram(d, ks)
-    loss = ks.diag_sum() - 2.0 * float(np.sum(codes * cross)) + float(np.sum(codes * (gram @ codes)))
-    if loss < 0.0:
-        if loss < -1e-8:
-            log.debug("loss clamped to 0 from %.3e", loss)
-        loss = 0.0
-    return loss
+    return clamp_residual(float(np.sum(_data_residuals(d, ks, codes))), "loss")
 
 
 def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:
@@ -159,7 +183,7 @@ def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:
     order they are solved in.
     """
     gram = atom_gram(d, ks)
-    cross = atom_data_cross(d, ks)
+    cross = atom_data_cross(d, ks.kernels)
     codes = np.zeros((d.k, d.n))
     limit = min(t_x, d.k)
     for n in range(d.n):
@@ -177,15 +201,6 @@ def _weighted_gram(d: Dictionary, ks: KernelSet, i: int) -> np.ndarray:
     return out
 
 
-def _per_sample_errors(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> np.ndarray:
-    cross = atom_data_cross(d, ks)
-    gram = atom_gram(d, ks)
-    diag = np.zeros(d.n)
-    for kl in ks.kernels:
-        diag += np.diag(kl)
-    return diag - 2.0 * np.sum(codes * cross, axis=0) + np.sum(codes * (gram @ codes), axis=0)
-
-
 def _reinit_dead_atom(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -> None:
     """Re-seed a dead atom on the worst-reconstructed training sample.
 
@@ -194,7 +209,7 @@ def _reinit_dead_atom(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -
     fire only when the row contributes non-negatively).
     """
     codes[i, :] = 0.0
-    errors = _per_sample_errors(d, ks, codes)
+    errors = _data_residuals(d, ks, codes).sum(axis=0)
     worst = int(np.argmax(errors))
     a = np.zeros(d.n)
     a[worst] = 1.0
@@ -411,22 +426,14 @@ def _stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator
 
 def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_idx, held_idx, t_x: int) -> float:
     """Mean relative reconstruction error of held-out samples (all dimensions)."""
-    a, b = d.sample_weights, d.dim_weights
+    cols = np.ix_(np.asarray(train_idx), np.asarray(held_idx))
+    cross = [kl[cols] for kl in full_ks.kernels]
+    self_k = np.stack([np.diag(kl)[held_idx] for kl in full_ks.kernels])
     gram = atom_gram(d, sub_ks)
-    k = d.k
-    train_idx = np.asarray(train_idx)
-    errors = []
-    for j in held_idx:
-        cvec = np.zeros(k)
-        self_k = 0.0
-        for l, kl in enumerate(full_ks.kernels):
-            col = kl[train_idx, j]
-            cvec += np.sqrt(b[l]) * (a.T @ col)
-            self_k += kl[j, j]
-        x = nqp_solve(QuadProgram(gram, -cvec, min(t_x, k)))
-        resid = self_k - 2.0 * float(x @ cvec) + float(x @ gram @ x)
-        errors.append(max(0.0, resid) / max(self_k, _NORM_FLOOR))
-    return float(np.mean(errors))
+    cvec = atom_data_cross(d, cross)
+    codes = np.stack([nqp_solve(QuadProgram(gram, -c, min(t_x, d.k))) for c in cvec.T], axis=1)
+    resid = residuals(d, sub_ks.kernels, cross, self_k, codes).sum(axis=0)
+    return float(np.mean(np.maximum(resid, 0.0) / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
 
 
 def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainConfig, n_folds: int = 5) -> TrainConfig:

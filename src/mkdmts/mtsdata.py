@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import content_hash, read_json, write_json
+from .ioutil import content_hash, write_json
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -60,8 +60,9 @@ class TimeSeries:
 class Dataset:
     """An ordered collection of sequences sharing a dimension count.
 
-    For role "seen" every sequence must carry a label.  For role "unseen"
-    labels are optional and only used for evaluation.
+    Ids name per-sequence files: unique, non-empty, not "." or "..", and
+    without path separators.  For role "seen" every sequence must carry a
+    label.  For role "unseen" labels are optional, used for evaluation only.
     """
 
     sequences: list[TimeSeries]
@@ -74,7 +75,13 @@ class Dataset:
         if not self.sequences:
             raise DataError("empty dataset")
         dims = self.sequences[0].dims
+        ids = set()
         for seq in self.sequences:
+            if seq.id in ("", ".", "..") or "/" in seq.id or "\\" in seq.id:
+                raise DataError(f"sequence id {seq.id!r} is not a safe file name")
+            if seq.id in ids:
+                raise DataError(f"duplicate sequence id {seq.id!r}")
+            ids.add(seq.id)
             if seq.dims != dims:
                 raise DataError(
                     f"sequence {seq.id!r} has {seq.dims} dimensions, expected {dims}"
@@ -348,7 +355,3 @@ def synth_dataset(cfg: SynthConfig):
     seen = Dataset(seen_seqs, role=ROLE_SEEN)
     unseen = Dataset(unseen_seqs, role=ROLE_UNSEEN)
     return seen, unseen, provenance
-
-
-def load_provenance(path: str | Path) -> dict:
-    return read_json(path)

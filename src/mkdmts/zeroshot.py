@@ -10,17 +10,14 @@ training samples (and hence classes) that rebuilt it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .kernels import CrossKernel, KernelSet
-from .mkd import Dictionary, atom_gram
+from .mkd import Dictionary, atom_data_cross, atom_gram, clamp_residual, residuals
 from .nqp import QuadProgram, nqp_solve
-
-log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.1
 
@@ -53,13 +50,9 @@ def _check_provenance(d: Dictionary, ck: CrossKernel) -> None:
         raise DataError("cross-kernel and dictionary come from different seen datasets")
 
 
-def _atom_cross_values(d: Dictionary, ck: CrossKernel) -> np.ndarray:
-    """Per-atom inner products with the unseen embedding: c_t = sum_l sqrt(B[l,t]) a_t' kappa_l."""
-    a, b = d.sample_weights, d.dim_weights
-    vals = np.zeros(d.k)
-    for l in range(d.dims):
-        vals += np.sqrt(b[l]) * (a.T @ ck.cross[l])
-    return vals
+def _columns(ck: CrossKernel) -> list[np.ndarray]:
+    """The cross-kernel as one N x 1 column per dimension."""
+    return [c[:, None] for c in ck.cross]
 
 
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
@@ -68,41 +61,31 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     if ck.dims != d.dims:
         raise DataError("cross-kernel dimension count does not match the dictionary")
     gram = atom_gram(d, ks)
-    c = -_atom_cross_values(d, ck)
+    c = -atom_data_cross(d, _columns(ck))[:, 0]
     return nqp_solve(QuadProgram(gram, c, min(t_x, d.k)))
+
+
+def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray) -> np.ndarray:
+    """Per-dimension residuals (length f) of one coded unseen sequence, unclamped."""
+    _check_provenance(d, ck)
+    codes = np.asarray(x, dtype=np.float64)[:, None]
+    return residuals(d, ks.kernels, _columns(ck), ck.self_k[:, None], codes)[:, 0]
 
 
 def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, dims) -> float:
     """Relative reconstruction error restricted to a dimension subset.
 
-    Per dimension l the residual is
-    selfK_l - 2 sum_t x_t sqrt(B[l,t]) a_t' kappa_l
-            + sum_{t,t'} x_t x_t' sqrt(B[l,t] B[l,t']) a_t' K_l a_t',
-    summed over the subset and divided by the subset's self-kernel mass
-    (1 per dimension).  Round-off below zero is clamped.
+    The per-dimension residuals of ``mkd.residuals`` are summed over the
+    subset, clamped at zero against round-off, and divided by the subset's
+    self-kernel mass (1 per dimension).
     """
-    _check_provenance(d, ck)
     dims = sorted(set(int(l) for l in dims))
     if not dims:
         raise ValueError("dimension subset must be non-empty")
     if dims[0] < 0 or dims[-1] >= d.dims:
         raise ValueError(f"dimension subset out of range 0..{d.dims - 1}")
-    a, b = d.sample_weights, d.dim_weights
-    x = np.asarray(x, dtype=np.float64)
-    numer = 0.0
-    denom = 0.0
-    for l in dims:
-        s = np.sqrt(b[l])
-        lin = float((x * s) @ (a.T @ ck.cross[l]))
-        w = a @ (x * s)
-        quad = float(w @ ks.kernels[l] @ w)
-        numer += float(ck.self_k[l]) - 2.0 * lin + quad
-        denom += float(ck.self_k[l])
-    if numer < 0.0:
-        if numer < -1e-8:
-            log.debug("partial error clamped to 0 from %.3e", numer)
-        numer = 0.0
-    return numer / denom
+    numer = float(np.sum(_dim_residuals(d, ks, ck, x)[dims]))
+    return clamp_residual(numer, "partial error") / float(np.sum(ck.self_k[dims]))
 
 
 def encoding_matrix(d: Dictionary, x: np.ndarray, source_id: str = "") -> EncodingMatrix:
@@ -131,7 +114,8 @@ def reconstruction_report(
     seen_labels = np.asarray(seen_labels)
     if seen_labels.shape != (d.n,):
         raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")
-    errors = np.array([partial_error(d, ks, ck, x, [l]) for l in range(d.dims)])
+    resid = _dim_residuals(d, ks, ck, x)
+    errors = np.array([clamp_residual(float(r), "partial error") for r in resid]) / ck.self_k
     r = encoding_matrix(d, x).values
     classes = np.unique(seen_labels)
     attribution: list[int | None] = []

@@ -21,8 +21,9 @@ from conftest import (
 )
 
 from mkdmts.cli import main as cli_main
-from mkdmts.evalx import clustering_error, nmi, score_clustering, spectral_baseline
+from mkdmts.evalx import clustering_error, nmi, run_experiment, score_clustering, spectral_baseline
 from mkdmts.inclust import ClusterConfig, Dendrogram
+from mkdmts.ioutil import read_json
 from mkdmts.kernels import build_kernelset, cross_kernel, dtw
 from mkdmts.mkd import (
     TrainConfig,
@@ -62,7 +63,7 @@ def test_criterion_1_kernel_algebra_master_oracle():
         from mkdmts.mkd import atom_data_cross, atom_gram
 
         np.testing.assert_allclose(atom_gram(d, ks), atoms.T @ atoms, atol=1e-8)
-        np.testing.assert_allclose(atom_data_cross(d, ks), atoms.T @ data, atol=1e-8)
+        np.testing.assert_allclose(atom_data_cross(d, ks.kernels), atoms.T @ data, atol=1e-8)
 
         x_mat = rng.uniform(0, 1, size=(k, n))
         explicit_loss = np.linalg.norm(data - atoms @ x_mat, "fro") ** 2
@@ -332,4 +333,17 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     # numeric artifacts byte-identical
     for rel in ("tree.json", "score.json"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
-    _report(9, "bit-identical pipeline outputs across two fresh seeds-equal runs", time.time() - t0, 300)
+
+    # run_experiment, configured like the CLI run, agrees with it
+    report = run_experiment({
+        "synth": {"seed": 7, "samples_per_class": 5, "length_range": (30, 40), "noise_std": 0.05},
+        "bandwidth": 20.0,
+        "train": {"k": 8, "t_x": 2, "t_a": 2, "t_beta": 1, "max_iters": 6, "tol": 1e-6, "seed": 7},
+        "cluster": {"order_seed": 7},
+    }, tmp_path / "in_process")
+    assert (tmp_path / "in_process" / "tree.json").read_bytes() == (a / "tree.json").read_bytes()
+    cli_score = read_json(a / "score.json")
+    assert report["clustering"]["incremental"]["ce"] == cli_score["ce"]
+    assert report["clustering"]["incremental"]["nmi"] == cli_score["nmi"]
+    assert report["loss_trace"] == read_json(a / "model" / "meta.json")["loss_trace"]
+    _report(9, "bit-identical outputs across two CLI runs and run_experiment", time.time() - t0, 300)

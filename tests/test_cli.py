@@ -207,3 +207,30 @@ def test_cluster_empty_index_is_data_error(tmp_path, capsys):
     assert "lists no encoded sequences" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
 
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"k": "abc"}))
+    assert _run(["train", "--config", cfg_path, "--manifest", tmp_path / "m.jsonl",
+                 "--kernels", tmp_path / "k", "--out", tmp_path / "model"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: k must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model").exists()
+
+
+def test_encode_rejects_path_traversal_id(tmp_path, capsys):
+    data, kern, model = tmp_path / "w" / "data", tmp_path / "w" / "kern", tmp_path / "w" / "model"
+    assert _run(["synth", "--seed", 3, "--seen-classes", 2, "--unseen-classes", 1,
+                 "--samples", 2, "--length-min", 8, "--length-max", 10, "--out", data]) == 0
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", kern, "--bandwidth", 5]) == 0
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern,
+                 "--k", 2, "--tbeta", 1, "--iters", 2, "--out", model]) == 0
+    first = json.loads((data / "unseen.jsonl").read_text().splitlines()[0])
+    (data / "evil.jsonl").write_text(json.dumps({"id": "../../escaped", "path": first["path"]}) + "\n")
+    capsys.readouterr()
+    assert _run(["encode", "--model", model, "--kernels", kern,
+                 "--seen-manifest", data / "seen.jsonl", "--manifest", data / "evil.jsonl",
+                 "--out", tmp_path / "w" / "enc" / "x"]) == 2
+    assert "'../../escaped' is not a safe file name" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("escaped*"))

@@ -8,11 +8,13 @@ from mkdmts.kernels import build_kernelset
 from mkdmts.mkd import (
     Dictionary,
     TrainConfig,
+    _holdout_error,
     atom_data_cross,
     atom_gram,
     compute_loss,
     init_dictionary,
     load_model,
+    residuals,
     save_model,
     train,
     tune,
@@ -21,6 +23,7 @@ from mkdmts.mkd import (
     update_codes,
 )
 from mkdmts.mtsdata import SynthConfig, synth_dataset
+from mkdmts.nqp import QuadProgram, nqp_solve
 
 
 # ---------------------------------------------------------------- oracle
@@ -40,7 +43,7 @@ def test_atom_data_cross_matches_explicit_embedding(rng):
         ks, vs = make_explicit_kernelset(rng, n, f)
         d = random_dictionary(rng, ks, k)
         expected = explicit_atoms(d, vs).T @ explicit_data(vs)
-        np.testing.assert_allclose(atom_data_cross(d, ks), expected, atol=1e-8)
+        np.testing.assert_allclose(atom_data_cross(d, ks.kernels), expected, atol=1e-8)
 
 
 def test_compute_loss_matches_explicit_embedding(rng):
@@ -51,6 +54,38 @@ def test_compute_loss_matches_explicit_embedding(rng):
         x = rng.uniform(0, 1, size=(k, n))
         explicit = np.linalg.norm(explicit_data(vs) - explicit_atoms(d, vs) @ x, "fro") ** 2
         assert compute_loss(d, ks, x) == pytest.approx(explicit, abs=1e-8 * max(1, explicit))
+
+
+def test_residuals_match_explicit_embedding_per_dimension(rng):
+    for _ in range(25):
+        n, f, k, m = int(rng.integers(4, 10)), int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        ks, vs = make_explicit_kernelset(rng, n, f)
+        d = random_dictionary(rng, ks, k)
+        zs = [rng.normal(size=(v.shape[0], m)) for v in vs]
+        x = rng.uniform(0, 1, size=(k, m))
+        got = residuals(d, ks.kernels, [v.T @ z for v, z in zip(vs, zs)],
+                        np.stack([np.sum(z * z, axis=0) for z in zs]), x)
+        for l, (v, z) in enumerate(zip(vs, zs)):
+            atoms = np.sqrt(d.dim_weights[l])[None, :] * (v @ d.sample_weights)
+            np.testing.assert_allclose(got[l], np.sum((z - atoms @ x) ** 2, axis=0), atol=1e-8)
+
+
+def test_holdout_error_matches_explicit_embedding(rng):
+    for _ in range(25):
+        n, f, k, t_x = int(rng.integers(6, 12)), int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        ks, vs = make_explicit_kernelset(rng, n, f)
+        held = np.sort(rng.choice(n, size=3, replace=False))
+        train_idx = np.setdiff1d(np.arange(n), held)
+        sub_ks = ks.subset(train_idx, ks.dataset_hash)
+        d = random_dictionary(rng, sub_ks, k)
+        atoms = explicit_atoms(d, [v[:, train_idx] for v in vs])
+        data = explicit_data(vs)
+        errors = []
+        for j in held:
+            z = data[:, j]
+            x = nqp_solve(QuadProgram(atoms.T @ atoms, -(atoms.T @ z), min(t_x, k)))
+            errors.append(np.sum((z - atoms @ x) ** 2) / np.sum(z * z))
+        assert _holdout_error(d, sub_ks, ks, train_idx, held, t_x) == pytest.approx(np.mean(errors), abs=1e-8)
 
 
 # ---------------------------------------------------------------- examples
@@ -79,7 +114,7 @@ def test_loss_with_zero_codes_is_kernel_diagonal_mass():
     cfg = TrainConfig(k=3, t_x=1, seed=0)
     d = init_dictionary(ks, cfg, labels=seen.labels())
     loss0 = compute_loss(d, ks, np.zeros((3, len(seen))))
-    assert loss0 == pytest.approx(ks.diag_sum(), rel=1e-12)
+    assert loss0 == pytest.approx(sum(np.trace(k) for k in ks.kernels), rel=1e-12)
 
 
 def test_update_codes_exact_atom_reconstructs(rng):

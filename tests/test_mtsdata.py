@@ -39,6 +39,19 @@ def test_seen_dataset_requires_labels():
     Dataset([a], role="unseen")  # fine without labels
 
 
+@pytest.mark.parametrize("bad", ["", ".", "..", "../x", "a/b", "a\\b"])
+def test_dataset_rejects_unsafe_ids(bad):
+    with pytest.raises(DataError, match="not a safe file name"):
+        Dataset([TimeSeries(id=bad, values=np.zeros((1, 3)))], role="unseen")
+
+
+def test_dataset_rejects_duplicate_ids():
+    seqs = [TimeSeries(id="a", values=np.zeros((1, 3)), label=0),
+            TimeSeries(id="a", values=np.ones((1, 3)), label=0)]
+    with pytest.raises(DataError, match="duplicate sequence id 'a'"):
+        Dataset(seqs, role="seen")
+
+
 def _write_manifest(tmp_path, records):
     man = tmp_path / "m.jsonl"
     with open(man, "w") as fh:
