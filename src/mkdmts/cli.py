@@ -174,6 +174,8 @@ def _cmd_encode(cfg: dict) -> int:
     from .mtsdata import load_dataset
 
     t_x, threshold = _num(cfg, "tx", int, optional=True), _num(cfg, "threshold", float)
+    if t_x is not None and t_x < 1:
+        raise UsageError("t_x must be at least 1")
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
     ks = load_kernelset(cfg["kernels"])

@@ -207,17 +207,15 @@ class Dendrogram:
 
     # -- insertion ---------------------------------------------------
 
-    def _effective_intra(self, node: DendroNode, dup_floor: float, fallback: float) -> float:
-        typical = self._typical_join()
-        floor = self.cfg.gamma * typical if typical is not None else fallback
-        return max(node.intra, floor, dup_floor)
-
     def _candidates(self, r: np.ndarray) -> DendroNode | None:
-        dup_floor = self.cfg.dup_eps * float((r * r).sum())
+        typical = self._typical_join()
+        # before the first join there is no distance scale and every node accepts
+        floor = max(self.cfg.gamma * typical if typical is not None else np.inf,
+                    self.cfg.dup_eps * float((r * r).sum()))
         best: tuple[float, int, DendroNode] | None = None
         for node in self.nodes():
             d = dist(r, node)
-            if d <= self._effective_intra(node, dup_floor, fallback=d):
+            if d <= max(node.intra, floor):
                 if best is None or (d, node.node_id) < (best[0], best[1]):
                     best = (d, node.node_id, node)
         return best[2] if best else None
@@ -284,38 +282,26 @@ class Dendrogram:
             )
         winner = self._candidates(r) if self.roots else None
         if winner is None:
-            node = self._new_node(None)
-            node.member_ids.append(source_id)
-            node.member_r.append(r)
+            target = self._new_node(None)
+            self.roots.append(target)
+        else:
+            self._record_join(dist(r, winner))
+            target = winner if winner.is_leaf else self._new_node(winner)
+            if target is not winner:
+                winner.children.append(target)
+        target.member_ids.append(source_id)
+        target.member_r.append(r)
+        node = target
+        while node is not None:
             node.welford_add(r)
-            self.roots.append(node)
-            record = PlacementRecord(source_id, "new_root", node.node_id)
-            self.records.append(record)
-            return record
-
-        d = dist(r, winner)
-        if winner.is_leaf:
-            winner.member_ids.append(source_id)
-            winner.member_r.append(r)
-            node = winner
-            while node is not None:
-                node.welford_add(r)
-                node = node.parent
-            self._record_join(d)
+            node = node.parent
+        if winner is None:
+            record = PlacementRecord(source_id, "new_root", target.node_id)
+        elif target is winner:
             split, split_ids = self._try_split(winner)
             record = PlacementRecord(source_id, "joined_leaf", winner.node_id, split, split_ids)
         else:
-            child = self._new_node(winner)
-            child.member_ids.append(source_id)
-            child.member_r.append(r)
-            child.welford_add(r)
-            winner.children.append(child)
-            node = winner
-            while node is not None:
-                node.welford_add(r)
-                node = node.parent
-            self._record_join(d)
-            record = PlacementRecord(source_id, "joined_internal", winner.node_id, None, None)
+            record = PlacementRecord(source_id, "joined_internal", winner.node_id)
         self.records.append(record)
         return record
 

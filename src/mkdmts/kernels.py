@@ -252,8 +252,12 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
 
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
+    """Write the cache; ``meta.json`` goes last, so an interrupted write leaves none."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
+    (cache_dir / "meta.json").unlink(missing_ok=True)
+    for l, k in enumerate(ks.kernels):
+        write_matrix(cache_dir / f"dim{l:03d}.bin", k)
     write_json(
         cache_dir / "meta.json",
         {
@@ -265,8 +269,6 @@ def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
             "dataset_hash": ks.dataset_hash,
         },
     )
-    for l, k in enumerate(ks.kernels):
-        write_matrix(cache_dir / f"dim{l:03d}.bin", k)
 
 
 def load_kernelset(cache_dir: str | Path) -> KernelSet:

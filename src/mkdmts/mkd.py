@@ -27,7 +27,7 @@ from .errors import DataError
 from .ioutil import read_json, read_matrix, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
-from .nqp import QuadProgram, nqp_solve, objective
+from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
 
 log = logging.getLogger(__name__)
 
@@ -176,19 +176,22 @@ def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
     return clamp_residual(float(np.sum(_data_residuals(d, ks, codes))), "loss")
 
 
-def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:
-    """Re-solve every sample's sparse code against the current dictionary.
+def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
+    """k x M sparse non-negative codes of M embeddings, one greedy NQP per column.
 
-    Columns are independent problems; the result does not depend on the
-    order they are solved in.
+    ``cross`` is as in ``atom_data_cross`` and ``ks`` holds the training
+    Grams the dictionary lives on.  Columns are independent problems; the
+    result does not depend on the order they are solved in.
     """
     gram = atom_gram(d, ks)
-    cross = atom_data_cross(d, ks.kernels)
-    codes = np.zeros((d.k, d.n))
+    cvec = atom_data_cross(d, cross)
     limit = min(t_x, d.k)
-    for n in range(d.n):
-        codes[:, n] = nqp_solve(QuadProgram(gram, -cross[:, n], limit))
-    return codes
+    return np.stack([nqp_solve(QuadProgram(gram, -c, limit)) for c in cvec.T], axis=1)
+
+
+def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:
+    """Re-solve every sample's sparse code against the current dictionary."""
+    return sparse_codes(d, ks, ks.kernels, t_x)
 
 
 def _weighted_gram(d: Dictionary, ks: KernelSet, i: int) -> np.ndarray:
@@ -199,6 +202,20 @@ def _weighted_gram(d: Dictionary, ks: KernelSet, i: int) -> np.ndarray:
         if b[l] != 0.0:
             out += b[l] * kl
     return out
+
+
+def _atom_targets(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -> np.ndarray:
+    """f x N targets g_l = K_l (x - sum_{t != i} rho_t sqrt(B[l,t]) a_t) of atom i.
+
+    With x = X[i,:] and rho = X x, g_l is what the rest of the dictionary
+    leaves for atom i to fit in dimension l; the linear terms of both atom
+    blocks are linear in these vectors.
+    """
+    x = codes[i, :]
+    rho = codes @ x
+    rho[i] = 0.0
+    rest = d.sample_weights @ (np.sqrt(d.dim_weights) * rho).T
+    return np.stack([kl @ (x - rest[:, l]) for l, kl in enumerate(ks.kernels)])
 
 
 def _reinit_dead_atom(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -> None:
@@ -235,26 +252,9 @@ def update_atom_samples(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int,
         _reinit_dead_atom(d, ks, codes, i)
         return
 
-    a, b = d.sample_weights, d.dim_weights
     k_beta = _weighted_gram(d, ks, i)
     h = weight * k_beta
-
-    term1 = np.zeros(d.n)
-    for l, kl in enumerate(ks.kernels):
-        if b[l, i] != 0.0:
-            term1 += math.sqrt(b[l, i]) * (kl @ xrow)
-    term2 = np.zeros(d.n)
-    rho = codes @ xrow
-    for t in range(d.k):
-        if t == i or rho[t] == 0.0:
-            continue
-        gt = np.zeros(d.n)
-        for l, kl in enumerate(ks.kernels):
-            w = math.sqrt(b[l, i] * b[l, t])
-            if w != 0.0:
-                gt += w * (kl @ a[:, t])
-        term2 += rho[t] * gt
-    c = -term1 + term2
+    c = -np.sqrt(d.dim_weights[:, i]) @ _atom_targets(d, ks, codes, i)
 
     limit = min(t_a, d.n)
     # plain greedy here: the keep-better guard below already enforces
@@ -263,7 +263,7 @@ def update_atom_samples(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int,
     if not new.any():
         _reinit_dead_atom(d, ks, codes, i)
         return
-    old = a[:, i]
+    old = d.sample_weights[:, i]
     if np.count_nonzero(old) <= limit and objective(h, c, new) > objective(h, c, old):
         new = old.copy()
 
@@ -280,9 +280,9 @@ def update_atom_dims(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int, t_
     """Block update of atom i's dimension weights, in place.
 
     Substituting u_l = sqrt(beta_l) turns the block into a diagonal
-    non-negative sparse quadratic; beta = u^2 afterwards.  Same keep-the-
-    better and renormalize-with-compensation discipline as the sample
-    update (here the normalization is absorbed by scaling beta).
+    non-negative sparse quadratic, whose exact optimum has a closed form;
+    beta = u^2 afterwards, scaled to give the atom unit feature norm, with
+    code row i rescaled to compensate.
     """
     xrow = codes[i, :]
     weight = float(xrow @ xrow)
@@ -290,37 +290,13 @@ def update_atom_dims(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int, t_
         _reinit_dead_atom(d, ks, codes, i)
         return
 
-    a, b = d.sample_weights, d.dim_weights
-    ai = a[:, i]
-    f = d.dims
-    m = np.zeros(f)
-    p = np.zeros(f)
-    q = np.zeros(f)
-    rho = codes @ xrow
-    for l, kl in enumerate(ks.kernels):
-        kl_ai = kl @ ai
-        m[l] = float(ai @ kl_ai)
-        p[l] = float(xrow @ (kl.T @ ai))
-        acc = 0.0
-        for t in range(d.k):
-            if t == i or rho[t] == 0.0:
-                continue
-            w = math.sqrt(b[l, t])
-            if w != 0.0:
-                acc += rho[t] * w * float(kl_ai @ a[:, t])
-        q[l] = acc
-
-    h = np.diag(2.0 * weight * m)
-    c = -2.0 * p + 2.0 * q
-
-    limit = min(t_beta, f)
-    u = nqp_solve(QuadProgram(h, c, limit))
+    ai = d.sample_weights[:, i]
+    m = np.array([float(ai @ (kl @ ai)) for kl in ks.kernels])
+    c = -2.0 * (_atom_targets(d, ks, codes, i) @ ai)
+    u = diagonal_solve(2.0 * weight * m, c, min(t_beta, d.dims))
     if not u.any():
         _reinit_dead_atom(d, ks, codes, i)
         return
-    u_old = np.sqrt(b[:, i])
-    if np.count_nonzero(u_old) <= limit and objective(h, c, u) > objective(h, c, u_old):
-        u = u_old.copy()
 
     beta = u * u
     norm_sq = float(beta @ m)
@@ -429,9 +405,7 @@ def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_i
     cols = np.ix_(np.asarray(train_idx), np.asarray(held_idx))
     cross = [kl[cols] for kl in full_ks.kernels]
     self_k = np.stack([np.diag(kl)[held_idx] for kl in full_ks.kernels])
-    gram = atom_gram(d, sub_ks)
-    cvec = atom_data_cross(d, cross)
-    codes = np.stack([nqp_solve(QuadProgram(gram, -c, min(t_x, d.k))) for c in cvec.T], axis=1)
+    codes = sparse_codes(d, sub_ks, cross, t_x)
     resid = residuals(d, sub_ks.kernels, cross, self_k, codes).sum(axis=0)
     return float(np.mean(np.maximum(resid, 0.0) / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
 
@@ -465,9 +439,14 @@ def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainC
 
 
 def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> None:
+    """Write the model; ``meta.json`` goes last, so an interrupted write leaves none."""
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
+    (model_dir / "meta.json").unlink(missing_ok=True)
     d = result.dictionary
+    write_matrix(model_dir / "sample_weights.bin", d.sample_weights)
+    write_matrix(model_dir / "dim_weights.bin", d.dim_weights)
+    write_matrix(model_dir / "codes.bin", result.codes)
     write_json(
         model_dir / "meta.json",
         {
@@ -484,9 +463,6 @@ def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> 
             "loss_trace": [float(x) for x in result.loss_trace],
         },
     )
-    write_matrix(model_dir / "sample_weights.bin", d.sample_weights)
-    write_matrix(model_dir / "dim_weights.bin", d.dim_weights)
-    write_matrix(model_dir / "codes.bin", result.codes)
 
 
 def load_model(model_dir) -> tuple[Dictionary, dict]:

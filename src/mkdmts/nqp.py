@@ -3,8 +3,9 @@
 Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
 for symmetric PSD H.  Support indices are admitted greedily; each
 candidate is scored by fully re-solving the restricted problem with
-cyclic coordinate descent.  A brute-force oracle enumerating all supports
-is provided for testing.
+cyclic coordinate descent.  Diagonal H separates and has a closed-form
+solver.  A brute-force oracle enumerating all supports is provided for
+testing.
 """
 
 from __future__ import annotations
@@ -115,6 +116,25 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     if refine_swaps and 0 < len(support) < n:
         y, support, best_obj = _swap_refine(h, c, support, y, best_obj)
     y[np.abs(y) < 1e-15] = 0.0
+    return y
+
+
+def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
+    """Exact optimum of the program for H = diag(h_diag).
+
+    Coordinate j alone lowers the objective by c_j^2 / (2 h_jj) at
+    y_j = -c_j / h_jj when c_j < 0, so the best support holds the ``limit``
+    largest such decreases (ties to the lowest index).  As in ``nqp_solve``,
+    a coordinate enters only when it decreases the objective by more than
+    1e-12, and vanishing diagonal entries are skipped.
+    """
+    gain = np.zeros(c.shape[0])
+    ok = (c < 0.0) & (h_diag > _DIAG_FLOOR)
+    gain[ok] = c[ok] ** 2 / (2.0 * h_diag[ok])
+    top = np.argsort(-gain, kind="stable")[:limit]
+    top = top[gain[top] > _MIN_DECREASE]
+    y = np.zeros(c.shape[0])
+    y[top] = -c[top] / h_diag[top]
     return y
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .kernels import CrossKernel, KernelSet
-from .mkd import Dictionary, atom_data_cross, atom_gram, clamp_residual, residuals
-from .nqp import QuadProgram, nqp_solve
+from .mkd import Dictionary, clamp_residual, residuals, sparse_codes
 
 DEFAULT_THRESHOLD = 0.1
 
@@ -60,9 +59,7 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     _check_provenance(d, ck)
     if ck.dims != d.dims:
         raise DataError("cross-kernel dimension count does not match the dictionary")
-    gram = atom_gram(d, ks)
-    c = -atom_data_cross(d, _columns(ck))[:, 0]
-    return nqp_solve(QuadProgram(gram, c, min(t_x, d.k)))
+    return sparse_codes(d, ks, _columns(ck), t_x)[:, 0]
 
 
 def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray) -> np.ndarray:

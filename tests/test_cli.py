@@ -219,13 +219,31 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "model").exists()
 
 
-def test_encode_rejects_path_traversal_id(tmp_path, capsys):
-    data, kern, model = tmp_path / "w" / "data", tmp_path / "w" / "kern", tmp_path / "w" / "model"
+def _small_model(root):
+    """Synthesize, build kernels and train a tiny model under ``root``."""
+    data, kern, model = root / "data", root / "kern", root / "model"
     assert _run(["synth", "--seed", 3, "--seen-classes", 2, "--unseen-classes", 1,
                  "--samples", 2, "--length-min", 8, "--length-max", 10, "--out", data]) == 0
     assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", kern, "--bandwidth", 5]) == 0
     assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern,
                  "--k", 2, "--tbeta", 1, "--iters", 2, "--out", model]) == 0
+    return data, kern, model
+
+
+def test_encode_out_of_range_tx_is_usage_error(tmp_path, capsys):
+    data, kern, model = _small_model(tmp_path / "w")
+    capsys.readouterr()
+    assert _run(["encode", "--model", model, "--kernels", kern, "--tx", 0,
+                 "--seen-manifest", data / "seen.jsonl", "--manifest", data / "unseen.jsonl",
+                 "--out", tmp_path / "enc"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: t_x must be at least 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "enc").exists()
+
+
+def test_encode_rejects_path_traversal_id(tmp_path, capsys):
+    data, kern, model = _small_model(tmp_path / "w")
     first = json.loads((data / "unseen.jsonl").read_text().splitlines()[0])
     (data / "evil.jsonl").write_text(json.dumps({"id": "../../escaped", "path": first["path"]}) + "\n")
     capsys.readouterr()

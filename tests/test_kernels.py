@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mkdmts.errors import DataError
-from mkdmts.ioutil import read_json, write_json
+from mkdmts.ioutil import read_json, write_json, write_matrix
 from mkdmts.kernels import (
     KernelSet,
     build_kernelset,
@@ -325,3 +325,29 @@ def test_damaged_cache_rebuilds(tmp_path, damage):
     for a, b in zip(rebuilt.kernels, ks.kernels):
         assert _bits(a) == _bits(b)
     assert _bits(load_kernelset(cache).kernels[1]) == _bits(ks.kernels[1])
+
+
+@pytest.mark.parametrize("next_run", ["new", "old"])
+def test_interrupted_cache_rewrite_never_serves_stale_kernels(tmp_path, monkeypatch, next_run):
+    # two same-shaped datasets: a half-rewritten cache would load without a shape error
+    old, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
+    new, _, _ = synth_dataset(SynthConfig(seed=4, samples_per_class=2, length_range=(10, 14)))
+    cache = tmp_path / "cache"
+    build_or_load_kernelset(old, cache)
+    written = []
+
+    def fail_second(path, m):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        write_matrix(path, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("mkdmts.kernels.write_matrix", fail_second)
+        with pytest.raises(OSError):
+            build_or_load_kernelset(new, cache)
+    wanted = new if next_run == "new" else old
+    served = build_or_load_kernelset(wanted, cache)
+    assert served.dataset_hash == wanted.hash()
+    for a, b in zip(served.kernels, build_kernelset(wanted).kernels):
+        assert _bits(a) == _bits(b)

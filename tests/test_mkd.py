@@ -4,10 +4,12 @@ import pytest
 from conftest import explicit_atoms, explicit_data, make_explicit_kernelset, random_dictionary
 
 from mkdmts.errors import DataError
+from mkdmts.ioutil import write_matrix
 from mkdmts.kernels import build_kernelset
 from mkdmts.mkd import (
     Dictionary,
     TrainConfig,
+    _atom_targets,
     _holdout_error,
     atom_data_cross,
     atom_gram,
@@ -68,6 +70,22 @@ def test_residuals_match_explicit_embedding_per_dimension(rng):
         for l, (v, z) in enumerate(zip(vs, zs)):
             atoms = np.sqrt(d.dim_weights[l])[None, :] * (v @ d.sample_weights)
             np.testing.assert_allclose(got[l], np.sum((z - atoms @ x) ** 2, axis=0), atol=1e-8)
+
+
+def test_atom_targets_match_explicit_embedding(rng):
+    # g_l = V_l' R_l x, R_l the explicit dimension-l residual of the data without atom i
+    for _ in range(25):
+        n, f, k = int(rng.integers(4, 10)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        ks, vs = make_explicit_kernelset(rng, n, f)
+        d = random_dictionary(rng, ks, k)
+        codes = rng.uniform(0, 1, size=(k, n)) * (rng.uniform(size=(k, n)) < 0.6)
+        i = int(rng.integers(k))
+        others = [t for t in range(k) if t != i]
+        got = _atom_targets(d, ks, codes, i)
+        for l, v in enumerate(vs):
+            atoms = np.sqrt(d.dim_weights[l])[None, :] * (v @ d.sample_weights)
+            r = v - atoms[:, others] @ codes[others]
+            np.testing.assert_allclose(got[l], v.T @ r @ codes[i], atol=1e-8)
 
 
 def test_holdout_error_matches_explicit_embedding(rng):
@@ -259,7 +277,7 @@ def test_train_rejects_mismatched_kernels():
         train(seen, ks, TrainConfig(k=2, t_x=1))
 
 
-def test_model_save_load_round_trip(tmp_path):
+def test_model_save_load_round_trip(tmp_path, monkeypatch):
     seen = _small_synth(noise=0.05)
     ks = build_kernelset(seen, bandwidth=10.0)
     cfg = TrainConfig(k=3, t_x=2, t_a=2, t_beta=1, max_iters=3, tol=1e-6, seed=1).resolve(len(seen), 2)
@@ -270,6 +288,21 @@ def test_model_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.dim_weights, result.dictionary.dim_weights)
     assert meta["t_x"] == cfg.t_x
     assert meta["dataset_hash"] == ks.dataset_hash
+
+    # a rewrite interrupted after its first matrix leaves no model to load
+    written = []
+
+    def fail_second(path, m):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        write_matrix(path, m)
+
+    monkeypatch.setattr("mkdmts.mkd.write_matrix", fail_second)
+    with pytest.raises(OSError):
+        save_model(result, tmp_path / "model", cfg, ks.bandwidths)
+    with pytest.raises(DataError):
+        load_model(tmp_path / "model")
 
 
 # ---------------------------------------------------------------- tune

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkdmts.nqp import QuadProgram, nqp_oracle, nqp_solve, objective
+from mkdmts.nqp import QuadProgram, diagonal_solve, nqp_oracle, nqp_solve, objective
 
 
 def random_program(rng, diag_only=False, n_max=8, t_max=3):
@@ -57,8 +57,10 @@ def test_feasibility_properties(rng):
 def test_diagonal_h_matches_oracle_exactly(rng):
     for _ in range(100):
         p = random_program(rng, diag_only=True)
-        ys, yo = nqp_solve(p), nqp_oracle(p)
-        assert objective(p.h, p.c, ys) == pytest.approx(objective(p.h, p.c, yo), abs=1e-10)
+        yo = nqp_oracle(p)
+        for y in (nqp_solve(p), diagonal_solve(np.diag(p.h), p.c, p.limit)):
+            assert (y >= 0).all() and np.count_nonzero(y) <= p.limit
+            assert objective(p.h, p.c, y) == pytest.approx(objective(p.h, p.c, yo), abs=1e-10)
 
 
 def test_solver_never_beats_oracle(rng):
