@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DataError, MkdError, NumericalError, UsageError
-from .ioutil import read_json, read_matrix, write_json, write_matrix
+from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix, write_text
 
 DEFAULTS: dict[str, dict] = {
     "synth": {
@@ -83,7 +83,7 @@ def _config(cls, **fields):
 
 
 def _write_run_info(out_dir: Path, command: str, cfg: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     payload = {k: v for k, v in cfg.items() if not isinstance(v, Path)}
     for k, v in cfg.items():
         if isinstance(v, Path):
@@ -183,8 +183,7 @@ def _cmd_encode(cfg: dict) -> int:
     if t_x is None:
         t_x = int(meta["t_x"])
     described = describe(seen, ks, model, unseen, t_x, threshold)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(cfg["out"])
     for r in described:
         write_json(out / f"{r.id}.code.json", {"id": r.id, "code": [float(v) for v in r.code]})
         write_matrix(out / f"{r.id}.R.bin", r.encoding.values)
@@ -226,10 +225,10 @@ def _cmd_cluster(cfg: dict) -> int:
         raise DataError(f"{enc_dir / 'index.json'} lists no encoded sequences")
     tree = cluster([(sid, read_matrix(enc_dir / f"{sid}.R.bin")) for sid in index], cluster_cfg, order_seed)
     out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     tree.save(out)
     if cfg["dot"]:
-        Path(cfg["dot"]).write_text(tree.to_dot() + "\n", encoding="utf-8")
+        write_text(cfg["dot"], tree.to_dot() + "\n")
     _write_run_info(out.parent, "cluster", cfg)
     print(f"tree with {len(tree.roots)} top-level nodes over {tree.size()} sequences", file=sys.stderr)
     return 0

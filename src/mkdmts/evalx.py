@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import write_json
+from .ioutil import make_dir, write_json
 from .kernels import KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
@@ -247,8 +247,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     derived from the global seed so reruns are bit-identical.  Artifacts
     and the report land in ``out_dir``; the report dict is returned.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
         synth_cfg = SynthConfig(**config.get("synth", {}))

@@ -14,13 +14,13 @@ updates; structural changes recompute them from the stored members.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .ioutil import write_json
 
 _SPLIT_ITERS = 50
 
@@ -368,7 +368,7 @@ class Dendrogram:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(path, self.to_dict())
 
     def to_dot(self) -> str:
         """Graphviz description of the dendrogram."""

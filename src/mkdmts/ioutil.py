@@ -19,13 +19,34 @@ _HEADER_DTYPE = np.dtype("<u8")
 _DATA_DTYPE = np.dtype("<f8")
 
 
+def make_dir(path: str | Path) -> Path:
+    """Create ``path`` and its parents; a path that cannot be a directory is a DataError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot create directory ({exc.strerror or exc})") from None
+    return path
+
+
+def _write_bytes(path: str | Path, *chunks: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    _write_bytes(path, text.encode("utf-8"))
+
+
 def write_matrix(path: str | Path, m: np.ndarray) -> None:
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(m.shape, dtype=_HEADER_DTYPE).tobytes())
-        fh.write(m.astype(_DATA_DTYPE, copy=False).tobytes())
+    _write_bytes(path, np.asarray(m.shape, dtype=_HEADER_DTYPE).tobytes(), m.astype(_DATA_DTYPE, copy=False).tobytes())
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -45,7 +66,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import read_json, read_matrix, write_json, write_matrix
+from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
@@ -253,8 +253,7 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
     """Write the cache; ``meta.json`` goes last, so an interrupted write leaves none."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = make_dir(cache_dir)
     (cache_dir / "meta.json").unlink(missing_ok=True)
     for l, k in enumerate(ks.kernels):
         write_matrix(cache_dir / f"dim{l:03d}.bin", k)

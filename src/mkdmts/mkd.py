@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import read_json, read_matrix, write_json, write_matrix
+from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
@@ -440,8 +440,7 @@ def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainC
 
 def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> None:
     """Write the model; ``meta.json`` goes last, so an interrupted write leaves none."""
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
+    model_dir = make_dir(model_dir)
     (model_dir / "meta.json").unlink(missing_ok=True)
     d = result.dictionary
     write_matrix(model_dir / "sample_weights.bin", d.sample_weights)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import content_hash, write_json
+from .ioutil import content_hash, make_dir, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -202,23 +202,17 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, name: str = "manifest") 
     Values are written with repr-precision so a reload is bit-identical.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seq_dir = out_dir / name
-    seq_dir.mkdir(exist_ok=True)
+    make_dir(out_dir / name)
     records = []
     for seq in dataset.sequences:
         rel = f"{name}/{seq.id}.csv"
-        with open(out_dir / rel, "w", encoding="utf-8") as fh:
-            for t in range(seq.length):
-                fh.write(",".join(repr(float(x)) for x in seq.values[:, t]) + "\n")
+        write_text(out_dir / rel, "".join(",".join(repr(float(x)) for x in col) + "\n" for col in seq.values.T))
         rec = {"id": seq.id, "path": rel}
         if seq.label is not None:
             rec["label"] = int(seq.label)
         records.append(rec)
     manifest = out_dir / f"{name}.jsonl"
-    with open(manifest, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_text(manifest, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     if dataset.label_names:
         write_json(out_dir / f"{name}.labels.json", {str(k): v for k, v in dataset.label_names.items()})
     return manifest

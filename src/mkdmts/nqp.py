@@ -3,13 +3,14 @@
 Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
 for symmetric PSD H.  Support indices are admitted greedily; each
 candidate is scored by fully re-solving the restricted problem with
-cyclic coordinate descent.  Diagonal H separates and has a closed-form
-solver.  A brute-force oracle enumerating all supports is provided for
-testing.
+cyclic coordinate descent, all candidates of a round in one lockstep
+pass.  Diagonal H separates and has a closed-form solver.  A brute-force
+oracle enumerating all supports is provided for testing.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,6 +20,9 @@ _CD_TOL = 1e-10
 _ORACLE_TOL = 1e-12
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
+_SWAP_ROUNDS = 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,84 @@ def _coordinate_descent(h, c, support, y0=None, tol=_CD_TOL, max_iters=500):
     return y
 
 
+def _cd_rows(h, c, cols, y0, tol=_CD_TOL, max_iters=500):
+    """Run ``_coordinate_descent`` on many restricted problems in lockstep.
+
+    Row r of the integer array ``cols`` (rows x s) is one problem: cyclic
+    coordinate descent over the coordinates ``cols[r]``, in that order,
+    started from ``y0``.  Each row keeps its own restricted H block, y and
+    Hy, and takes the scalar update with the same operations in the same
+    order, so row r ends bit-identical to
+    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]`` (up to the sign of
+    zeros, which no later operation can turn into a different value).  A
+    row drops out after its first sweep whose largest step is at most
+    ``tol``; rows still moving after ``max_iters`` sweeps are logged.
+    Coordinates with a vanishing diagonal are never updated, so ``y0`` must
+    be zero on them, as every start ``nqp_solve`` uses is.
+    """
+    rows, s = cols.shape
+    idx = cols.T
+    # hcol[k][a, r] = h[cols[r, a], cols[r, k]]: column cols[r, k] of H on row r's coordinates
+    hcol = h[idx[None, :, :], idx[:, None, :]]
+    hjj = np.diagonal(h)
+    # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
+    hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
+    state = np.array((y0, h @ y0, -c, hjj, hdiv))[:, idx]
+    y, hy, neg_c, hjj, hdiv = state
+    steps = np.empty((s, rows))
+    live = np.arange(rows)
+    out = np.empty((s, rows))
+    for _ in range(max_iters):
+        for k in range(s):
+            new = np.fmax((neg_c[k] - (hy[k] - hjj[k] * y[k])) / hdiv[k], 0.0)
+            np.subtract(new, y[k], out=steps[k])
+            y[k] = new
+            hy += hcol[k] * steps[k]
+        delta = np.maximum.reduce(np.abs(steps))
+        if np.minimum.reduce(delta) <= tol:
+            done = delta <= tol
+            out[:, live[done]] = y[:, done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                break
+            state, hcol, steps = state[..., keep], hcol[..., keep], steps[:, keep]
+            y, hy, neg_c, hjj, hdiv = state
+    if live.size:
+        out[:, live] = y
+        log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap",
+                  live.size, rows, max_iters)
+    return out.T
+
+
+def _first_best(h, c, cols, vals, bar):
+    """The lowest-objective candidate below ``bar``, ties to the first row.
+
+    Row r of ``vals`` is a candidate solution on the coordinates ``cols[r]``
+    (zero elsewhere).  Returns ``(objective, y, row)`` with y of full
+    length, or None when no row goes below ``bar``.  A batched restricted
+    objective shortlists the rows within a safe rounding margin of its
+    minimum, far above the rounding error of either evaluation; only those
+    rows are scored with ``objective`` itself, so the pick equals a
+    row-by-row scan.
+    """
+    hv = np.matmul(h[cols[:, :, None], cols[:, None, :]], vals[:, :, None])[:, :, 0]
+    approx = (vals * (0.5 * hv + c[cols])).sum(axis=1)
+    total = vals.sum(axis=1).max()  # vals >= 0
+    margin = 1e-9 * (1.0 + total * (0.5 * total * np.abs(h).max() + np.abs(c).max()))
+    low = approx.min()
+    if not low - margin < bar:
+        return None
+    best = None
+    for r in np.flatnonzero(approx <= low + margin):
+        y = np.zeros(h.shape[0])
+        y[cols[r]] = vals[r]
+        obj = objective(h, c, y)
+        if obj < bar:
+            best, bar = (obj, y, int(r)), obj
+    return best
+
+
 def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     """Greedy pursuit for the sparse non-negative quadratic program.
 
@@ -91,8 +173,12 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     the lowest index); stops early once no candidate improves by more than
     1e-12.  A final swap-refinement pass exchanges one support index at a
     time while that strictly decreases the objective, repairing the rare
-    instances where pure greedy admission locks in a poor support.  The
-    result is non-negative with at most ``limit`` nonzeros.
+    instances where pure greedy admission locks in a poor support: per
+    round the best (out, in) pair wins, ties to the earliest support
+    position and then the lowest index, for at most 20 rounds.  All
+    candidates of a round are solved together by ``_cd_rows``, except in
+    the first greedy round, whose one-coordinate problems have a closed
+    form.  The result is non-negative with at most ``limit`` nonzeros.
     """
     h, c, limit = p.h, p.c, p.limit
     n = h.shape[0]
@@ -100,21 +186,30 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     best_obj = 0.0
     support: list[int] = []
     while len(support) < limit:
-        best_j, best_y, best_candidate_obj = -1, None, best_obj - _MIN_DECREASE
-        for j in range(n):
-            if j in support:
-                continue
-            trial = _coordinate_descent(h, c, support + [j], y0=y)
-            obj = objective(h, c, trial)
-            if obj < best_candidate_obj:
-                best_j, best_y, best_candidate_obj = j, trial, obj
-        if best_j < 0:
+        outside = [j for j in range(n) if j not in support]
+        cols = np.array([support + [j] for j in outside])
+        if support:
+            vals = _cd_rows(h, c, cols, y)
+        else:
+            # from zero, descent on one coordinate lands on its clipped closed
+            # form in the first sweep and only confirms it in the second
+            hjj = h[cols, cols]
+            vals = np.fmax(-c[cols] / np.where(hjj > _DIAG_FLOOR, hjj, np.inf), 0.0)
+        best = _first_best(h, c, cols, vals, best_obj - _MIN_DECREASE)
+        if best is None:
             break
-        support.append(best_j)
-        y = best_y
-        best_obj = best_candidate_obj
+        best_obj, y, r = best
+        support.append(outside[r])
     if refine_swaps and 0 < len(support) < n:
-        y, support, best_obj = _swap_refine(h, c, support, y, best_obj)
+        zero = np.zeros(n)
+        for _ in range(_SWAP_ROUNDS):
+            outside = [j for j in range(n) if j not in support]
+            cols = np.array([[s for s in support if s != out] + [j] for out in support for j in outside])
+            best = _first_best(h, c, cols, _cd_rows(h, c, cols, zero), best_obj - _MIN_DECREASE)
+            if best is None:
+                break
+            best_obj, y, r = best
+            support = cols[r].tolist()
     y[np.abs(y) < 1e-15] = 0.0
     return y
 
@@ -136,32 +231,6 @@ def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     y = np.zeros(c.shape[0])
     y[top] = -c[top] / h_diag[top]
     return y
-
-
-def _swap_refine(h, c, support, y, obj, max_rounds=20):
-    """Exchange single support indices while the objective strictly drops.
-
-    Deterministic: per round the best (out, in) pair wins, ties resolved by
-    lowest indices.  Every accepted swap lowers the objective, so the
-    monotone-improvement and feasibility contracts are preserved.
-    """
-    n = h.shape[0]
-    for _ in range(max_rounds):
-        best = None
-        for out in support:
-            reduced = [s for s in support if s != out]
-            for j in range(n):
-                if j in support:
-                    continue
-                trial = _coordinate_descent(h, c, reduced + [j], y0=None)
-                trial_obj = objective(h, c, trial)
-                if trial_obj < obj - _MIN_DECREASE and (best is None or trial_obj < best[0]):
-                    best = (trial_obj, out, j, trial)
-        if best is None:
-            break
-        obj, out, j, y = best[0], best[1], best[2], best[3]
-        support = [s for s in support if s != out] + [j]
-    return y, support, obj
 
 
 def nqp_oracle(p: QuadProgram) -> np.ndarray:

@@ -252,3 +252,20 @@ def test_encode_rejects_path_traversal_id(tmp_path, capsys):
                  "--out", tmp_path / "w" / "enc" / "x"]) == 2
     assert "'../../escaped' is not a safe file name" in capsys.readouterr().err
     assert not list(tmp_path.rglob("escaped*"))
+
+
+@pytest.mark.parametrize("case", ["synth_under_file", "cluster_onto_directory"])
+def test_unwritable_output_is_data_error(tmp_path, capsys, case):
+    if case == "synth_under_file":
+        (tmp_path / "plain").write_text("")
+        args = SYNTH_ARGS + ["--out", tmp_path / "plain" / "data"]
+        expected = "cannot create directory"
+    else:
+        _write_encodings(tmp_path / "enc", ["a", "b"])
+        (tmp_path / "tree.json").mkdir()
+        args = ["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "tree.json"]
+        expected = "cannot write"
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and expected in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,7 +1,18 @@
+import logging
+
 import numpy as np
 import pytest
 
-from mkdmts.nqp import QuadProgram, diagonal_solve, nqp_oracle, nqp_solve, objective
+from mkdmts.nqp import (
+    QuadProgram,
+    _cd_rows,
+    _coordinate_descent,
+    _MIN_DECREASE,
+    diagonal_solve,
+    nqp_oracle,
+    nqp_solve,
+    objective,
+)
 
 
 def random_program(rng, diag_only=False, n_max=8, t_max=3):
@@ -94,3 +105,111 @@ def test_monotone_improvement_over_admissions(rng):
         c = rng.normal(size=n)
         objs = [objective(h, c, nqp_solve(QuadProgram(h, c, t))) for t in range(1, n + 1)]
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
+
+
+def reference_nqp_solve(p, refine_swaps=True):
+    """Per-candidate greedy admission and swap refinement, one scalar CD each."""
+    h, c, limit = p.h, p.c, p.limit
+    n = h.shape[0]
+    y, obj, support = np.zeros(n), 0.0, []
+    while len(support) < limit:
+        best_j, best_y, best_obj = -1, None, obj - _MIN_DECREASE
+        for j in range(n):
+            if j in support:
+                continue
+            trial = _coordinate_descent(h, c, support + [j], y0=y)
+            trial_obj = objective(h, c, trial)
+            if trial_obj < best_obj:
+                best_j, best_y, best_obj = j, trial, trial_obj
+        if best_j < 0:
+            break
+        support.append(best_j)
+        y, obj = best_y, best_obj
+    if refine_swaps and 0 < len(support) < n:
+        for _ in range(20):
+            best = None
+            for out in support:
+                reduced = [s for s in support if s != out]
+                for j in range(n):
+                    if j in support:
+                        continue
+                    trial = _coordinate_descent(h, c, reduced + [j])
+                    trial_obj = objective(h, c, trial)
+                    if trial_obj < obj - _MIN_DECREASE and (best is None or trial_obj < best[0]):
+                        best = (trial_obj, reduced + [j], trial)
+            if best is None:
+                break
+            obj, support, y = best
+    y[np.abs(y) < 1e-15] = 0.0
+    return y
+
+
+def ill_conditioned_program(rng, n, limit):
+    # equicorrelated coordinates: each sweep shrinks the error only by ~0.999**2,
+    # so coordinate descent runs into its sweep cap
+    h = 0.001 * np.eye(n) + 0.999 * np.ones((n, n))
+    return QuadProgram(h, -1.0 - 1e-5 * rng.uniform(size=n), limit)
+
+
+def reference_programs():
+    rng = np.random.default_rng(20261018)
+    programs = []
+    for i in range(200):
+        n = int(rng.integers(2, 41 if i % 10 == 0 else 13))
+        limit = int(min(rng.integers(1, 7), n))
+        w = rng.normal(size=(n, n + 2))
+        h = w @ w.T / (n + 2)
+        c = rng.normal(size=n)
+        if i % 7 == 1:
+            j = int(rng.integers(n))
+            h[j, :] = h[:, j] = 0.0  # vanishing diagonal: the coordinate is skipped
+        if i % 11 == 2:
+            c = np.abs(c)  # no candidate improves: the greedy stops at once
+        if i % 5 == 4:
+            # the last coordinate duplicates the first: exact ties go to the lower index
+            h[-1, :], c[-1] = h[0, :], c[0]
+            h[:, -1] = h[:, 0]
+        if i % 13 == 3:
+            programs.append(ill_conditioned_program(rng, min(n, 8), min(limit, 3)))
+        else:
+            programs.append(QuadProgram(h, c, limit))
+    return programs
+
+
+@pytest.mark.parametrize("refine_swaps", [True, False])
+def test_lockstep_solver_equals_per_candidate_reference(refine_swaps):
+    for p in reference_programs():
+        y = nqp_solve(p, refine_swaps=refine_swaps)
+        ref = reference_nqp_solve(p, refine_swaps=refine_swaps)
+        assert np.array_equal(y, ref)
+        assert np.array_equal(np.signbit(y), np.signbit(ref))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 500])
+def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
+    # rows stop at different sweeps, some exactly at the cap
+    for i, p in enumerate([random_program(rng, n_max=12, t_max=5) for _ in range(20)] + [
+        ill_conditioned_program(rng, 5, 3)
+    ]):
+        n = p.h.shape[0]
+        s = int(rng.integers(1, n + 1))
+        cols = np.array([rng.permutation(n)[:s] for _ in range(int(rng.integers(1, 9)))])
+        y0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+        if i % 4 == 0:
+            h = p.h.copy()
+            h[0, :] = h[:, 0] = 0.0
+            y0[0] = 0.0  # as in every start nqp_solve uses
+            p = QuadProgram(h, p.c, p.limit)
+        rows = _cd_rows(p.h, p.c, cols, y0, max_iters=max_iters)
+        for r, idx in enumerate(cols):
+            ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
+            assert np.array_equal(rows[r], ref)
+
+
+def test_cap_hits_are_logged(caplog):
+    p = ill_conditioned_program(np.random.default_rng(3), 6, 2)
+    with caplog.at_level(logging.DEBUG, logger="mkdmts.nqp"):
+        y = nqp_solve(p, refine_swaps=False)
+    assert np.array_equal(y, reference_nqp_solve(p, refine_swaps=False))
+    capped = [r.getMessage() for r in caplog.records if "sweep cap" in r.getMessage()]
+    assert capped and all("stopped at the 500-sweep cap" in m for m in capped)
