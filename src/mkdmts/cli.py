@@ -1,9 +1,12 @@
 """Command-line interface tying the pipeline stages together.
 
 Subcommands: synth, kernels, train, encode, cluster, eval, report.  Each
-accepts ``--config FILE`` (JSON with the same keys as its flags); explicit
-flags win over the file, the file over built-in defaults.  Every output
-directory receives the effective configuration and the tool version.
+accepts ``--config FILE`` (a JSON object whose keys are the subcommand's own
+flags); explicit flags win over the file.  A knob set by neither takes the
+library's default: the fields of ``SynthConfig``, ``TrainConfig`` and
+``ClusterConfig``, and ``zeroshot.DEFAULT_THRESHOLD``.  Every output
+directory receives the given flags, the resolved configuration and the
+tool version.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -13,30 +16,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
-from .errors import DataError, MkdError, NumericalError, UsageError
-from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix, write_text
-
-DEFAULTS: dict[str, dict] = {
-    "synth": {
-        "seed": 0, "seen_classes": 4, "unseen_classes": 2, "dims": 2,
-        "samples": 20, "noise": 0.05, "length_min": 60, "length_max": 90,
-    },
-    "kernels": {"bandwidth": "median"},
-    "train": {
-        "k": 8, "tx": 2, "ta": None, "tbeta": None,
-        "iters": 30, "tol": 1e-4, "seed": 0, "tune": None,
-    },
-    "encode": {"tx": None, "threshold": 0.1},
-    "cluster": {
-        "order": "file", "kclust": 0.7, "krmv": 0.3, "gamma": 2.5, "split_min": 6,
-        "dup_eps": 1e-3, "dot": None,
-    },
-    "eval": {},
-    "report": {},
-}
+from . import FORMAT_VERSION, __version__
+from .errors import DataError, MkdError, UsageError
+from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,52 +30,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge defaults, optional --config file, and explicit flags."""
-    cfg = dict(DEFAULTS[args.command])
-    file_path = getattr(args, "config", None)
-    if file_path:
-        loaded = read_json(file_path)
-        unknown = set(loaded) - set(cfg) - {"manifest", "kernels", "model", "seen_manifest",
-                                            "enc", "tree", "truth", "run", "out"}
+    """The subcommand's flags, with those left unset filled from the optional --config file."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
+    if args.config:
+        loaded = read_json(args.config)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: expected a JSON object")
+        unknown = set(loaded) - set(cfg)
         if unknown:
-            raise UsageError(f"unknown config keys {sorted(unknown)} in {file_path}")
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "func", "config", "verbose"):
-            continue
-        if value is not None:
-            cfg[key] = value
+            raise UsageError(f"unknown config keys {sorted(unknown)} in {args.config}")
+        cfg.update({k: v for k, v in loaded.items() if cfg[k] is None})
     return cfg
 
 
-def _num(cfg: dict, key: str, kind: type, optional: bool = False):
-    """``cfg[key]`` as an int or float (None stays None if optional); a bad value is a usage error."""
+def _num(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]`` as an int or float, ``default`` if unset; a bad value is a usage error."""
     value = cfg[key]
-    if value is None and optional:
-        return None
+    if value is None:
+        return default
     try:
         return kind(value)
     except (TypeError, ValueError):
         raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
-def _config(cls, **fields):
-    """Build a config object, reporting out-of-range values as usage errors."""
+def _config(cls, cfg: dict, flags: dict[str, tuple[str, type]], **fields):
+    """``cls`` built from ``fields`` and the set flags, ``flags`` mapping each to its (field, kind).
+
+    Unset flags keep the class's defaults; out-of-range values are usage errors.
+    """
+    fields.update({field: _num(cfg, flag, kind) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
     try:
         return cls(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _write_run_info(out_dir: Path, command: str, cfg: dict) -> None:
-    make_dir(out_dir)
-    payload = {k: v for k, v in cfg.items() if not isinstance(v, Path)}
-    for k, v in cfg.items():
-        if isinstance(v, Path):
-            payload[k] = str(v)
+def _write_run_info(out_dir: Path, command: str, cfg: dict, config: dict) -> None:
+    """Record the flags as given (command line merged with --config) and the resolved ``config``."""
     write_json(out_dir / "run_info.json", {
-        "tool_version": __version__, "format_version": 1,
-        "command": command, "config": payload,
+        "tool_version": __version__, "format_version": FORMAT_VERSION, "command": command,
+        "args": {k: v for k, v in cfg.items() if v is not None}, "config": config,
     })
 
 
@@ -98,18 +78,15 @@ def _cmd_synth(cfg: dict) -> int:
     from .evalx import synthesize
     from .mtsdata import SynthConfig
 
-    synth_cfg = SynthConfig(
-        num_seen_classes=_num(cfg, "seen_classes", int),
-        num_unseen_classes=_num(cfg, "unseen_classes", int),
-        dims=_num(cfg, "dims", int),
-        length_range=(_num(cfg, "length_min", int), _num(cfg, "length_max", int)),
-        samples_per_class=_num(cfg, "samples", int),
-        noise_std=_num(cfg, "noise", float),
-        seed=_num(cfg, "seed", int),
-    )
+    lo, hi = SynthConfig.length_range
+    synth_cfg = _config(SynthConfig, cfg, {
+        "seen_classes": ("num_seen_classes", int), "unseen_classes": ("num_unseen_classes", int),
+        "dims": ("dims", int), "samples": ("samples_per_class", int), "noise": ("noise_std", float),
+        "seed": ("seed", int),
+    }, length_range=(_num(cfg, "length_min", int, lo), _num(cfg, "length_max", int, hi)))
     out = Path(cfg["out"])
     seen, unseen = synthesize(synth_cfg, out)
-    _write_run_info(out, "synth", cfg)
+    _write_run_info(out, "synth", cfg, asdict(synth_cfg))
     print(f"wrote {len(seen)} seen and {len(unseen)} unseen sequences to {out}", file=sys.stderr)
     return 0
 
@@ -127,12 +104,24 @@ def _cmd_kernels(cfg: dict) -> int:
     from .kernels import build_or_load_kernelset
     from .mtsdata import load_dataset
 
-    bandwidth = _parse_bandwidth(cfg)
+    bandwidth = {} if cfg["bandwidth"] is None else {"bandwidth": _parse_bandwidth(cfg)}
     seen = load_dataset(cfg["manifest"], role="seen")
-    ks = build_or_load_kernelset(seen, cfg["out"], bandwidth=bandwidth)
-    _write_run_info(Path(cfg["out"]), "kernels", cfg)
+    ks = build_or_load_kernelset(seen, cfg["out"], **bandwidth)
+    _write_run_info(Path(cfg["out"]), "kernels", cfg, {"bandwidths": [float(b) for b in ks.bandwidths]})
     print(f"kernels for {ks.n} sequences x {ks.dims} dimensions in {cfg['out']}", file=sys.stderr)
     return 0
+
+
+def _tune_grid(path) -> list[tuple[int, int]]:
+    """The (k, t_x) pairs of a ``{"grid": [[k, tx], ...]}`` file; a malformed grid is a usage error."""
+    spec = read_json(path)
+    try:
+        grid = [(int(k), int(tx)) for k, tx in spec["grid"]]
+    except (KeyError, TypeError, ValueError):
+        grid = []
+    if not grid or min(min(pair) for pair in grid) < 1:
+        raise UsageError(f'{path}: expected {{"grid": [[k, tx], ...]}} with at least one pair of integers >= 1')
+    return grid
 
 
 def _cmd_train(cfg: dict) -> int:
@@ -140,29 +129,20 @@ def _cmd_train(cfg: dict) -> int:
     from .mkd import TrainConfig, save_model, train, tune
     from .mtsdata import load_dataset
 
-    train_cfg = _config(
-        TrainConfig,
-        k=_num(cfg, "k", int),
-        t_x=_num(cfg, "tx", int),
-        t_a=_num(cfg, "ta", int, optional=True),
-        t_beta=_num(cfg, "tbeta", int, optional=True),
-        max_iters=_num(cfg, "iters", int),
-        tol=_num(cfg, "tol", float),
-        seed=_num(cfg, "seed", int),
-    )
+    train_cfg = _config(TrainConfig, cfg, {
+        "k": ("k", int), "tx": ("t_x", int), "ta": ("t_a", int), "tbeta": ("t_beta", int),
+        "iters": ("max_iters", int), "tol": ("tol", float), "seed": ("seed", int),
+    })
+    grid = _tune_grid(cfg["tune"]) if cfg["tune"] else None
     seen = load_dataset(cfg["manifest"], role="seen")
     ks = load_kernelset(cfg["kernels"])
-    if cfg["tune"]:
-        grid_spec = read_json(cfg["tune"])
-        grid = [(int(k), int(tx)) for k, tx in grid_spec["grid"]]
+    if grid:
         train_cfg = tune(seen, ks, grid, train_cfg)
         print(f"tuned: k={train_cfg.k} t_x={train_cfg.t_x}", file=sys.stderr)
     result = train(seen, ks, train_cfg)
     train_cfg = train_cfg.resolve(ks.n, ks.dims)
     save_model(result, cfg["out"], train_cfg, ks.bandwidths)
-    effective = dict(cfg)
-    effective.update({"k": train_cfg.k, "tx": train_cfg.t_x, "ta": train_cfg.t_a, "tbeta": train_cfg.t_beta})
-    _write_run_info(Path(cfg["out"]), "train", effective)
+    _write_run_info(Path(cfg["out"]), "train", cfg, asdict(train_cfg))
     print(f"final loss {result.loss_trace[-1]:.6f} after {len(result.loss_trace) - 1} iterations", file=sys.stderr)
     return 0
 
@@ -172,8 +152,9 @@ def _cmd_encode(cfg: dict) -> int:
     from .kernels import load_kernelset
     from .mkd import load_model
     from .mtsdata import load_dataset
+    from .zeroshot import DEFAULT_THRESHOLD
 
-    t_x, threshold = _num(cfg, "tx", int, optional=True), _num(cfg, "threshold", float)
+    t_x, threshold = _num(cfg, "tx", int), _num(cfg, "threshold", float, DEFAULT_THRESHOLD)
     if t_x is not None and t_x < 1:
         raise UsageError("t_x must be at least 1")
     seen = load_dataset(cfg["seen_manifest"], role="seen")
@@ -181,22 +162,24 @@ def _cmd_encode(cfg: dict) -> int:
     ks = load_kernelset(cfg["kernels"])
     model, meta = load_model(cfg["model"])
     if t_x is None:
-        t_x = int(meta["t_x"])
+        t_x = meta["t_x"]
     described = describe(seen, ks, model, unseen, t_x, threshold)
     out = make_dir(cfg["out"])
+    # index.json goes last, so an interrupted rerun leaves no index beside mixed old and new files
+    remove_file(out / "index.json")
     for r in described:
         write_json(out / f"{r.id}.code.json", {"id": r.id, "code": [float(v) for v in r.code]})
         write_matrix(out / f"{r.id}.R.bin", r.encoding.values)
         write_json(out / f"{r.id}.report.json", r.row() | {"threshold": r.report.threshold})
+    _write_run_info(out, "encode", cfg, {"t_x": t_x, "threshold": threshold})
     write_json(out / "index.json", {"ids": [r.id for r in described]})
-    _write_run_info(out, "encode", cfg | {"tx": t_x})
     print(f"encoded {len(described)} sequences into {out}", file=sys.stderr)
     return 0
 
 
-def _parse_order(spec: str) -> int | None:
-    """Arrival-order seed of ``shuffle:SEED``; None for ``file`` order."""
-    if spec == "file":
+def _parse_order(spec: str | None) -> int | None:
+    """Arrival-order seed of ``shuffle:SEED``; None for ``file`` order (the default)."""
+    if spec in (None, "file"):
         return None
     if spec.startswith("shuffle:"):
         try:
@@ -210,26 +193,25 @@ def _cmd_cluster(cfg: dict) -> int:
     from .evalx import cluster
     from .inclust import ClusterConfig
 
-    cluster_cfg = _config(
-        ClusterConfig,
-        k_clust=_num(cfg, "kclust", float),
-        k_rmv=_num(cfg, "krmv", float),
-        gamma=_num(cfg, "gamma", float),
-        split_min=_num(cfg, "split_min", int),
-        dup_eps=_num(cfg, "dup_eps", float),
-    )
-    enc_dir = Path(cfg["enc"])
-    index = read_json(enc_dir / "index.json")["ids"]
+    cluster_cfg = _config(ClusterConfig, cfg, {
+        "kclust": ("k_clust", float), "krmv": ("k_rmv", float), "gamma": ("gamma", float),
+        "split_min": ("split_min", int), "dup_eps": ("dup_eps", float),
+    })
     order_seed = _parse_order(cfg["order"])
-    if not index:
+    enc_dir = Path(cfg["enc"])
+    index = read_json(enc_dir / "index.json")
+    ids = index.get("ids") if isinstance(index, dict) else None
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise DataError(f'{enc_dir / "index.json"}: expected {{"ids": [sequence ids]}}')
+    if not ids:
         raise DataError(f"{enc_dir / 'index.json'} lists no encoded sequences")
-    tree = cluster([(sid, read_matrix(enc_dir / f"{sid}.R.bin")) for sid in index], cluster_cfg, order_seed)
+    tree = cluster([(sid, read_matrix(enc_dir / f"{sid}.R.bin")) for sid in ids], cluster_cfg, order_seed)
     out = Path(cfg["out"])
     make_dir(out.parent)
     tree.save(out)
     if cfg["dot"]:
         write_text(cfg["dot"], tree.to_dot() + "\n")
-    _write_run_info(out.parent, "cluster", cfg)
+    _write_run_info(out.parent, "cluster", cfg, asdict(cluster_cfg) | {"order_seed": order_seed})
     print(f"tree with {len(tree.roots)} top-level nodes over {tree.size()} sequences", file=sys.stderr)
     return 0
 
@@ -295,7 +277,7 @@ _COMMANDS = {
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mkdmts", description="multiple-kernel dictionary learning for multivariate time series")
-    parser.add_argument("--version", action="version", version=f"mkdmts {__version__} (formats v1)")
+    parser.add_argument("--version", action="version", version=f"mkdmts {__version__} (formats v{FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -376,22 +358,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.verbose:
             logging.getLogger().setLevel(logging.INFO)
-        cfg = _effective(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_effective(args))
     except SystemExit as exc:  # argparse --version / --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except MkdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            parser.print_usage(sys.stderr)
         return exc.exit_code
 
 

@@ -24,11 +24,11 @@ from scipy.optimize import linear_sum_assignment
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import make_dir, write_json
+from .ioutil import make_dir, write_json, write_text
 from .kernels import KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
-from .zeroshot import EncodingMatrix, ReconstructionReport, encode, encoding_matrix, reconstruction_report
+from .zeroshot import DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, encode, encoding_matrix, reconstruction_report
 
 # Published results for this method family on the four motion benchmarks
 # (Cricket, CMU, Words, Squat); kept as report context only, the datasets
@@ -243,7 +243,10 @@ def _stage(name: str, timings: dict[str, float]):
 def run_experiment(config: dict, out_dir) -> dict:
     """Synthesize, train, encode, cluster, and score one end-to-end run.
 
-    ``config`` mirrors the CLI defaults; every stage runs with seeds
+    ``config`` holds field dicts for ``SynthConfig`` (``synth``),
+    ``TrainConfig`` (``train``) and ``ClusterConfig`` plus ``order_seed``
+    (``cluster``), and optional ``bandwidth`` and ``threshold``; what it
+    leaves out takes the library defaults.  Every stage runs with seeds
     derived from the global seed so reruns are bit-identical.  Artifacts
     and the report land in ``out_dir``; the report dict is returned.
     """
@@ -258,7 +261,7 @@ def run_experiment(config: dict, out_dir) -> dict:
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
     with _stage("encode", timings):
-        threshold = float(config.get("threshold", 0.1))
+        threshold = float(config.get("threshold", DEFAULT_THRESHOLD))
         described = describe(seen, ks, result.dictionary, unseen, train_cfg.t_x, threshold)
     with _stage("cluster", timings):
         cl_conf = dict(config.get("cluster", {}))
@@ -288,7 +291,7 @@ def run_experiment(config: dict, out_dir) -> dict:
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
     }
     write_json(out_dir / "score.json", report)
-    (out_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
+    write_text(out_dir / "report.txt", render_report(report))
     return report
 
 

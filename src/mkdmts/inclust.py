@@ -14,7 +14,7 @@ updates; structural changes recompute them from the stored members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -355,13 +355,7 @@ class Dendrogram:
             }
 
         return {
-            "config": {
-                "k_clust": self.cfg.k_clust,
-                "k_rmv": self.cfg.k_rmv,
-                "gamma": self.cfg.gamma,
-                "split_min": self.cfg.split_min,
-                "dup_eps": self.cfg.dup_eps,
-            },
+            "config": asdict(self.cfg),
             "join_count": len(self._join_dists),
             "typical_join_distance": self._typical_join(),
             "roots": [node_dict(r) for r in self.roots],
@@ -397,8 +391,11 @@ def flat_clusters_from_dict(tree: dict) -> dict[str, int]:
         for child in node["children"]:
             collect(child, top)
 
-    for root in tree["roots"]:
-        collect(root, root["id"])
+    try:
+        for root in tree["roots"]:
+            collect(root, root["id"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"malformed serialized tree ({exc!r})") from None
     if not out:
         raise DataError("serialized tree has no members")
     return out

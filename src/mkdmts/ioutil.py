@@ -29,6 +29,14 @@ def make_dir(path: str | Path) -> Path:
     return path
 
 
+def remove_file(path: str | Path) -> None:
+    """Delete ``path`` if it exists; a path that cannot be removed is a DataError."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot remove ({exc.strerror or exc})") from None
+
+
 def _write_bytes(path: str | Path, *chunks: bytes) -> None:
     try:
         with open(path, "wb") as fh:

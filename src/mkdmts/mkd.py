@@ -465,15 +465,23 @@ def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> 
 
 
 def load_model(model_dir) -> tuple[Dictionary, dict]:
+    """The dictionary and its ``meta.json``; missing or ill-typed metadata is a DataError."""
     model_dir = Path(model_dir)
     meta = read_json(model_dir / "meta.json")
-    if meta.get("format") != MODEL_FORMAT:
-        raise DataError(f"{model_dir}: unknown model format {meta.get('format')!r}")
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise DataError(f"{model_dir}: unknown model format {fmt!r}")
+    try:
+        shape = (int(meta["k"]), int(meta["n"]), int(meta["f"]))
+        meta["t_x"] = int(meta["t_x"])
+        dataset_hash = str(meta["dataset_hash"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{model_dir}: malformed model metadata ({exc!r})") from None
     d = Dictionary(
         sample_weights=read_matrix(model_dir / "sample_weights.bin"),
         dim_weights=read_matrix(model_dir / "dim_weights.bin"),
-        dataset_hash=meta["dataset_hash"],
+        dataset_hash=dataset_hash,
     )
-    if d.k != meta["k"] or d.n != meta["n"] or d.dims != meta["f"]:
+    if (d.k, d.n, d.dims) != shape:
         raise DataError(f"{model_dir}: matrix shapes disagree with meta.json")
     return d, meta

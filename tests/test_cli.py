@@ -269,3 +269,165 @@ def test_unwritable_output_is_data_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and expected in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 10-sequence seen set (enough for 5-fold tuning), its kernels and a trained model."""
+    root = tmp_path_factory.mktemp("trained")
+    data, kern, model = root / "data", root / "kern", root / "model"
+    assert _run(["synth", "--seed", 3, "--seen-classes", 2, "--unseen-classes", 1,
+                 "--samples", 5, "--length-min", 8, "--length-max", 10, "--out", data]) == 0
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", kern, "--bandwidth", 5]) == 0
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern,
+                 "--k", 2, "--tbeta", 1, "--iters", 2, "--out", model]) == 0
+    return data, kern, model
+
+
+def _encode_args(data, kern, model, out):
+    return ["encode", "--model", model, "--kernels", kern, "--seen-manifest", data / "seen.jsonl",
+            "--manifest", data / "unseen.jsonl", "--out", out]
+
+
+def _one_error_line(err, prefix):
+    """stderr holds one ``prefix`` message line, then at most the usage text."""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert lines[0].startswith(prefix), err
+    assert all(line.startswith(("usage:", " ")) for line in lines[1:]), err
+
+
+def test_synth_defaults_come_from_synth_config(tmp_path):
+    from dataclasses import asdict
+
+    from mkdmts.mtsdata import SynthConfig, load_dataset, synth_dataset
+
+    assert _run(["synth", "--out", tmp_path]) == 0
+    seen, unseen, _ = synth_dataset(SynthConfig())
+    assert load_dataset(tmp_path / "seen.jsonl").hash() == seen.hash()
+    assert load_dataset(tmp_path / "unseen.jsonl", role="unseen").hash() == unseen.hash()
+    config = read_json(tmp_path / "run_info.json")["config"]
+    assert config == json.loads(json.dumps(asdict(SynthConfig())))
+
+
+def test_run_info_records_resolved_train_config(trained):
+    from dataclasses import asdict
+
+    from mkdmts.mkd import TrainConfig
+
+    _, _, model = trained
+    config = read_json(model / "run_info.json")["config"]
+    assert config == asdict(TrainConfig(k=2, t_beta=1, max_iters=2).resolve(10, 2))
+    assert config["t_a"] == 1 and config["t_beta"] == 1
+
+
+@pytest.mark.parametrize("config", [{"manifest": "seen.jsonl"}, ["seed"]], ids=["other_command_key", "not_an_object"])
+def test_config_file_takes_only_the_subcommands_flags(tmp_path, capsys, config):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    assert _run(["synth", "--config", cfg_path, "--out", tmp_path / "o"]) == 1
+    _one_error_line(capsys.readouterr().err, "usage error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"pairs": [[2, 1]]},
+    {"grid": [["a", 1]]},
+    {"grid": [[2, 1, 3]]},
+    {"grid": [2]},
+    {"grid": []},
+    {"grid": [[0, 1]]},
+], ids=["no_grid_key", "non_integer", "triple", "not_a_list", "empty", "zero_k"])
+def test_malformed_tune_grid_is_usage_error(trained, tmp_path, capsys, grid):
+    data, kern, _ = trained
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    capsys.readouterr()
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern, "--iters", 1,
+                 "--tune", tmp_path / "grid.json", "--out", tmp_path / "model"]) == 1
+    _one_error_line(capsys.readouterr().err, "usage error: ")
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "model_meta_without_hash",
+                                   "model_meta_not_an_object"])
+def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault):
+    import shutil
+
+    data, kern, model = trained
+    if fault == "index_without_ids":
+        _write_encodings(tmp_path / "enc", ["a", "b"])
+        (tmp_path / "enc" / "index.json").write_text(json.dumps({"sequences": ["a", "b"]}))
+        args = ["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]
+        expected = 'expected {"ids"'
+    elif fault == "tree_node_without_members":
+        (tmp_path / "t.json").write_text(json.dumps({"roots": [{"id": 0, "children": []}]}))
+        args = ["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl", "--out", tmp_path / "s.json"]
+        expected = "malformed serialized tree"
+    else:
+        shutil.copytree(model, tmp_path / "model")
+        meta = read_json(tmp_path / "model" / "meta.json")
+        del meta["dataset_hash"]
+        damaged, expected = ((meta, "malformed model metadata") if fault == "model_meta_without_hash"
+                             else ([meta], "unknown model format None"))
+        (tmp_path / "model" / "meta.json").write_text(json.dumps(damaged))
+        args = _encode_args(data, kern, tmp_path / "model", tmp_path / "enc")
+    capsys.readouterr()
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert expected in err
+
+
+def test_interrupted_encode_rerun_leaves_no_index(trained, tmp_path, monkeypatch, capsys):
+    from mkdmts.errors import DataError
+    from mkdmts.ioutil import write_matrix
+
+    data, kern, model = trained
+    enc = tmp_path / "enc"
+    assert _run(_encode_args(data, kern, model, enc)) == 0
+    written = []
+
+    def fail_second(path, m):
+        if written:
+            raise DataError(f"{path}: cannot write (disk full)")
+        written.append(path)
+        write_matrix(path, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("mkdmts.cli.write_matrix", fail_second)
+        assert _run(_encode_args(data, kern, model, enc)) == 2
+    capsys.readouterr()
+    assert _run(["cluster", "--enc", enc, "--out", tmp_path / "t.json"]) == 2
+    assert "index.json: file not found" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_encode_onto_index_directory_is_data_error(trained, tmp_path, capsys):
+    data, kern, model = trained
+    (tmp_path / "enc" / "index.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert _run(_encode_args(data, kern, model, tmp_path / "enc")) == 2
+    _one_error_line(capsys.readouterr().err, "data error: ")
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--version"], 0),
+    (["--nope"], 1),
+    (["kernels", "--manifest", "missing.jsonl", "--out", "k"], 2),
+], ids=["version", "unknown_flag", "missing_manifest"])
+def test_process_entry_point_exit_codes(tmp_path, args, code):
+    import os
+    import subprocess
+    import sys
+
+    import mkdmts
+
+    src = str(Path(mkdmts.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mkdmts.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("mkdmts 0.1.0") and not proc.stderr
+    else:
+        _one_error_line(proc.stderr, {1: "usage error: ", 2: "data error: "}[code])

@@ -212,3 +212,17 @@ def test_run_experiment_end_to_end(tmp_path):
     s1.pop("timings_sec")
     s2.pop("timings_sec")
     assert s1 == s2
+
+
+def test_run_experiment_unwritable_report_is_data_error(tmp_path):
+    from mkdmts.evalx import run_experiment
+
+    config = {
+        "synth": {"num_seen_classes": 2, "num_unseen_classes": 2, "length_range": (8, 10),
+                  "samples_per_class": 3, "seed": 5},
+        "bandwidth": 5.0,
+        "train": {"k": 2, "t_beta": 1, "max_iters": 2},
+    }
+    (tmp_path / "report.txt").mkdir()
+    with pytest.raises(DataError, match="report.txt: cannot write"):
+        run_experiment(config, tmp_path)
