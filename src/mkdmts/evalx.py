@@ -25,7 +25,7 @@ from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
 from .ioutil import make_dir, write_json, write_text
-from .kernels import KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
+from .kernels import DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
 from .zeroshot import DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, encode, encoding_matrix, reconstruction_report
@@ -256,7 +256,7 @@ def run_experiment(config: dict, out_dir) -> dict:
         synth_cfg = SynthConfig(**config.get("synth", {}))
         seen, unseen = synthesize(synth_cfg, out_dir / "data")
     with _stage("kernels", timings):
-        ks = build_or_load_kernelset(seen, out_dir / "kernels", config.get("bandwidth", "median"))
+        ks = build_or_load_kernelset(seen, out_dir / "kernels", config.get("bandwidth", DEFAULT_BANDWIDTH))
     with _stage("train", timings):
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)

@@ -14,6 +14,7 @@ updates; structural changes recompute them from the stored members.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -99,16 +100,17 @@ class DendroNode:
         self.mean = self.mean + delta / self.count
         self.m2 += float(np.sum(delta * (r - self.mean)))
 
-    def subtree_members(self) -> tuple[list[str], list[np.ndarray]]:
-        ids: list[str] = []
-        mats: list[np.ndarray] = []
+    def walk(self):
+        """This node and its subtree in preorder, children in list order."""
         stack = [self]
         while stack:
             node = stack.pop()
-            ids.extend(node.member_ids)
-            mats.extend(node.member_r)
+            yield node
             stack.extend(reversed(node.children))
-        return ids, mats
+
+    def subtree_members(self) -> tuple[list[str], list[np.ndarray]]:
+        nodes = list(self.walk())
+        return [sid for n in nodes for sid in n.member_ids], [r for n in nodes for r in n.member_r]
 
 
 @dataclass(frozen=True)
@@ -176,31 +178,17 @@ class Dendrogram:
     def __init__(self, cfg: ClusterConfig | None = None):
         self.cfg = cfg or ClusterConfig()
         self.roots: list[DendroNode] = []
-        self._next_id = 0
+        self._ids = itertools.count()
         self._join_dists: list[float] = []
         self.records: list[PlacementRecord] = []
 
     # -- bookkeeping -------------------------------------------------
 
-    def _new_node(self, parent: DendroNode | None = None) -> DendroNode:
-        node = DendroNode(node_id=self._next_id, parent=parent)
-        self._next_id += 1
-        return node
-
     def _typical_join(self) -> float | None:
         return float(np.median(self._join_dists)) if self._join_dists else None
 
-    def _record_join(self, distance: float) -> None:
-        self._join_dists.append(distance)
-
     def nodes(self) -> list[DendroNode]:
-        out: list[DendroNode] = []
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
+        return [node for root in self.roots for node in root.walk()]
 
     def size(self) -> int:
         return sum(root.count for root in self.roots)
@@ -220,10 +208,6 @@ class Dendrogram:
                     best = (d, node.node_id, node)
         return best[2] if best else None
 
-    def _leaf_stats_from_members(self, node: DendroNode) -> None:
-        node.mean, node.m2 = _stats_of(node.member_r)
-        node.count = len(node.member_r)
-
     def _try_split(self, leaf: DendroNode):
         """Tentative 2-means split of a leaf; returns (outcome, ids)."""
         if len(leaf.member_ids) < self.cfg.split_min:
@@ -235,43 +219,28 @@ class Dendrogram:
         assign = _two_means(np.stack(leaf.member_r))
         if assign is None:
             return "discarded", None
-        parts_members = ([], [])
+        # numbered only when kept, so a discarded split uses up no node ids
+        halves = [DendroNode(node_id=-1), DendroNode(node_id=-1)]
         for flag, sid, r in zip(assign, leaf.member_ids, leaf.member_r):
-            parts_members[int(flag)].append((sid, r))
-        intra_parts = []
-        for members in parts_members:
-            _, m2 = _stats_of([r for _, r in members])
-            intra_parts.append(m2 / len(members))
-        ratio = (intra_parts[0] + intra_parts[1]) / (2.0 * leaf.intra) if leaf.intra > 0 else np.inf
+            halves[int(flag)].member_ids.append(sid)
+            halves[int(flag)].member_r.append(r)
+        for half in halves:
+            half.mean, half.m2 = _stats_of(half.member_r)
+            half.count = len(half.member_r)
+        ratio = (halves[0].intra + halves[1].intra) / (2.0 * leaf.intra) if leaf.intra > 0 else np.inf
         if ratio <= self.cfg.k_rmv:
-            ids = self._replace_with_parts(leaf, parts_members)
-            return "replaced", ids
-        if ratio <= self.cfg.k_clust:
-            ids = self._attach_parts_as_children(leaf, parts_members)
-            return "children", ids
-        return "discarded", None
-
-    def _materialize_part(self, parent: DendroNode | None, members) -> DendroNode:
-        node = self._new_node(parent)
-        node.member_ids = [sid for sid, _ in members]
-        node.member_r = [r for _, r in members]
-        self._leaf_stats_from_members(node)
-        return node
-
-    def _replace_with_parts(self, leaf: DendroNode, parts_members) -> tuple[int, int]:
-        parent = leaf.parent
-        parts = [self._materialize_part(parent, members) for members in parts_members]
-        siblings = parent.children if parent is not None else self.roots
-        pos = siblings.index(leaf)
-        siblings[pos:pos + 1] = parts
-        return (parts[0].node_id, parts[1].node_id)
-
-    def _attach_parts_as_children(self, leaf: DendroNode, parts_members) -> tuple[int, int]:
-        parts = [self._materialize_part(leaf, members) for members in parts_members]
-        leaf.children = parts
-        leaf.member_ids = []
-        leaf.member_r = []
-        return (parts[0].node_id, parts[1].node_id)
+            outcome, parent = "replaced", leaf.parent
+            siblings = parent.children if parent is not None else self.roots
+            pos = siblings.index(leaf)
+            siblings[pos:pos + 1] = halves
+        elif ratio <= self.cfg.k_clust:
+            outcome, parent = "children", leaf
+            leaf.children, leaf.member_ids, leaf.member_r = halves, [], []
+        else:
+            return "discarded", None
+        for half in halves:
+            half.parent, half.node_id = parent, next(self._ids)
+        return outcome, (halves[0].node_id, halves[1].node_id)
 
     def insert(self, source_id: str, r) -> PlacementRecord:
         """Place one encoded sequence (encoding matrix or bare array)."""
@@ -282,11 +251,11 @@ class Dendrogram:
             )
         winner = self._candidates(r) if self.roots else None
         if winner is None:
-            target = self._new_node(None)
+            target = DendroNode(next(self._ids))
             self.roots.append(target)
         else:
-            self._record_join(dist(r, winner))
-            target = winner if winner.is_leaf else self._new_node(winner)
+            self._join_dists.append(dist(r, winner))
+            target = winner if winner.is_leaf else DendroNode(next(self._ids), winner)
             if target is not winner:
                 winner.children.append(target)
         target.member_ids.append(source_id)
@@ -311,12 +280,7 @@ class Dendrogram:
         """Map every inserted id to its top-level node id."""
         if not self.roots:
             raise DataError("empty tree")
-        out: dict[str, int] = {}
-        for root in self.roots:
-            ids, _ = root.subtree_members()
-            for sid in ids:
-                out[sid] = root.node_id
-        return out
+        return {sid: root.node_id for root in self.roots for node in root.walk() for sid in node.member_ids}
 
     def validate_caches(self, tol: float = 1e-10) -> float:
         """Compare cached statistics to from-scratch recomputation.

@@ -77,12 +77,21 @@ def write_json(path: str | Path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path):
-    path = Path(path)
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded is a DataError."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: str | Path):
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix
+from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
 
 CACHE_FORMAT = "kernel-cache-v1"
+DEFAULT_BANDWIDTH = "median"
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def _select_bandwidth(distances: np.ndarray, bandwidth, dim: int) -> float:
     return med
 
 
-def build_kernelset(seen: Dataset, bandwidth="median") -> KernelSet:
+def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     """Compute per-dimension Gaussian-of-DTW Grams over the seen set.
 
     ``bandwidth`` is either "median" (median off-diagonal DTW distance per
@@ -254,7 +255,7 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
     """Write the cache; ``meta.json`` goes last, so an interrupted write leaves none."""
     cache_dir = make_dir(cache_dir)
-    (cache_dir / "meta.json").unlink(missing_ok=True)
+    remove_file(cache_dir / "meta.json")
     for l, k in enumerate(ks.kernels):
         write_matrix(cache_dir / f"dim{l:03d}.bin", k)
     write_json(
@@ -273,8 +274,9 @@ def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
 def load_kernelset(cache_dir: str | Path) -> KernelSet:
     cache_dir = Path(cache_dir)
     meta = read_json(cache_dir / "meta.json")
-    if meta.get("format") != CACHE_FORMAT:
-        raise DataError(f"{cache_dir}: unknown kernel cache format {meta.get('format')!r}")
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != CACHE_FORMAT:
+        raise DataError(f"{cache_dir}: unknown kernel cache format {fmt!r}")
     try:
         n, dims = int(meta["n"]), int(meta["f"])
         bandwidths = np.asarray(meta["bandwidths"], dtype=np.float64)
@@ -294,7 +296,7 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     )
 
 
-def build_or_load_kernelset(seen: Dataset, cache_dir: str | Path, bandwidth="median") -> KernelSet:
+def build_or_load_kernelset(seen: Dataset, cache_dir: str | Path, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     """Load the cached kernels when the dataset hash matches, else rebuild."""
     cache_dir = Path(cache_dir)
     meta_path = cache_dir / "meta.json"

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import make_dir, read_json, read_matrix, write_json, write_matrix
+from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
@@ -307,10 +307,10 @@ def update_atom_dims(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int, t_
     codes[i, :] = xrow * math.sqrt(norm_sq)
 
 
-def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray | None = None) -> Dictionary:
+def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray) -> Dictionary:
     """Atoms seeded on distinct training samples.
 
-    With labels available the seeded draw is stratified (classes visited
+    The seeded draw is stratified by ``labels`` (classes visited
     round-robin, seeded shuffle within each class): a uniform draw can
     leave a class with too few atoms to cover its dimensions, a hole the
     alternating updates never escape because under-used twin atoms keep
@@ -318,27 +318,22 @@ def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray | None =
 
     Dimension weights start all-ones when the sparsity bound allows it;
     under a tighter bound the initial columns must already satisfy it, so
-    they start one-hot, rotating through the dimensions per class (per
-    atom when unlabeled).  A dense start under a tight bound would force
-    the first sweep to collapse every atom onto its first dimension.
+    they start one-hot, rotating through the dimensions per class.  A dense
+    start under a tight bound would force the first sweep to collapse every
+    atom onto its first dimension.
     """
     n = ks.n
     if cfg.k > n:
         raise DataError(f"k={cfg.k} atoms exceed the {n} training samples")
     cfg = cfg.resolve(n, ks.dims)
     rng = np.random.default_rng(cfg.seed)
-    atom_class = [0] * cfg.k
-    if labels is None:
-        picks = [int(j) for j in rng.choice(n, size=cfg.k, replace=False)]
-        atom_class = list(range(cfg.k))
-    else:
-        pools = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in np.unique(labels)}
-        picks = []
-        while len(picks) < cfg.k:
-            for cls, pool in pools.items():
-                if pool and len(picks) < cfg.k:
-                    atom_class[len(picks)] = cls
-                    picks.append(int(pool.pop()))
+    pools = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in np.unique(labels)}
+    picks, atom_class = [], []
+    while len(picks) < cfg.k:
+        for cls, pool in pools.items():
+            if pool and len(picks) < cfg.k:
+                atom_class.append(cls)
+                picks.append(int(pool.pop()))
     a = np.zeros((n, cfg.k))
     if cfg.t_beta >= ks.dims:
         b = np.ones((ks.dims, cfg.k))
@@ -441,7 +436,7 @@ def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainC
 def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> None:
     """Write the model; ``meta.json`` goes last, so an interrupted write leaves none."""
     model_dir = make_dir(model_dir)
-    (model_dir / "meta.json").unlink(missing_ok=True)
+    remove_file(model_dir / "meta.json")
     d = result.dictionary
     write_matrix(model_dir / "sample_weights.bin", d.sample_weights)
     write_matrix(model_dir / "dim_weights.bin", d.dim_weights)

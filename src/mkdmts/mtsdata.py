@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import content_hash, make_dir, write_json, write_text
+from .ioutil import content_hash, make_dir, read_text, remove_file, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -124,12 +124,9 @@ class Dataset:
         return content_hash(chunks())
 
 
-def _load_csv(path: Path, seq_id: str) -> np.ndarray:
+def _load_csv(path: Path) -> np.ndarray:
     """Parse one sequence file: rows are time steps, columns dimensions."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found (sequence {seq_id!r})") from None
+    text = read_text(path)
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -163,11 +160,7 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
     the mapping is kept on the returned Dataset (``label_names``).
     """
     manifest_path = Path(manifest_path)
-    try:
-        lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"{manifest_path}: manifest not found") from None
-
+    lines = read_text(manifest_path).splitlines()
     base = manifest_path.parent
     intern: dict[str, int] = {}
     sequences: list[TimeSeries] = []
@@ -179,8 +172,8 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
             rec = json.loads(line)
         except ValueError as exc:
             raise DataError(f"{manifest_path}: line {lineno}: invalid JSON ({exc})") from None
-        if "id" not in rec or "path" not in rec:
-            raise DataError(f"{manifest_path}: line {lineno}: record needs 'id' and 'path'")
+        if not isinstance(rec, dict) or "id" not in rec or "path" not in rec:
+            raise DataError(f"{manifest_path}: line {lineno}: record must be an object with 'id' and 'path'")
         label = rec.get("label")
         if isinstance(label, str):
             if label not in intern:
@@ -188,7 +181,7 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
             label = intern[label]
         elif label is not None:
             label = int(label)
-        values = _load_csv(base / rec["path"], rec["id"])
+        values = _load_csv(base / rec["path"])
         sequences.append(TimeSeries(id=str(rec["id"]), values=values, label=label))
     if not sequences:
         raise DataError(f"{manifest_path}: manifest lists no sequences")
@@ -200,9 +193,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, name: str = "manifest") 
     """Write sequences as CSV plus a JSON-lines manifest; returns the manifest path.
 
     Values are written with repr-precision so a reload is bit-identical.
+    The old manifest is removed first and the new one written last, so an
+    interrupted rewrite leaves no manifest listing a mix of old and new files.
     """
     out_dir = Path(out_dir)
     make_dir(out_dir / name)
+    manifest = out_dir / f"{name}.jsonl"
+    remove_file(manifest)
     records = []
     for seq in dataset.sequences:
         rel = f"{name}/{seq.id}.csv"
@@ -211,10 +208,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, name: str = "manifest") 
         if seq.label is not None:
             rec["label"] = int(seq.label)
         records.append(rec)
-    manifest = out_dir / f"{name}.jsonl"
-    write_text(manifest, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     if dataset.label_names:
         write_json(out_dir / f"{name}.labels.json", {str(k): v for k, v in dataset.label_names.items()})
+    write_text(manifest, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     return manifest
 
 

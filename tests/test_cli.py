@@ -378,6 +378,35 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
     assert expected in err
 
 
+@pytest.mark.parametrize("fault", ["index_is_directory", "config_not_utf8", "manifest_line_not_object",
+                                   "manifest_path_is_directory"])
+def test_unreadable_input_is_data_error(trained, tmp_path, capsys, fault):
+    data, _, _ = trained
+    if fault == "index_is_directory":
+        (tmp_path / "enc" / "index.json").mkdir(parents=True)
+        args = ["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]
+    elif fault == "config_not_utf8":
+        (tmp_path / "synth.json").write_bytes(b'{"seed": "\xff"}')
+        args = ["synth", "--config", tmp_path / "synth.json", "--out", tmp_path / "d"]
+    else:
+        (tmp_path / "seq").mkdir()
+        record = 5 if fault == "manifest_line_not_object" else {"id": "a", "path": "seq", "label": 0}
+        (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
+        args = ["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "k"]
+    capsys.readouterr()
+    assert _run(args) == 2
+    _one_error_line(capsys.readouterr().err, "data error: ")
+
+
+def test_train_onto_meta_directory_is_data_error(trained, tmp_path, capsys):
+    data, kern, _ = trained
+    (tmp_path / "model" / "meta.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", kern,
+                 "--k", 2, "--tbeta", 1, "--iters", 1, "--out", tmp_path / "model"]) == 2
+    _one_error_line(capsys.readouterr().err, "data error: ")
+
+
 def test_interrupted_encode_rerun_leaves_no_index(trained, tmp_path, monkeypatch, capsys):
     from mkdmts.errors import DataError
     from mkdmts.ioutil import write_matrix

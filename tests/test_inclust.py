@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -117,15 +120,18 @@ def test_internal_winner_gets_new_leaf_child():
     # hand-build an internal node, then insert a point nearest to it but
     # far from both child means: the insert must become a new leaf child
     tree = Dendrogram(ClusterConfig())
-    parent = tree._new_node(None)
+    parent = DendroNode(next(tree._ids))
     tree.roots.append(parent)
     rng = np.random.default_rng(0)
-    left = tree._materialize_part(parent, [(f"l{i}", np.full((2, 2), 0.0) + 0.01 * rng.normal(size=(2, 2))) for i in range(3)])
-    right = tree._materialize_part(parent, [(f"r{i}", np.full((2, 2), 1.0) + 0.01 * rng.normal(size=(2, 2))) for i in range(3)])
-    parent.children = [left, right]
-    for node in (left, right):
-        for r in node.member_r:
+    for prefix, level in (("l", 0.0), ("r", 1.0)):
+        child = DendroNode(next(tree._ids), parent)
+        for i in range(3):
+            r = np.full((2, 2), level) + 0.01 * rng.normal(size=(2, 2))
+            child.member_ids.append(f"{prefix}{i}")
+            child.member_r.append(r)
+            child.welford_add(r)
             parent.welford_add(r)
+        parent.children.append(child)
     query = np.full((2, 2), 0.5)  # near the parent mean, far from either child
     rec = tree.insert("query", query)
     assert rec.path == "joined_internal"
@@ -208,3 +214,30 @@ def test_insert_accepts_encoding_matrix_objects(rng):
     rec = tree.insert("z", EncodingMatrix(values=values, source_id="z"))
     assert rec.path == "new_root"
     assert dist(EncodingMatrix(values=values, source_id="z"), tree.roots[0]) == 0.0
+
+
+# sha256 over to_dict JSON, to_dot and repr(records) of the streams below:
+# it pins node ids, intra bytes and split outcomes, which the partition
+# checks of the benchmark do not see.
+_PINNED_TREES_SHA256 = "86dbce145478fe891034f2187cf1a1bd63c1a80c58fc1452dacea02e5496e3fe"
+
+
+def test_tree_bytes_pinned_over_seeded_streams():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for seed in range(48):
+        gen = np.random.default_rng(seed)
+        k = 1 + seed % 4
+        spread = (0.02, 0.1, 0.3)[seed % 3]
+        split_min = (2, 4, 6, 9)[(seed // 4) % 4]
+        centers = [gen.normal(size=(4, 3)) for _ in range(k)]
+        tree = Dendrogram(ClusterConfig(split_min=split_min))
+        for i in range(40):
+            c = centers[int(gen.integers(k))]
+            tree.insert(f"s{seed}-{i}", c + gen.normal(0, spread, size=c.shape))
+        digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+        digest.update(tree.to_dot().encode())
+        digest.update(repr(tree.records).encode())
+        outcomes.update(r.split for r in tree.records)
+    assert outcomes == {None, "replaced", "children", "discarded"}
+    assert digest.hexdigest() == _PINNED_TREES_SHA256

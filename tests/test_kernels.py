@@ -305,7 +305,7 @@ def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):
         assert _bits(d) == _bits(_reference_pairwise(series))
 
 
-@pytest.mark.parametrize("damage", ["delete", "truncate", "meta"])
+@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object"])
 def test_damaged_cache_rebuilds(tmp_path, damage):
     seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
     cache = tmp_path / "cache"
@@ -315,10 +315,12 @@ def test_damaged_cache_rebuilds(tmp_path, damage):
         victim.unlink()
     elif damage == "truncate":
         victim.write_bytes(victim.read_bytes()[:40])
-    else:
+    elif damage == "meta":
         meta = read_json(cache / "meta.json")
         del meta["f"]
         write_json(cache / "meta.json", meta)
+    else:
+        write_json(cache / "meta.json", [read_json(cache / "meta.json")])
     with pytest.raises(DataError):
         load_kernelset(cache)
     rebuilt = build_or_load_kernelset(seen, cache)

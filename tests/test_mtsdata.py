@@ -133,6 +133,29 @@ def test_save_load_round_trip(tmp_path):
         assert orig.label == loaded.label
 
 
+def test_interrupted_save_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    from mkdmts.ioutil import write_text
+
+    old, _, _ = synth_dataset(SynthConfig(seed=1, samples_per_class=3, length_range=(10, 12)))
+    new, _, _ = synth_dataset(SynthConfig(seed=2, samples_per_class=3, length_range=(10, 12)))
+    save_dataset(old, tmp_path, "seen")
+    written = []
+
+    def fail_fourth(path, text):
+        if len(written) == 3:
+            raise DataError(f"{path}: cannot write (disk full)")
+        written.append(path)
+        write_text(path, text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("mkdmts.mtsdata.write_text", fail_fourth)
+        with pytest.raises(DataError, match="disk full"):
+            save_dataset(new, tmp_path, "seen")
+    with pytest.raises(DataError, match="file not found"):
+        load_dataset(tmp_path / "seen.jsonl")
+    assert load_dataset(save_dataset(new, tmp_path, "seen")).hash() == new.hash()
+
+
 def test_synth_deterministic():
     cfg = SynthConfig(seed=7, samples_per_class=3, length_range=(20, 30))
     seen1, unseen1, prov1 = synth_dataset(cfg)
