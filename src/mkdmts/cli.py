@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -57,12 +58,13 @@ def _num(cfg: dict, key: str, kind: type, default=None):
 def _config(cls, cfg: dict, flags: dict[str, tuple[str, type]], **fields):
     """``cls`` built from ``fields`` and the set flags, ``flags`` mapping each to its (field, kind).
 
-    Unset flags keep the class's defaults; out-of-range values are usage errors.
+    Unset flags keep the class's defaults; out-of-range values, which the
+    class rejects with a ValueError or DataError, are usage errors.
     """
     fields.update({field: _num(cfg, flag, kind) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
     try:
         return cls(**fields)
-    except ValueError as exc:
+    except (ValueError, DataError) as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -95,8 +97,8 @@ def _parse_bandwidth(cfg: dict) -> float | str:
     if cfg["bandwidth"] == "median":
         return "median"
     value = _num(cfg, "bandwidth", float)
-    if value <= 0:
-        raise UsageError("bandwidth must be positive")
+    if not 0.0 < value < math.inf:
+        raise UsageError("bandwidth must be positive and finite")
     return value
 
 
@@ -157,6 +159,8 @@ def _cmd_encode(cfg: dict) -> int:
     t_x, threshold = _num(cfg, "tx", int), _num(cfg, "threshold", float, DEFAULT_THRESHOLD)
     if t_x is not None and t_x < 1:
         raise UsageError("t_x must be at least 1")
+    if not 0.0 <= threshold < math.inf:
+        raise UsageError("threshold must be non-negative and finite")
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
     ks = load_kernelset(cfg["kernels"])
@@ -242,13 +246,21 @@ def _cmd_eval(cfg: dict) -> int:
     return 0
 
 
+def _render(path: Path, render) -> str:
+    """``render`` applied to the JSON in ``path``; content it cannot render is a data error."""
+    try:
+        return render(read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: cannot render ({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_report(cfg: dict) -> int:
     from .evalx import render_report
 
     run_dir = Path(cfg["run"])
     score_path = run_dir / "score.json"
     if score_path.exists():
-        sys.stdout.write(render_report(read_json(score_path)))
+        sys.stdout.write(_render(score_path, render_report))
         return 0
     lines = [f"mkdmts run directory {run_dir}"]
     for name in ("run_info.json", "provenance.json"):
@@ -258,8 +270,7 @@ def _cmd_report(cfg: dict) -> int:
             lines.append(json.dumps(read_json(p), indent=2, sort_keys=True))
     eval_path = run_dir / "eval.json"
     if eval_path.exists():
-        ev = read_json(eval_path)
-        lines.append(f"CE {100 * ev['ce']:.2f}%  NMI {ev['nmi']:.4f}")
+        lines.append(_render(eval_path, lambda ev: f"CE {100 * ev['ce']:.2f}%  NMI {ev['nmi']:.4f}"))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

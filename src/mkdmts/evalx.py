@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.cluster.vq import kmeans2
 from scipy.optimize import linear_sum_assignment
 
 from . import __version__
@@ -68,13 +69,8 @@ def contingency_table(pred: dict[str, int], truth: dict[str, int]) -> np.ndarray
 def clustering_error(pred: dict[str, int], truth: dict[str, int]) -> float:
     """1 - accuracy of the optimal injective cluster-to-class matching."""
     table = contingency_table(pred, truth)
-    n = table.sum()
-    side = max(table.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(-padded)
-    matched = padded[rows, cols].sum()
-    return 1.0 - matched / n
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return 1.0 - table[rows, cols].sum() / table.sum()
 
 
 def nmi(pred: dict[str, int], truth: dict[str, int]) -> float:
@@ -101,40 +97,6 @@ def score_clustering(pred: dict[str, int], truth: dict[str, int]) -> ClusterScor
         nmi=nmi(pred, truth),
         contingency=contingency_table(pred, truth),
     )
-
-
-def _kmeans(points: np.ndarray, k: int, seed: int, n_init: int = 8, iters: int = 100):
-    """Seeded k-means with k-means++ style initialization."""
-    rng = np.random.default_rng(seed)
-    n = points.shape[0]
-    best_labels, best_inertia = None, np.inf
-    for _ in range(n_init):
-        centers = np.empty((k, points.shape[1]))
-        centers[0] = points[int(rng.integers(n))]
-        closest = ((points - centers[0]) ** 2).sum(1)
-        for j in range(1, k):
-            total = closest.sum()
-            if total <= 0:
-                centers[j] = points[int(rng.integers(n))]
-                continue
-            probs = closest / total
-            centers[j] = points[int(rng.choice(n, p=probs))]
-            closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(1))
-        labels = None
-        for _ in range(iters):
-            d = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-            new_labels = np.argmin(d, axis=1)
-            if labels is not None and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            for j in range(k):
-                mask = labels == j
-                if mask.any():
-                    centers[j] = points[mask].mean(0)
-        inertia = float(((points - centers[labels]) ** 2).sum())
-        if inertia < best_inertia - 1e-12:
-            best_inertia, best_labels = inertia, labels.copy()
-    return best_labels
 
 
 def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int = 0) -> dict[str, int]:
@@ -165,7 +127,14 @@ def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int 
     basis = vecs[:, :num_clusters]
     norms = np.linalg.norm(basis, axis=1, keepdims=True)
     basis = basis / np.maximum(norms, 1e-300)
-    labels = _kmeans(basis, num_clusters, seed)
+    # k-means++ from 8 seeded starts; the lowest inertia wins, ties to the first start
+    rng = np.random.default_rng(seed)
+    best_inertia = np.inf
+    for _ in range(8):
+        centers, found = kmeans2(basis, num_clusters, minit="++", seed=rng)
+        inertia = float(((basis - centers[found]) ** 2).sum())
+        if inertia < best_inertia - 1e-12:
+            best_inertia, labels = inertia, found
     return {seq.id: int(labels[i]) for i, seq in enumerate(unseen.sequences)}
 
 

@@ -60,12 +60,12 @@ class ClusterConfig:
             raise ValueError("k_rmv must be in (0, 1]")
         if self.k_rmv > self.k_clust:
             raise ValueError("k_rmv must not exceed k_clust")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.split_min < 2:
             raise ValueError("split_min must be at least 2")
-        if self.dup_eps < 0.0:
-            raise ValueError("dup_eps must be non-negative")
+        if not 0.0 <= self.dup_eps < np.inf:
+            raise ValueError("dup_eps must be non-negative and finite")
 
 
 @dataclass

@@ -98,8 +98,8 @@ class TrainConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

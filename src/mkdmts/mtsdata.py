@@ -174,13 +174,13 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
             raise DataError(f"{manifest_path}: line {lineno}: invalid JSON ({exc})") from None
         if not isinstance(rec, dict) or "id" not in rec or "path" not in rec:
             raise DataError(f"{manifest_path}: line {lineno}: record must be an object with 'id' and 'path'")
+        if not isinstance(rec["path"], str):
+            raise DataError(f"{manifest_path}: line {lineno}: 'path' must be a string")
         label = rec.get("label")
+        if isinstance(label, bool) or not isinstance(label, (str, int, type(None))):
+            raise DataError(f"{manifest_path}: line {lineno}: 'label' must be a string or an integer")
         if isinstance(label, str):
-            if label not in intern:
-                intern[label] = len(intern)
-            label = intern[label]
-        elif label is not None:
-            label = int(label)
+            label = intern.setdefault(label, len(intern))
         values = _load_csv(base / rec["path"])
         sequences.append(TimeSeries(id=str(rec["id"]), values=values, label=label))
     if not sequences:
@@ -233,8 +233,8 @@ class SynthConfig:
             raise DataError("need at least 1 unseen class")
         if self.dims < 2:
             raise DataError("need at least 2 dimensions")
-        if self.noise_std < 0:
-            raise DataError("noise_std must be non-negative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise DataError("noise_std must be non-negative and finite")
         lo, hi = self.length_range
         if lo < 8 or hi < lo:
             raise DataError(f"invalid length_range {self.length_range}")

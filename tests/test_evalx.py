@@ -226,3 +226,47 @@ def test_run_experiment_unwritable_report_is_data_error(tmp_path):
     (tmp_path / "report.txt").mkdir()
     with pytest.raises(DataError, match="report.txt: cannot write"):
         run_experiment(config, tmp_path)
+
+
+def _canonical_partition(pred):
+    """Sorted groups of sorted ids: the partition, free of label numbering."""
+    groups = {}
+    for sid, label in pred.items():
+        groups.setdefault(label, []).append(sid)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def test_spectral_partitions_pinned():
+    """Spectral baseline partitions, pinned by one digest recorded before k-means moved to scipy.
+
+    Twenty noisy 4-class sets (median bandwidths of the seen kernels) plus
+    the novel sets of the quickstart and many_short benchmark configs.
+    """
+    import hashlib
+    import json
+
+    from mkdmts.kernels import build_kernelset
+
+    partitions = []
+    for s in range(20):
+        cfg = SynthConfig(seed=s, num_seen_classes=5, num_unseen_classes=4, dims=3,
+                          samples_per_class=6, noise_std=1.5, length_range=(20, 30))
+        seen, unseen, _ = synth_dataset(cfg)
+        bandwidths = build_kernelset(seen).bandwidths
+        partitions.append(_canonical_partition(spectral_baseline(unseen, bandwidths, num_clusters=4, seed=s)))
+    for seed, seen_classes, lengths, bandwidth in ((7, 4, (60, 90), 40.0), (5, 6, (10, 14), 4.0)):
+        cfg = SynthConfig(seed=seed, num_seen_classes=seen_classes, num_unseen_classes=2, dims=2,
+                          length_range=lengths, samples_per_class=6)
+        _, unseen, _ = synth_dataset(cfg)
+        pred = spectral_baseline(unseen, np.full(2, bandwidth), num_clusters=2, seed=seed)
+        partitions.append(_canonical_partition(pred))
+    digest = hashlib.sha256(json.dumps(partitions).encode()).hexdigest()
+    assert digest == "61aed0e393258e0e77fc6d05af4b44e46af7ed265b25c82b308799e5b028fc2c"
+
+
+def test_spectral_on_identical_sequences_labels_every_id(rng):
+    values = rng.normal(size=(2, 12))
+    unseen = Dataset([TimeSeries(id=f"s{i}", values=values) for i in range(5)], role="unseen")
+    pred = spectral_baseline(unseen, np.ones(2), num_clusters=3, seed=0)
+    assert sorted(pred) == unseen.ids()
+    assert all(0 <= label < 3 for label in pred.values())

@@ -204,6 +204,8 @@ def test_replacement_only_when_ratio_below_krmv(rng):
 def test_config_rejects_negative_dup_eps():
     with pytest.raises(ValueError, match="dup_eps"):
         ClusterConfig(dup_eps=-1e-4)
+    with pytest.raises(ValueError, match="dup_eps"):
+        ClusterConfig(dup_eps=float("nan"))
 
 
 def test_insert_accepts_encoding_matrix_objects(rng):

@@ -357,4 +357,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(tol=0.0)
     with pytest.raises(ValueError):
+        TrainConfig(tol=float("nan"))
+    with pytest.raises(ValueError):
         TrainConfig(max_iters=0)

@@ -218,4 +218,6 @@ def test_synth_config_validation():
     with pytest.raises(DataError):
         SynthConfig(noise_std=-0.1)
     with pytest.raises(DataError):
+        SynthConfig(noise_std=float("nan"))
+    with pytest.raises(DataError):
         SynthConfig(length_range=(50, 40))
