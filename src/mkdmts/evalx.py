@@ -219,6 +219,12 @@ def run_experiment(config: dict, out_dir) -> dict:
     derived from the global seed so reruns are bit-identical.  Artifacts
     and the report land in ``out_dir``; the report dict is returned.
     """
+    try:
+        threshold = float(config.get("threshold", DEFAULT_THRESHOLD))
+    except (TypeError, ValueError):
+        threshold = np.nan
+    if not 0.0 <= threshold < np.inf:
+        raise DataError(f"threshold must be non-negative and finite, got {config.get('threshold')!r}")
     out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
@@ -230,7 +236,6 @@ def run_experiment(config: dict, out_dir) -> dict:
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
     with _stage("encode", timings):
-        threshold = float(config.get("threshold", DEFAULT_THRESHOLD))
         described = describe(seen, ks, result.dictionary, unseen, train_cfg.t_x, threshold)
     with _stage("cluster", timings):
         cl_conf = dict(config.get("cluster", {}))

@@ -67,65 +67,82 @@ class CrossKernel:
 
 
 # Pairs per dtw_many wavefront are capped so that the reversed, zero-bordered
-# reference block holds at most this many float64 values (2 MiB); larger
+# reference block holds at most this many float64 values (512 KiB); larger
 # pair sets run in consecutive chunks, each padded on its own, with
 # identical per-pair results.
-_WAVEFRONT_ELEMENTS = 1 << 18
+_WAVEFRONT_ELEMENTS = 1 << 16
 
 
-def _padded(series: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded ``len(series) x width`` block and the per-row lengths."""
-    block = np.zeros((len(series), width))
+def _padded(series: list[np.ndarray], height: int, end: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Zero ``height x len(series)`` block with series k in column k, and the lengths.
+
+    With ``end`` 0 each series starts at row 0; otherwise it is reversed and
+    its first value sits at row ``end - 1``.
+    """
+    block = np.zeros((height, len(series)))
     lengths = np.empty(len(series), dtype=np.intp)
     for k, s in enumerate(series):
-        block[k, : s.size] = s
+        if end:
+            block[end - s.size: end, k] = s[::-1]
+        else:
+            block[: s.size, k] = s
         lengths[k] = s.size
     if not np.isfinite(block).all():
         raise ValueError("dtw: non-finite input")
     return block, lengths
 
 
-def _wavefront(q: np.ndarray, n: np.ndarray, r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """DTW end cells of every row pair (q[k, :n[k]], r[k, :m[k]]).
+def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """DTW end cells of every column pair (q[:n[k], k], r_k[:m[k]]).
 
-    Anti-diagonal sweep over all pairs at once: cell (i, j) lies on
-    diagonal d = i + j and depends only on diagonals d-1 and d-2, so each
-    diagonal is a few array operations over a ``pairs x rows`` block while
-    every cell keeps the exact rounding D[i,j] = fl(c[i,j] + min(up, left,
-    diag)).  Rounding is monotone, so this equals the minimum over all
-    monotone alignment paths of their left-to-right accumulated costs, bit
-    for bit.  Padded cells (i >= n[k] or j >= m[k]) lie past a pair's own
-    end cell, which depends only on smaller indices, so their values never
-    matter.  Cells off the grid (i < 0 or j < 0) come out +inf whatever their
-    cost, because their own neighbours are off the grid too, down to the
-    inf-initialised diagonals -1 and -2; all inputs stay finite, so no NaN
-    arises.
+    ``q`` is the ``rows x pairs`` query block and ``e`` the reversed,
+    zero-bordered reference block: e[s + i, k] = r_k[d - i] for
+    s = rows + cols - 2 - d, so diagonal d reads contiguous row slices of
+    both.  Cell (i, j) lies on diagonal d = i + j and depends only on
+    diagonals d-1 and d-2, so each diagonal is a few array operations over
+    its band of valid rows, i in [max(0, d - cols + 1), min(d, rows - 1)],
+    for all pairs at once, while every cell keeps the exact rounding
+    D[i,j] = fl(c[i,j] + min(up, left, diag)).  Rounding is monotone, so this
+    equals the minimum over all monotone alignment paths of their
+    left-to-right accumulated costs, bit for bit.  Padded cells
+    (i >= n[k] or j >= m[k]) lie past a pair's own end cell, which depends
+    only on smaller indices, so their values never matter.
+
+    The three diagonal buffers rotate and are never re-filled.  Both band
+    edges only move up, by at most one row per diagonal, so a row above
+    the band (j < 0) has never been written and still holds its initial
+    +inf, which is what the off-grid neighbour must be; a row below the band
+    (j >= cols) may hold a value from three diagonals back, but the band of
+    the next two diagonals reads no row below the current band.  No band
+    holds row -1 (index 0), so it stays +inf except for the 0.0 seed of
+    D[0,0] on diagonal -2, which is cleared once diagonal 0 is done.  All
+    inputs stay finite, so no NaN arises.
     """
-    pairs, rows = q.shape
-    cols = r.shape[1]
-    # e[k, s + i] = r[k, d - i] for s = rows + cols - 2 - d
-    e = np.zeros((pairs, 2 * rows + cols - 2))
-    e[:, rows - 1: rows - 1 + cols] = r[:, ::-1]
+    rows, pairs = q.shape
+    cols = e.shape[0] - 2 * rows + 2
     ends = n + m - 2
     finishing = {int(d): np.flatnonzero(ends == d) for d in np.unique(ends)}
     out = np.empty(pairs)
-    # D on the two previous diagonals by row i, with column 0 holding row -1
-    # (always inf) except on diagonal -2, where it seeds D[0,0] = c[0,0] + 0.
-    prevprev = np.full((pairs, rows + 1), np.inf)
-    prevprev[:, 0] = 0.0
-    prev = np.full((pairs, rows + 1), np.inf)
+    # D on diagonals d-2, d-1 and d by row i at index i + 1; index 0 is row -1.
+    prevprev, prev, cur = (np.full((rows + 1, pairs), np.inf) for _ in range(3))
+    prevprev[0] = 0.0
+    scratch = np.empty((rows, pairs))
     for d in range(int(ends.max()) + 1):
+        lo, hi = max(0, d - cols + 1), min(d, rows - 1) + 1
         s = rows + cols - 2 - d
-        diff = q - e[:, s: s + rows]
-        best = np.minimum(prev[:, 1:], prev[:, :-1])
-        np.minimum(best, prevprev[:, :-1], out=best)
-        cur = np.empty_like(prev)
-        cur[:, 0] = np.inf
-        np.add(diff * diff, best, out=cur[:, 1:])
+        cost = scratch[: hi - lo]
+        band = cur[lo + 1: hi + 1]
+        np.subtract(q[lo:hi], e[s + lo: s + hi], out=cost)
+        np.multiply(cost, cost, out=cost)
+        np.minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=band)
+        np.minimum(band, prevprev[lo:hi], out=band)
+        np.add(cost, band, out=band)
         done = finishing.get(d)
         if done is not None:
-            out[done] = cur[done, n[done]]
-        prevprev, prev = prev, cur
+            out[done] = cur[n[done], done]
+        if d == 0:
+            prevprev[0] = np.inf
+        prevprev, prev, cur = prev, cur, prevprev
     return out
 
 
@@ -151,7 +168,10 @@ def dtw_many(queries, references) -> np.ndarray:
     cols = max(s.size for s in references)
     step = max(1, _WAVEFRONT_ELEMENTS // (2 * rows + cols))
     return np.concatenate([
-        _wavefront(*_padded(queries[lo: lo + step], rows), *_padded(references[lo: lo + step], cols))
+        _wavefront(
+            *_padded(queries[lo: lo + step], rows),
+            *_padded(references[lo: lo + step], 2 * rows + cols - 2, end=rows + cols - 1),
+        )
         for lo in range(0, len(queries), step)
     ])
 
@@ -190,9 +210,20 @@ def psd_repair(m: np.ndarray) -> tuple[np.ndarray, float]:
     return (repaired + repaired.T) / 2.0, shift
 
 
-def _select_bandwidth(distances: np.ndarray, bandwidth, dim: int) -> float:
-    if bandwidth != "median":
-        return float(bandwidth)
+def _fixed_bandwidth(bandwidth) -> float | None:
+    """None for "median", else the fixed bandwidth, which must be positive and finite."""
+    if isinstance(bandwidth, str) and bandwidth == "median":
+        return None
+    try:
+        value = float(bandwidth)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
+    return value
+
+
+def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
     n = distances.shape[0]
     off = distances[np.triu_indices(n, k=1)]
     med = float(np.median(off)) if off.size else 0.0
@@ -210,12 +241,13 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     ``bandwidth`` is either "median" (median off-diagonal DTW distance per
     dimension) or a fixed positive number applied to every dimension.
     """
+    fixed = _fixed_bandwidth(bandwidth)
     if len(seen) < 2:
         raise DataError("kernel construction needs at least 2 sequences")
     kernels, deltas, shifts = [], [], []
     for l in range(seen.dims):
         d = pairwise_dtw([s.dim(l) for s in seen.sequences])
-        delta = _select_bandwidth(d, bandwidth, l)
+        delta = _median_bandwidth(d, l) if fixed is None else fixed
         k = np.exp(-d / delta)
         k, shift = psd_repair(k)
         kernels.append(k)
@@ -298,6 +330,7 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
 
 def build_or_load_kernelset(seen: Dataset, cache_dir: str | Path, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     """Load the cached kernels when the dataset hash matches, else rebuild."""
+    _fixed_bandwidth(bandwidth)  # a bad bandwidth is an error even when the cache would serve
     cache_dir = Path(cache_dir)
     meta_path = cache_dir / "meta.json"
     if meta_path.exists():

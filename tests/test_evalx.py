@@ -228,6 +228,25 @@ def test_run_experiment_unwritable_report_is_data_error(tmp_path):
         run_experiment(config, tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [("threshold", math.nan), ("threshold", -1.0),
+                                        ("threshold", math.inf), ("bandwidth", -5.0)])
+def test_run_experiment_rejects_bad_threshold_and_bandwidth(tmp_path, key, value):
+    from mkdmts.evalx import run_experiment
+
+    config = {
+        "synth": {"num_seen_classes": 2, "num_unseen_classes": 2, "length_range": (8, 10),
+                  "samples_per_class": 3, "seed": 5},
+        "bandwidth": 5.0,
+        "train": {"k": 2, "t_beta": 1, "max_iters": 2},
+        key: value,
+    }
+    with pytest.raises(DataError, match=key):
+        run_experiment(config, tmp_path / "run")
+    assert not (tmp_path / "run" / "score.json").exists()
+    if key == "threshold":  # rejected before anything is synthesized or written
+        assert not (tmp_path / "run").exists()
+
+
 def _canonical_partition(pred):
     """Sorted groups of sorted ids: the partition, free of label numbering."""
     groups = {}

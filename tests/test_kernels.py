@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,13 +87,23 @@ def test_dtw_many_bit_identical_to_double_loop(rng):
     assert _bits(got) == _bits(expected)
 
 
+def test_dtw_many_band_edges_and_short_pairs_in_a_long_block(rng):
+    # 90x90 sets a 90-row, 90-column block: the others put lo > 0 and hi < d
+    # into the same call, and short pairs finish long before the block does
+    shapes = [(90, 90), (1, 90), (90, 1), (5, 90), (90, 5), (1, 1), (90, 90)]
+    queries = [rng.normal(size=n) for n, _ in shapes]
+    refs = [rng.normal(size=m) for _, m in shapes]
+    got = dtw_many(queries, refs)
+    assert _bits(got) == _bits([dtw_loop(a, b) for a, b in zip(queries, refs)])
+
+
 def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
     queries, refs = _ragged_pairs(rng, 60)
     whole = dtw_many(queries, refs)
     perm = rng.permutation(len(queries))
     shuffled = dtw_many([queries[i] for i in perm], [refs[i] for i in perm])
     assert _bits(shuffled) == _bits(whole[perm])
-    for budget in (1, 300, 5000):  # one pair per chunk, a few chunks, ragged chunk tails
+    for budget in (1, 300, 5000, 1 << 16):  # one pair per chunk, a few chunks, ragged tails, the default
         monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", budget)
         assert _bits(dtw_many(queries, refs)) == _bits(whole)
 
@@ -182,6 +194,29 @@ def test_kernelset_matches_direct_recomputation(rng):
         expected, _ = psd_repair(np.exp(-d / delta))
         np.testing.assert_allclose(ks.kernels[l], expected, atol=1e-10)
         assert ks.bandwidths[l] == pytest.approx(delta)
+
+
+def test_kernel_bytes_pinned():
+    """Grams and cross kernels at benchmark lengths, pinned by one digest of their bytes."""
+    seen, unseen, _ = synth_dataset(SynthConfig(seed=21, dims=3, samples_per_class=4, length_range=(60, 90)))
+    ks = build_kernelset(seen, bandwidth=40.0)
+    digest = hashlib.sha256()
+    for k in ks.kernels:
+        digest.update(k.tobytes())
+    for z in unseen.sequences[:4]:
+        for c in cross_kernel(seen, z, ks.bandwidths).cross:
+            digest.update(c.tobytes())
+    assert digest.hexdigest() == "826fc6628a2b0ed92322d4d5a68023417f74d140d4dcf73c2dd15a64a48179a0"
+
+
+@pytest.mark.parametrize("bandwidth", [-5.0, 0.0, np.nan, np.inf])
+def test_bad_fixed_bandwidth_is_data_error(tmp_path, rng, bandwidth):
+    ds = _dataset([rng.normal(size=(2, 6)) for _ in range(3)])
+    with pytest.raises(DataError, match="bandwidth"):
+        build_kernelset(ds, bandwidth=bandwidth)
+    with pytest.raises(DataError, match="bandwidth"):
+        build_or_load_kernelset(ds, tmp_path / "cache", bandwidth=bandwidth)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_kernel_monotonicity():
