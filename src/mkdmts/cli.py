@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -55,17 +54,34 @@ def _num(cfg: dict, key: str, kind: type, default=None):
         raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
-def _config(cls, cfg: dict, flags: dict[str, tuple[str, type]], **fields):
-    """``cls`` built from ``fields`` and the set flags, ``flags`` mapping each to its (field, kind).
-
-    Unset flags keep the class's defaults; out-of-range values, which the
-    class rejects with a ValueError or DataError, are usage errors.
-    """
-    fields.update({field: _num(cfg, flag, kind) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
+def _checked(check, *args, **kwargs):
+    """``check(*args, **kwargs)``; a value it rejects with a ValueError or DataError is a usage error."""
     try:
-        return cls(**fields)
+        return check(*args, **kwargs)
     except (ValueError, DataError) as exc:
         raise UsageError(str(exc)) from None
+
+
+# Each numeric knob backed by a config dataclass, {flag dest: (field, kind)}; build_parser
+# adds the flags from these tables and _config maps the set ones onto the class.
+_SYNTH_FLAGS = {
+    "seed": ("seed", int), "seen_classes": ("num_seen_classes", int), "unseen_classes": ("num_unseen_classes", int),
+    "dims": ("dims", int), "samples": ("samples_per_class", int), "noise": ("noise_std", float),
+}
+_TRAIN_FLAGS = {
+    "k": ("k", int), "tx": ("t_x", int), "ta": ("t_a", int), "tbeta": ("t_beta", int),
+    "iters": ("max_iters", int), "tol": ("tol", float), "seed": ("seed", int),
+}
+_CLUSTER_FLAGS = {
+    "kclust": ("k_clust", float), "krmv": ("k_rmv", float), "gamma": ("gamma", float),
+    "split_min": ("split_min", int), "dup_eps": ("dup_eps", float),
+}
+
+
+def _config(cls, cfg: dict, flags: dict[str, tuple[str, type]], **fields):
+    """``cls`` built from ``fields`` and the set ``flags``; unset flags keep the class's defaults."""
+    fields.update({field: _num(cfg, flag, kind) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
+    return _checked(cls, **fields)
 
 
 def _write_run_info(out_dir: Path, command: str, cfg: dict, config: dict) -> None:
@@ -81,11 +97,8 @@ def _cmd_synth(cfg: dict) -> int:
     from .mtsdata import SynthConfig
 
     lo, hi = SynthConfig.length_range
-    synth_cfg = _config(SynthConfig, cfg, {
-        "seen_classes": ("num_seen_classes", int), "unseen_classes": ("num_unseen_classes", int),
-        "dims": ("dims", int), "samples": ("samples_per_class", int), "noise": ("noise_std", float),
-        "seed": ("seed", int),
-    }, length_range=(_num(cfg, "length_min", int, lo), _num(cfg, "length_max", int, hi)))
+    synth_cfg = _config(SynthConfig, cfg, _SYNTH_FLAGS,
+                        length_range=(_num(cfg, "length_min", int, lo), _num(cfg, "length_max", int, hi)))
     out = Path(cfg["out"])
     seen, unseen = synthesize(synth_cfg, out)
     _write_run_info(out, "synth", cfg, asdict(synth_cfg))
@@ -93,22 +106,13 @@ def _cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _parse_bandwidth(cfg: dict) -> float | str:
-    if cfg["bandwidth"] == "median":
-        return "median"
-    value = _num(cfg, "bandwidth", float)
-    if not 0.0 < value < math.inf:
-        raise UsageError("bandwidth must be positive and finite")
-    return value
-
-
 def _cmd_kernels(cfg: dict) -> int:
-    from .kernels import build_or_load_kernelset
+    from .kernels import DEFAULT_BANDWIDTH, build_or_load_kernelset, check_bandwidth
     from .mtsdata import load_dataset
 
-    bandwidth = {} if cfg["bandwidth"] is None else {"bandwidth": _parse_bandwidth(cfg)}
+    bandwidth = _checked(check_bandwidth, DEFAULT_BANDWIDTH if cfg["bandwidth"] is None else cfg["bandwidth"])
     seen = load_dataset(cfg["manifest"], role="seen")
-    ks = build_or_load_kernelset(seen, cfg["out"], **bandwidth)
+    ks = build_or_load_kernelset(seen, cfg["out"], bandwidth)
     _write_run_info(Path(cfg["out"]), "kernels", cfg, {"bandwidths": [float(b) for b in ks.bandwidths]})
     print(f"kernels for {ks.n} sequences x {ks.dims} dimensions in {cfg['out']}", file=sys.stderr)
     return 0
@@ -131,10 +135,7 @@ def _cmd_train(cfg: dict) -> int:
     from .mkd import TrainConfig, save_model, train, tune
     from .mtsdata import load_dataset
 
-    train_cfg = _config(TrainConfig, cfg, {
-        "k": ("k", int), "tx": ("t_x", int), "ta": ("t_a", int), "tbeta": ("t_beta", int),
-        "iters": ("max_iters", int), "tol": ("tol", float), "seed": ("seed", int),
-    })
+    train_cfg = _config(TrainConfig, cfg, _TRAIN_FLAGS)
     grid = _tune_grid(cfg["tune"]) if cfg["tune"] else None
     seen = load_dataset(cfg["manifest"], role="seen")
     ks = load_kernelset(cfg["kernels"])
@@ -154,17 +155,19 @@ def _cmd_encode(cfg: dict) -> int:
     from .kernels import load_kernelset
     from .mkd import load_model
     from .mtsdata import load_dataset
-    from .zeroshot import DEFAULT_THRESHOLD
+    from .zeroshot import DEFAULT_THRESHOLD, check_threshold
 
-    t_x, threshold = _num(cfg, "tx", int), _num(cfg, "threshold", float, DEFAULT_THRESHOLD)
+    t_x = _num(cfg, "tx", int)
     if t_x is not None and t_x < 1:
         raise UsageError("t_x must be at least 1")
-    if not 0.0 <= threshold < math.inf:
-        raise UsageError("threshold must be non-negative and finite")
+    threshold = _checked(check_threshold, _num(cfg, "threshold", float, DEFAULT_THRESHOLD))
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
     ks = load_kernelset(cfg["kernels"])
     model, meta = load_model(cfg["model"])
+    if meta["bandwidths"] != ks.bandwidths.tolist():
+        raise DataError(f"{cfg['model']} was trained on kernel bandwidths {meta['bandwidths']}, "
+                        f"{cfg['kernels']} holds {ks.bandwidths.tolist()}")
     if t_x is None:
         t_x = meta["t_x"]
     described = describe(seen, ks, model, unseen, t_x, threshold)
@@ -197,10 +200,7 @@ def _cmd_cluster(cfg: dict) -> int:
     from .evalx import cluster
     from .inclust import ClusterConfig
 
-    cluster_cfg = _config(ClusterConfig, cfg, {
-        "kclust": ("k_clust", float), "krmv": ("k_rmv", float), "gamma": ("gamma", float),
-        "split_min": ("split_min", int), "dup_eps": ("dup_eps", float),
-    })
+    cluster_cfg = _config(ClusterConfig, cfg, _CLUSTER_FLAGS)
     order_seed = _parse_order(cfg["order"])
     enc_dir = Path(cfg["enc"])
     index = read_json(enc_dir / "index.json")
@@ -227,11 +227,7 @@ def _cmd_eval(cfg: dict) -> int:
 
     pred = flat_clusters_from_dict(read_json(cfg["tree"]))
     truth_ds = load_dataset(cfg["truth"], role="unseen")
-    truth = {}
-    for seq in truth_ds.sequences:
-        if seq.label is None:
-            raise DataError(f"sequence {seq.id!r} in the truth manifest has no label")
-        truth[seq.id] = int(seq.label)
+    truth = dict(zip(truth_ds.ids(), truth_ds.labels().tolist()))
     score = score_clustering(pred, truth)
     write_json(cfg["out"], {
         "ce": float(score.ce),
@@ -295,13 +291,12 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("-v", "--verbose", action="store_true")
 
+    def knobs(p, flags):
+        for flag, (_, kind) in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, dest=flag)
+
     p = sub.add_parser("synth", help="generate a synthetic seen/unseen dataset")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seen-classes", type=int, dest="seen_classes")
-    p.add_argument("--unseen-classes", type=int, dest="unseen_classes")
-    p.add_argument("--dims", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--noise", type=float)
+    knobs(p, _SYNTH_FLAGS)
     p.add_argument("--length-min", type=int, dest="length_min")
     p.add_argument("--length-max", type=int, dest="length_max")
     p.add_argument("--out", required=True)
@@ -316,13 +311,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the multiple-kernel dictionary")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kernels", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--tx", type=int)
-    p.add_argument("--ta", type=int)
-    p.add_argument("--tbeta", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    knobs(p, _TRAIN_FLAGS)
     p.add_argument("--tune", help="JSON file with {'grid': [[k, tx], ...]}")
     p.add_argument("--out", required=True)
     common(p)
@@ -340,11 +329,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="incrementally cluster encoded sequences")
     p.add_argument("--enc", required=True)
     p.add_argument("--order", help="file or shuffle:SEED")
-    p.add_argument("--kclust", type=float)
-    p.add_argument("--krmv", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--split-min", type=int, dest="split_min")
-    p.add_argument("--dup-eps", type=float, dest="dup_eps")
+    knobs(p, _CLUSTER_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--dot")
     common(p)

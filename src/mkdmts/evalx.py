@@ -26,10 +26,15 @@ from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
 from .ioutil import make_dir, write_json, write_text
-from .kernels import DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, cross_kernel, pairwise_dtw
+from .kernels import (
+    DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
+)
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
-from .zeroshot import DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, encode, encoding_matrix, reconstruction_report
+from .zeroshot import (
+    DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, check_threshold, encode, encoding_matrix,
+    reconstruction_report,
+)
 
 # Published results for this method family on the four motion benchmarks
 # (Cricket, CMU, Words, Squat); kept as report context only, the datasets
@@ -219,19 +224,15 @@ def run_experiment(config: dict, out_dir) -> dict:
     derived from the global seed so reruns are bit-identical.  Artifacts
     and the report land in ``out_dir``; the report dict is returned.
     """
-    try:
-        threshold = float(config.get("threshold", DEFAULT_THRESHOLD))
-    except (TypeError, ValueError):
-        threshold = np.nan
-    if not 0.0 <= threshold < np.inf:
-        raise DataError(f"threshold must be non-negative and finite, got {config.get('threshold')!r}")
+    threshold = check_threshold(config.get("threshold", DEFAULT_THRESHOLD))
+    bandwidth = check_bandwidth(config.get("bandwidth", DEFAULT_BANDWIDTH))
     out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
         synth_cfg = SynthConfig(**config.get("synth", {}))
         seen, unseen = synthesize(synth_cfg, out_dir / "data")
     with _stage("kernels", timings):
-        ks = build_or_load_kernelset(seen, out_dir / "kernels", config.get("bandwidth", DEFAULT_BANDWIDTH))
+        ks = build_or_load_kernelset(seen, out_dir / "kernels", bandwidth)
     with _stage("train", timings):
         train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
@@ -243,7 +244,7 @@ def run_experiment(config: dict, out_dir) -> dict:
         tree = cluster([(r.id, r.encoding.values) for r in described], ClusterConfig(**cl_conf), order_seed)
         tree.save(out_dir / "tree.json")
     with _stage("score", timings):
-        truth = {seq.id: int(seq.label) for seq in unseen.sequences}
+        truth = dict(zip(unseen.ids(), unseen.labels().tolist()))
         pred = tree.flat_clusters()
         ours = score_clustering(pred, truth)
         spectral_pred = spectral_baseline(

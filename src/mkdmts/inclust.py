@@ -131,16 +131,11 @@ def _stats_of(mats: list[np.ndarray]) -> tuple[np.ndarray, float]:
     return mean, m2
 
 
-def _encoding_values(r) -> np.ndarray:
-    values = getattr(r, "values", r)  # EncodingMatrix or bare array
-    return np.asarray(values, dtype=np.float64)
-
-
-def dist(r, node: DendroNode) -> float:
+def dist(r: np.ndarray, node: DendroNode) -> float:
     """Squared Frobenius distance between an encoding and a node's mean."""
     if node.count == 0 or node.mean is None:
         raise ValueError("distance to an empty node is undefined")
-    delta = _encoding_values(r) - node.mean
+    delta = r - node.mean
     return float((delta * delta).sum())
 
 
@@ -243,8 +238,8 @@ class Dendrogram:
         return outcome, (halves[0].node_id, halves[1].node_id)
 
     def insert(self, source_id: str, r) -> PlacementRecord:
-        """Place one encoded sequence (encoding matrix or bare array)."""
-        r = _encoding_values(r)
+        """Place one encoded sequence, given as its N x f encoding array."""
+        r = np.asarray(r, dtype=np.float64)
         if self.roots and r.shape != self.roots[0].mean.shape:
             raise DataError(
                 f"encoding shape {r.shape} does not match the tree's {self.roots[0].mean.shape}"

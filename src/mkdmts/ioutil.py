@@ -70,6 +70,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
     data = np.frombuffer(raw[16:], dtype=_DATA_DTYPE)
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite matrix values")
     return data.reshape(int(rows), int(cols)).copy()
 
 

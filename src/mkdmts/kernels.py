@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,17 @@ DEFAULT_BANDWIDTH = "median"
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Per-dimension repaired Gram matrices over the seen set."""
+    """Per-dimension repaired Gram matrices over the seen set.
+
+    ``bandwidth_request`` is what they were built with: "median", a fixed
+    bandwidth, or None when unknown.
+    """
 
     kernels: list[np.ndarray]
     bandwidths: np.ndarray
     repair_shift: np.ndarray
     dataset_hash: str
+    bandwidth_request: float | str | None = None
 
     @property
     def dims(self) -> int:
@@ -45,12 +50,7 @@ class KernelSet:
 
     def subset(self, indices, dataset_hash: str) -> "KernelSet":
         idx = np.asarray(indices)
-        return KernelSet(
-            kernels=[k[np.ix_(idx, idx)] for k in self.kernels],
-            bandwidths=self.bandwidths,
-            repair_shift=self.repair_shift,
-            dataset_hash=dataset_hash,
-        )
+        return replace(self, kernels=[k[np.ix_(idx, idx)] for k in self.kernels], dataset_hash=dataset_hash)
 
 
 @dataclass(frozen=True)
@@ -210,17 +210,16 @@ def psd_repair(m: np.ndarray) -> tuple[np.ndarray, float]:
     return (repaired + repaired.T) / 2.0, shift
 
 
-def _fixed_bandwidth(bandwidth) -> float | None:
-    """None for "median", else the fixed bandwidth, which must be positive and finite."""
+def check_bandwidth(bandwidth) -> float | str:
+    """"median", or the fixed bandwidth as a float, which must be positive and finite."""
     if isinstance(bandwidth, str) and bandwidth == "median":
-        return None
+        return bandwidth
     try:
-        value = float(bandwidth)
+        if 0.0 < float(bandwidth) < np.inf:
+            return float(bandwidth)
     except (TypeError, ValueError):
-        value = np.nan
-    if not 0.0 < value < np.inf:
-        raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
-    return value
+        pass
+    raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
@@ -241,13 +240,13 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     ``bandwidth`` is either "median" (median off-diagonal DTW distance per
     dimension) or a fixed positive number applied to every dimension.
     """
-    fixed = _fixed_bandwidth(bandwidth)
+    request = check_bandwidth(bandwidth)
     if len(seen) < 2:
         raise DataError("kernel construction needs at least 2 sequences")
     kernels, deltas, shifts = [], [], []
     for l in range(seen.dims):
         d = pairwise_dtw([s.dim(l) for s in seen.sequences])
-        delta = _median_bandwidth(d, l) if fixed is None else fixed
+        delta = request if isinstance(request, float) else _median_bandwidth(d, l)
         k = np.exp(-d / delta)
         k, shift = psd_repair(k)
         kernels.append(k)
@@ -260,6 +259,7 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
         bandwidths=np.asarray(deltas),
         repair_shift=np.asarray(shifts),
         dataset_hash=seen.hash(),
+        bandwidth_request=request,
     )
 
 
@@ -299,6 +299,7 @@ def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
             "bandwidths": [float(x) for x in ks.bandwidths],
             "repair_shift": [float(x) for x in ks.repair_shift],
             "dataset_hash": ks.dataset_hash,
+            "bandwidth_request": ks.bandwidth_request,
         },
     )
 
@@ -314,7 +315,9 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
         bandwidths = np.asarray(meta["bandwidths"], dtype=np.float64)
         repair_shift = np.asarray(meta["repair_shift"], dtype=np.float64)
         dataset_hash = str(meta["dataset_hash"])
-    except (KeyError, TypeError, ValueError) as exc:
+        request = meta.get("bandwidth_request")
+        request = None if request is None else check_bandwidth(request)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{cache_dir}: malformed kernel cache metadata ({exc!r})") from None
     kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(dims)]
     for l, k in enumerate(kernels):
@@ -325,20 +328,21 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
         bandwidths=bandwidths,
         repair_shift=repair_shift,
         dataset_hash=dataset_hash,
+        bandwidth_request=request,
     )
 
 
 def build_or_load_kernelset(seen: Dataset, cache_dir: str | Path, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
-    """Load the cached kernels when the dataset hash matches, else rebuild."""
-    _fixed_bandwidth(bandwidth)  # a bad bandwidth is an error even when the cache would serve
+    """Load the cached kernels when the dataset hash and requested bandwidth match, else rebuild."""
+    request = check_bandwidth(bandwidth)
     cache_dir = Path(cache_dir)
     meta_path = cache_dir / "meta.json"
     if meta_path.exists():
         try:
             ks = load_kernelset(cache_dir)
-            if ks.dataset_hash == seen.hash():
+            if (ks.dataset_hash, ks.bandwidth_request) == (seen.hash(), request):
                 return ks
-            log.info("kernel cache %s is stale (dataset hash changed)", cache_dir)
+            log.info("kernel cache %s is stale (dataset or bandwidth changed)", cache_dir)
         except DataError as exc:
             log.warning("ignoring unreadable kernel cache %s: %s", cache_dir, exc)
     ks = build_kernelset(seen, bandwidth=bandwidth)

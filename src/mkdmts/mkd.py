@@ -65,14 +65,6 @@ class Dictionary:
     def dims(self) -> int:
         return self.dim_weights.shape[0]
 
-    def atom_norms_sq(self, ks: KernelSet) -> np.ndarray:
-        """Feature-space squared norm of every atom."""
-        a, b = self.sample_weights, self.dim_weights
-        out = np.zeros(self.k)
-        for l, kl in enumerate(ks.kernels):
-            out += b[l] * np.einsum("nt,nm,mt->t", a, kl, a)
-        return out
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -158,11 +150,12 @@ def residuals(d: Dictionary, kernels, cross, self_k, codes) -> np.ndarray:
     return out
 
 
-def clamp_residual(value: float, what: str) -> float:
-    """A summed residual with round-off below zero clamped to zero."""
-    if value < -1e-8:
-        log.debug("%s clamped to 0 from %.3e", what, value)
-    return max(value, 0.0)
+def clamp_residual(values, what: str) -> np.ndarray:
+    """Residuals with round-off below zero clamped to zero; the only place one is clamped."""
+    values = np.asarray(values, dtype=np.float64)
+    if (values < -1e-8).any():
+        log.debug("%s clamped to 0 from %.3e", what, values.min())
+    return np.maximum(values, 0.0)
 
 
 def _data_residuals(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> np.ndarray:
@@ -173,7 +166,7 @@ def _data_residuals(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> np.ndarr
 
 def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
     """Frobenius reconstruction loss of the coded data, clamped at zero."""
-    return clamp_residual(float(np.sum(_data_residuals(d, ks, codes))), "loss")
+    return float(clamp_residual(np.sum(_data_residuals(d, ks, codes)), "loss"))
 
 
 def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
@@ -218,6 +211,14 @@ def _atom_targets(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -> np
     return np.stack([kl @ (x - rest[:, l]) for l, kl in enumerate(ks.kernels)])
 
 
+def _one_hot_column(ks: KernelSet, j: int, b: np.ndarray) -> np.ndarray:
+    """Sample weights of an atom on sample j alone, unit feature norm under dimension weights b."""
+    norm_sq = float(sum(b[l] * kl[j, j] for l, kl in enumerate(ks.kernels)))
+    a = np.zeros(ks.n)
+    a[j] = 1.0 / math.sqrt(max(norm_sq, _NORM_FLOOR))
+    return a
+
+
 def _reinit_dead_atom(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -> None:
     """Re-seed a dead atom on the worst-reconstructed training sample.
 
@@ -228,14 +229,8 @@ def _reinit_dead_atom(d: Dictionary, ks: KernelSet, codes: np.ndarray, i: int) -
     codes[i, :] = 0.0
     errors = _data_residuals(d, ks, codes).sum(axis=0)
     worst = int(np.argmax(errors))
-    a = np.zeros(d.n)
-    a[worst] = 1.0
-    b = np.ones(d.dims)
-    norm_sq = float(sum(kl[worst, worst] for kl in ks.kernels))
-    if norm_sq <= _NORM_FLOOR:
-        norm_sq = 1.0
-    d.sample_weights[:, i] = a / math.sqrt(norm_sq)
-    d.dim_weights[:, i] = b
+    d.dim_weights[:, i] = 1.0
+    d.sample_weights[:, i] = _one_hot_column(ks, worst, d.dim_weights[:, i])
     log.debug("atom %d re-seeded on sample %d", i, worst)
 
 
@@ -345,8 +340,7 @@ def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray) -> Dict
             b[slot % ks.dims, i] = 1.0
             rotation[atom_class[i]] = slot + 1
     for i, j in enumerate(picks):
-        norm_sq = float(sum(b[l, i] * kl[j, j] for l, kl in enumerate(ks.kernels)))
-        a[j, i] = 1.0 / math.sqrt(max(norm_sq, _NORM_FLOOR))
+        a[:, i] = _one_hot_column(ks, j, b[:, i])
     return Dictionary(sample_weights=a, dim_weights=b, dataset_hash=ks.dataset_hash)
 
 
@@ -401,8 +395,8 @@ def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_i
     cross = [kl[cols] for kl in full_ks.kernels]
     self_k = np.stack([np.diag(kl)[held_idx] for kl in full_ks.kernels])
     codes = sparse_codes(d, sub_ks, cross, t_x)
-    resid = residuals(d, sub_ks.kernels, cross, self_k, codes).sum(axis=0)
-    return float(np.mean(np.maximum(resid, 0.0) / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
+    resid = clamp_residual(residuals(d, sub_ks.kernels, cross, self_k, codes).sum(axis=0), "held-out error")
+    return float(np.mean(resid / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
 
 
 def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainConfig, n_folds: int = 5) -> TrainConfig:
@@ -469,6 +463,7 @@ def load_model(model_dir) -> tuple[Dictionary, dict]:
     try:
         shape = (int(meta["k"]), int(meta["n"]), int(meta["f"]))
         meta["t_x"] = int(meta["t_x"])
+        meta["bandwidths"] = [float(b) for b in meta["bandwidths"]]
         dataset_hash = str(meta["dataset_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{model_dir}: malformed model metadata ({exc!r})") from None

@@ -87,9 +87,7 @@ class Dataset:
                     f"sequence {seq.id!r} has {seq.dims} dimensions, expected {dims}"
                 )
         if self.role == ROLE_SEEN:
-            for seq in self.sequences:
-                if seq.label is None:
-                    raise DataError(f"seen sequence {seq.id!r} is missing a label")
+            self.labels()
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -98,13 +96,11 @@ class Dataset:
     def dims(self) -> int:
         return self.sequences[0].dims
 
-    @property
-    def label_set(self) -> set[int]:
-        return {s.label for s in self.sequences if s.label is not None}
-
     def labels(self) -> np.ndarray:
-        if any(s.label is None for s in self.sequences):
-            raise DataError("dataset has unlabeled sequences")
+        """Every sequence's label; an unlabeled sequence is a DataError."""
+        for s in self.sequences:
+            if s.label is None:
+                raise DataError(f"sequence {s.id!r} has no label")
         return np.array([s.label for s in self.sequences], dtype=np.int64)
 
     def ids(self) -> list[str]:

@@ -21,6 +21,16 @@ from .mkd import Dictionary, clamp_residual, residuals, sparse_codes
 DEFAULT_THRESHOLD = 0.1
 
 
+def check_threshold(threshold) -> float:
+    """The error threshold as a float, which must be non-negative and finite."""
+    try:
+        if 0.0 <= float(threshold) < np.inf:
+            return float(threshold)
+    except (TypeError, ValueError):
+        pass
+    raise DataError(f"threshold must be non-negative and finite, got {threshold!r}")
+
+
 @dataclass(frozen=True)
 class EncodingMatrix:
     """N x f non-negative descriptor; column l weights each training
@@ -81,8 +91,8 @@ def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, 
         raise ValueError("dimension subset must be non-empty")
     if dims[0] < 0 or dims[-1] >= d.dims:
         raise ValueError(f"dimension subset out of range 0..{d.dims - 1}")
-    numer = float(np.sum(_dim_residuals(d, ks, ck, x)[dims]))
-    return clamp_residual(numer, "partial error") / float(np.sum(ck.self_k[dims]))
+    numer = clamp_residual(np.sum(_dim_residuals(d, ks, ck, x)[dims]), "partial error")
+    return float(numer) / float(np.sum(ck.self_k[dims]))
 
 
 def encoding_matrix(d: Dictionary, x: np.ndarray, source_id: str = "") -> EncodingMatrix:
@@ -111,8 +121,7 @@ def reconstruction_report(
     seen_labels = np.asarray(seen_labels)
     if seen_labels.shape != (d.n,):
         raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")
-    resid = _dim_residuals(d, ks, ck, x)
-    errors = np.array([clamp_residual(float(r), "partial error") for r in resid]) / ck.self_k
+    errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
     classes = np.unique(seen_labels)
     attribution: list[int | None] = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mkdmts.kernels import CrossKernel, KernelSet
-from mkdmts.mkd import Dictionary
+from mkdmts.mkd import Dictionary, atom_gram
 
 
 def make_explicit_kernelset(rng, n, f, embed_dim_range=(3, 7), dataset_hash="explicit"):
@@ -49,7 +49,7 @@ def random_dictionary(rng, ks, k, t_a=None, t_beta=None, dataset_hash=None):
         dim_weights=b,
         dataset_hash=dataset_hash or ks.dataset_hash,
     )
-    norms = np.sqrt(d.atom_norms_sq(ks))
+    norms = np.sqrt(np.diag(atom_gram(d, ks)))
     d.sample_weights /= norms[None, :]
     return d
 

@@ -510,3 +510,101 @@ def test_non_finite_or_out_of_range_value_is_usage_error(trained, tmp_path, caps
     assert _run(args + [flag, value]) == 1
     _one_error_line(capsys.readouterr().err, "usage error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("victim", ["kernels", "model", "encoding"])
+def test_non_finite_matrix_file_is_data_error(trained, tmp_path, capsys, victim):
+    import shutil
+
+    import numpy as np
+
+    from mkdmts.ioutil import read_matrix, write_matrix
+
+    data, kern, model = trained
+    shutil.copytree(kern, tmp_path / "kern")
+    shutil.copytree(model, tmp_path / "model")
+    _write_encodings(tmp_path / "enc", ["a", "b", "c"])
+    path = {"kernels": tmp_path / "kern" / "dim000.bin", "model": tmp_path / "model" / "sample_weights.bin",
+            "encoding": tmp_path / "enc" / "b.R.bin"}[victim]
+    m = read_matrix(path)
+    m[0, 0] = np.nan
+    write_matrix(path, m)
+    out = tmp_path / "out"
+    args = {
+        "kernels": ["train", "--manifest", data / "seen.jsonl", "--kernels", tmp_path / "kern", "--k", 2,
+                    "--tbeta", 1, "--iters", 2, "--out", out],
+        "model": _encode_args(data, kern, tmp_path / "model", out),
+        "encoding": ["cluster", "--enc", tmp_path / "enc", "--out", out / "t.json"],
+    }[victim]
+    capsys.readouterr()
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert f"{path.name}: non-finite matrix values" in err
+    assert not out.exists()
+
+
+def test_encode_with_kernels_of_another_bandwidth_is_data_error(trained, tmp_path, capsys):
+    data, _, model = trained
+    kern50 = tmp_path / "kern50"
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", kern50, "--bandwidth", 50]) == 0
+    capsys.readouterr()
+    assert _run(_encode_args(data, kern50, model, tmp_path / "enc")) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "bandwidths [5.0, 5.0]" in err and "[50.0, 50.0]" in err
+    assert not (tmp_path / "enc").exists()
+
+
+# Every subcommand's flags, option strings -> (dest, type).  build_parser adds
+# the numeric knobs from the cli._*_FLAGS tables; this pins what they produce.
+_CLI_SURFACE = {
+    "synth": {
+        "--config": ("config", None), "--dims": ("dims", "int"), "--length-max": ("length_max", "int"),
+        "--length-min": ("length_min", "int"), "--noise": ("noise", "float"), "--out": ("out", None),
+        "--samples": ("samples", "int"), "--seed": ("seed", "int"), "--seen-classes": ("seen_classes", "int"),
+        "--unseen-classes": ("unseen_classes", "int"), "-v --verbose": ("verbose", None),
+    },
+    "kernels": {
+        "--bandwidth": ("bandwidth", None), "--config": ("config", None), "--manifest": ("manifest", None),
+        "--out": ("out", None), "-v --verbose": ("verbose", None),
+    },
+    "train": {
+        "--config": ("config", None), "--iters": ("iters", "int"), "--k": ("k", "int"),
+        "--kernels": ("kernels", None), "--manifest": ("manifest", None), "--out": ("out", None),
+        "--seed": ("seed", "int"), "--ta": ("ta", "int"), "--tbeta": ("tbeta", "int"), "--tol": ("tol", "float"),
+        "--tune": ("tune", None), "--tx": ("tx", "int"), "-v --verbose": ("verbose", None),
+    },
+    "encode": {
+        "--config": ("config", None), "--kernels": ("kernels", None), "--manifest": ("manifest", None),
+        "--model": ("model", None), "--out": ("out", None), "--seen-manifest": ("seen_manifest", None),
+        "--threshold": ("threshold", "float"), "--tx": ("tx", "int"), "-v --verbose": ("verbose", None),
+    },
+    "cluster": {
+        "--config": ("config", None), "--dot": ("dot", None), "--dup-eps": ("dup_eps", "float"),
+        "--enc": ("enc", None), "--gamma": ("gamma", "float"), "--kclust": ("kclust", "float"),
+        "--krmv": ("krmv", "float"), "--order": ("order", None), "--out": ("out", None),
+        "--split-min": ("split_min", "int"), "-v --verbose": ("verbose", None),
+    },
+    "eval": {
+        "--config": ("config", None), "--out": ("out", None), "--tree": ("tree", None), "--truth": ("truth", None),
+        "-v --verbose": ("verbose", None),
+    },
+    "report": {
+        "--config": ("config", None), "--run": ("run", None), "-v --verbose": ("verbose", None),
+    },
+}
+
+
+def test_cli_surface_pinned():
+    import argparse
+
+    from mkdmts.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {" ".join(a.option_strings): (a.dest, getattr(a.type, "__name__", None))
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+    assert surface == _CLI_SURFACE

@@ -208,16 +208,6 @@ def test_config_rejects_negative_dup_eps():
         ClusterConfig(dup_eps=float("nan"))
 
 
-def test_insert_accepts_encoding_matrix_objects(rng):
-    from mkdmts.zeroshot import EncodingMatrix
-
-    tree = Dendrogram()
-    values = rng.uniform(size=(3, 2))
-    rec = tree.insert("z", EncodingMatrix(values=values, source_id="z"))
-    assert rec.path == "new_root"
-    assert dist(EncodingMatrix(values=values, source_id="z"), tree.roots[0]) == 0.0
-
-
 # sha256 over to_dict JSON, to_dot and repr(records) of the streams below:
 # it pins node ids, intra bytes and split outcomes, which the partition
 # checks of the benchmark do not see.

@@ -340,7 +340,7 @@ def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):
         assert _bits(d) == _bits(_reference_pairwise(series))
 
 
-@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object"])
+@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object", "nan"])
 def test_damaged_cache_rebuilds(tmp_path, damage):
     seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
     cache = tmp_path / "cache"
@@ -354,6 +354,10 @@ def test_damaged_cache_rebuilds(tmp_path, damage):
         meta = read_json(cache / "meta.json")
         del meta["f"]
         write_json(cache / "meta.json", meta)
+    elif damage == "nan":
+        damaged = ks.kernels[1].copy()
+        damaged[0, 1] = np.nan
+        write_matrix(victim, damaged)
     else:
         write_json(cache / "meta.json", [read_json(cache / "meta.json")])
     with pytest.raises(DataError):
@@ -388,3 +392,38 @@ def test_interrupted_cache_rewrite_never_serves_stale_kernels(tmp_path, monkeypa
     assert served.dataset_hash == wanted.hash()
     for a, b in zip(served.kernels, build_kernelset(wanted).kernels):
         assert _bits(a) == _bits(b)
+
+
+def test_cache_serves_only_the_requested_bandwidth(tmp_path):
+    seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
+    cache = tmp_path / "cache"
+    assert build_or_load_kernelset(seen, cache, 5.0).bandwidths.tolist() == [5.0, 5.0]
+    assert read_json(cache / "meta.json")["bandwidth_request"] == 5.0
+    assert build_or_load_kernelset(seen, cache, 50.0).bandwidths.tolist() == [50.0, 50.0]
+    median = build_kernelset(seen)
+    served = build_or_load_kernelset(seen, cache, "median")
+    assert served.bandwidths.tolist() == median.bandwidths.tolist()
+    assert read_json(cache / "meta.json")["bandwidth_request"] == "median"
+    for a, b in zip(served.kernels, median.kernels):
+        assert _bits(a) == _bits(b)
+
+
+def test_cache_without_bandwidth_record_is_rebuilt(tmp_path, monkeypatch):
+    seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
+    cache = tmp_path / "cache"
+    build_or_load_kernelset(seen, cache, 5.0)
+    meta = read_json(cache / "meta.json")
+    del meta["bandwidth_request"]
+    write_json(cache / "meta.json", meta)
+    assert load_kernelset(cache).bandwidth_request is None
+    builds = []
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build_kernelset(*args, **kwargs)
+
+    monkeypatch.setattr("mkdmts.kernels.build_kernelset", counted_build)
+    assert build_or_load_kernelset(seen, cache, 5.0).bandwidth_request == 5.0
+    assert len(builds) == 1 and read_json(cache / "meta.json")["bandwidth_request"] == 5.0
+    build_or_load_kernelset(seen, cache, 5.0)
+    assert len(builds) == 1

@@ -72,7 +72,7 @@ def test_load_dataset_basic(tmp_path):
     ds = load_dataset(man, role="seen")
     assert len(ds) == 3 and ds.dims == 2
     assert ds.sequences[1].values.shape == (2, 4)
-    assert ds.label_set == {0, 1, 2}
+    assert ds.labels().tolist() == [0, 1, 2]
 
 
 def test_load_dataset_nan_cell_names_position(tmp_path):
@@ -184,7 +184,7 @@ def test_synth_zero_noise_composites_are_exact_copies():
 
 def test_synth_label_sets_disjoint():
     seen, unseen, _ = synth_dataset(SynthConfig(seed=1, samples_per_class=2, length_range=(16, 20)))
-    assert seen.label_set.isdisjoint(unseen.label_set)
+    assert set(seen.labels().tolist()).isdisjoint(unseen.labels().tolist())
 
 
 def test_synth_rejects_too_many_unseen():
