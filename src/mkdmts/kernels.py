@@ -304,6 +304,14 @@ def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
     )
 
 
+def _finite_list(values, key: str, dims: int) -> np.ndarray:
+    """A metadata entry as a vector; it must be a JSON list of ``dims`` finite numbers."""
+    vec = np.asarray(values, dtype=np.float64) if isinstance(values, list) else None
+    if vec is None or vec.shape != (dims,) or not np.isfinite(vec).all():
+        raise ValueError(f"{key} must be a list of {dims} finite numbers, got {values!r}")
+    return vec
+
+
 def load_kernelset(cache_dir: str | Path) -> KernelSet:
     cache_dir = Path(cache_dir)
     meta = read_json(cache_dir / "meta.json")
@@ -312,8 +320,11 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
         raise DataError(f"{cache_dir}: unknown kernel cache format {fmt!r}")
     try:
         n, dims = int(meta["n"]), int(meta["f"])
-        bandwidths = np.asarray(meta["bandwidths"], dtype=np.float64)
-        repair_shift = np.asarray(meta["repair_shift"], dtype=np.float64)
+        if dims < 1:
+            raise ValueError(f"f must be at least 1, got {dims}")
+        bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
+        if not (bandwidths > 0.0).all():
+            raise ValueError("bandwidths must be positive")
         dataset_hash = str(meta["dataset_hash"])
         request = meta.get("bandwidth_request")
         request = None if request is None else check_bandwidth(request)

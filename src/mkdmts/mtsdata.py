@@ -21,6 +21,7 @@ from .ioutil import content_hash, make_dir, read_text, remove_file, write_json, 
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,8 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
         label = rec.get("label")
         if isinstance(label, bool) or not isinstance(label, (str, int, type(None))):
             raise DataError(f"{manifest_path}: line {lineno}: 'label' must be a string or an integer")
+        if isinstance(label, int) and not _INT64.min <= label <= _INT64.max:
+            raise DataError(f"{manifest_path}: line {lineno}: integer 'label' {label} does not fit in int64")
         if isinstance(label, str):
             label = intern.setdefault(label, len(intern))
         values = _load_csv(base / rec["path"])

@@ -99,7 +99,9 @@ def _cd_rows(h, c, cols, y0, tol=_CD_TOL, max_iters=500):
     row drops out after its first sweep whose largest step is at most
     ``tol``; rows still moving after ``max_iters`` sweeps are logged.
     Coordinates with a vanishing diagonal are never updated, so ``y0`` must
-    be zero on them, as every start ``nqp_solve`` uses is.
+    be zero on them, as every start ``nqp_solve`` uses is.  A step is eight
+    ufunc calls into buffers bound once per live-row set; the new y[k] is
+    built in a scratch vector that then swaps places with the old one.
     """
     rows, s = cols.shape
     idx = cols.T
@@ -108,29 +110,42 @@ def _cd_rows(h, c, cols, y0, tol=_CD_TOL, max_iters=500):
     hjj = np.diagonal(h)
     # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
     hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
-    state = np.array((y0, h @ y0, -c, hjj, hdiv))[:, idx]
-    y, hy, neg_c, hjj, hdiv = state
-    steps = np.empty((s, rows))
+    state = np.array((y0, h @ y0, -c, hjj, hdiv)).take(idx, axis=1)
+    ys, state = list(state[0]), state[1:]  # one vector per coordinate, so each can be swapped
     live = np.arange(rows)
     out = np.empty((s, rows))
+    zero = np.zeros(())  # fmax converts a Python 0.0 on every call, a 0-d array it does not
+    mul, sub, div, fmax, add = np.multiply, np.subtract, np.divide, np.fmax, np.add
+    coords = None
     for _ in range(max_iters):
-        for k in range(s):
-            new = np.fmax((neg_c[k] - (hy[k] - hjj[k] * y[k])) / hdiv[k], 0.0)
-            np.subtract(new, y[k], out=steps[k])
-            y[k] = new
-            hy += hcol[k] * steps[k]
-        delta = np.maximum.reduce(np.abs(steps))
+        if coords is None:
+            hy = state[0]
+            steps, prod, new = np.empty((s, live.size)), np.empty((s, live.size)), np.empty(live.size)
+            coords = list(zip(range(s), *state, hcol, steps))
+        for k, hy_k, neg_c_k, hjj_k, hdiv_k, hcol_k, step_k in coords:
+            y_k = ys[k]
+            mul(hjj_k, y_k, out=new)
+            sub(hy_k, new, out=new)
+            sub(neg_c_k, new, out=new)
+            div(new, hdiv_k, out=new)
+            fmax(new, zero, out=new)
+            sub(new, y_k, out=step_k)
+            ys[k], new = new, y_k
+            mul(hcol_k, step_k, out=prod)
+            add(hy, prod, out=hy)
+        delta = np.maximum.reduce(np.abs(steps, out=prod))
         if np.minimum.reduce(delta) <= tol:
+            y = np.array(ys)
             done = delta <= tol
             out[:, live[done]] = y[:, done]
-            keep = ~done
+            keep = np.flatnonzero(~done)  # take() keeps the compacted arrays C-contiguous, a mask would not
             live = live[keep]
             if not live.size:
                 break
-            state, hcol, steps = state[..., keep], hcol[..., keep], steps[:, keep]
-            y, hy, neg_c, hjj, hdiv = state
+            ys, state, hcol = list(y.take(keep, axis=1)), state.take(keep, axis=2), hcol.take(keep, axis=2)
+            coords = None
     if live.size:
-        out[:, live] = y
+        out[:, live] = ys
         log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap",
                   live.size, rows, max_iters)
     return out.T

@@ -116,8 +116,10 @@ def reconstruction_report(
 
     A dimension passing the error threshold is attributed to the seen
     class whose samples carry the largest total weight in that dimension's
-    encoding column; ties go to the lowest class id.
+    encoding column; ties go to the lowest class id.  The threshold must
+    pass ``check_threshold``.
     """
+    threshold = check_threshold(threshold)
     seen_labels = np.asarray(seen_labels)
     if seen_labels.shape != (d.n,):
         raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")

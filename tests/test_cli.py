@@ -349,7 +349,7 @@ def test_malformed_tune_grid_is_usage_error(trained, tmp_path, capsys, grid):
 
 
 @pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "model_meta_without_hash",
-                                   "model_meta_not_an_object"])
+                                   "model_meta_not_an_object", "kernel_meta_f_zero", "kernel_meta_bandwidths_null"])
 def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault):
     import shutil
 
@@ -363,6 +363,12 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
         (tmp_path / "t.json").write_text(json.dumps({"roots": [{"id": 0, "children": []}]}))
         args = ["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl", "--out", tmp_path / "s.json"]
         expected = "malformed serialized tree"
+    elif fault.startswith("kernel_meta"):
+        shutil.copytree(kern, tmp_path / "kern")
+        change = {"f": 0} if fault == "kernel_meta_f_zero" else {"bandwidths": None}
+        (tmp_path / "kern" / "meta.json").write_text(json.dumps(read_json(kern / "meta.json") | change))
+        args = _encode_args(data, tmp_path / "kern", model, tmp_path / "enc")
+        expected = "malformed kernel cache metadata"
     else:
         shutil.copytree(model, tmp_path / "model")
         meta = read_json(tmp_path / "model" / "meta.json")
@@ -462,8 +468,8 @@ def test_process_entry_point_exit_codes(tmp_path, args, code):
         _one_error_line(proc.stderr, {1: "usage error: ", 2: "data error: "}[code])
 
 
-@pytest.mark.parametrize("change", [{"path": 5}, {"label": [1]}, {"label": 1.5}, {"label": True}],
-                         ids=["path_int", "label_list", "label_float", "label_bool"])
+@pytest.mark.parametrize("change", [{"path": 5}, {"label": [1]}, {"label": 1.5}, {"label": True}, {"label": 10**30}],
+                         ids=["path_int", "label_list", "label_float", "label_bool", "label_beyond_int64"])
 def test_manifest_field_of_wrong_type_is_data_error(trained, tmp_path, capsys, change):
     data, _, _ = trained
     records = [json.loads(line) for line in (data / "seen.jsonl").read_text().splitlines()]

@@ -340,7 +340,15 @@ def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):
         assert _bits(d) == _bits(_reference_pairwise(series))
 
 
-@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object", "nan"])
+_META_DAMAGE = {
+    "f_zero": {"f": 0}, "f_negative": {"f": -1}, "bandwidths_null": {"bandwidths": None},
+    "bandwidths_scalar": {"bandwidths": 40.0}, "bandwidths_short": {"bandwidths": [40.0]},
+    "bandwidths_zero": {"bandwidths": [0.0, 40.0]}, "repair_shift_null": {"repair_shift": None},
+    "repair_shift_long": {"repair_shift": [0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object", "nan", *_META_DAMAGE])
 def test_damaged_cache_rebuilds(tmp_path, damage):
     seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
     cache = tmp_path / "cache"
@@ -358,6 +366,8 @@ def test_damaged_cache_rebuilds(tmp_path, damage):
         damaged = ks.kernels[1].copy()
         damaged[0, 1] = np.nan
         write_matrix(victim, damaged)
+    elif damage in _META_DAMAGE:
+        write_json(cache / "meta.json", read_json(cache / "meta.json") | _META_DAMAGE[damage])
     else:
         write_json(cache / "meta.json", [read_json(cache / "meta.json")])
     with pytest.raises(DataError):

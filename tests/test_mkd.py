@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,17 @@ def test_train_deterministic():
     assert t1.loss_trace == t2.loss_trace
     np.testing.assert_array_equal(t1.dictionary.sample_weights, t2.dictionary.sample_weights)
     np.testing.assert_array_equal(t1.codes, t2.codes)
+
+
+def test_trainer_bytes_pinned():
+    """A seeded train at benchmark shapes, pinned by one digest of its loss trace, A, B and codes."""
+    seen, _, _ = synth_dataset(SynthConfig(seed=13, dims=3, samples_per_class=6, length_range=(60, 90)))
+    ks = build_kernelset(seen, bandwidth=40.0)
+    result = train(seen, ks, TrainConfig(k=8, t_x=2, t_a=4, t_beta=1, seed=13))
+    digest = hashlib.sha256(np.array(result.loss_trace).tobytes())
+    for part in (result.dictionary.sample_weights, result.dictionary.dim_weights, result.codes):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == "0da8ae143bd22659ac67069d4d817070e0b9e810b4d1f70baef6cfea48056f05"
 
 
 def test_train_halves_initial_loss():

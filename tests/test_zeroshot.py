@@ -155,6 +155,15 @@ def test_report_dra_counts_threshold_passes(rng):
     assert rep2.dra == 1.0
 
 
+@pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
+def test_report_rejects_bad_threshold(rng, threshold):
+    ks, vs = make_explicit_kernelset(rng, 5, 4)
+    d = random_dictionary(rng, ks, 3)
+    ck, _ = explicit_unseen(rng, vs)
+    with pytest.raises(DataError, match="threshold"):
+        reconstruction_report(d, ks, ck, np.zeros(3), np.array([0, 0, 1, 1, 2]), threshold=threshold)
+
+
 def test_dra_monotone_in_threshold(rng):
     seen, unseen, prov, ks, result = _trained_synth(noise=0.1)
     labels = seen.labels()
