@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 CACHE_FORMAT = "kernel-cache-v1"
 DEFAULT_BANDWIDTH = "median"
+_DIAG_SLACK = 1e-9  # rounding allowance on a loaded Gram's diagonal
 
 
 @dataclass(frozen=True)
@@ -334,6 +335,14 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     for l, k in enumerate(kernels):
         if k.shape != (n, n):
             raise DataError(f"{cache_dir}: dimension {l} matrix has shape {k.shape}")
+        # psd_repair returns exactly symmetric Grams, and clipping adds at most
+        # repair_shift to a diagonal that is 1 before it
+        if not np.array_equal(k, k.T):
+            raise DataError(f"{cache_dir}: dimension {l} Gram is not symmetric")
+        diag = np.diagonal(k)
+        if not ((diag >= 1.0 - _DIAG_SLACK) & (diag <= 1.0 + repair_shift[l] + _DIAG_SLACK)).all():
+            raise DataError(f"{cache_dir}: dimension {l} Gram diagonal is outside "
+                            f"[1, 1 + repair_shift] (range {diag.min():.6g} to {diag.max():.6g})")
     return KernelSet(
         kernels=kernels,
         bandwidths=bandwidths,

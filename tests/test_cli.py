@@ -550,6 +550,36 @@ def test_non_finite_matrix_file_is_data_error(trained, tmp_path, capsys, victim)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", ["negative", "asymmetric"])
+def test_impossible_gram_values_are_data_error(trained, tmp_path, capsys, damage):
+    # finite values no Gaussian-of-DTW Gram can hold: train and encode refuse them, kernels rebuilds
+    import shutil
+
+    from mkdmts.ioutil import read_matrix, write_matrix
+
+    data, kern, model = trained
+    shutil.copytree(kern, tmp_path / "kern")
+    path = tmp_path / "kern" / "dim000.bin"
+    healthy = path.read_bytes()
+    m = read_matrix(path)
+    if damage == "negative":
+        m[:] = -1.0
+    else:
+        m[0, 1] += 1e-3
+    write_matrix(path, m)
+    out = tmp_path / "out"
+    for args in (["train", "--manifest", data / "seen.jsonl", "--kernels", tmp_path / "kern", "--k", 2,
+                  "--tbeta", 1, "--iters", 2, "--out", out], _encode_args(data, tmp_path / "kern", model, out)):
+        capsys.readouterr()
+        assert _run(args) == 2
+        err = capsys.readouterr().err
+        _one_error_line(err, "data error: ")
+        assert "dimension 0 Gram" in err
+        assert not out.exists()
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", tmp_path / "kern", "--bandwidth", 5]) == 0
+    assert path.read_bytes() == healthy
+
+
 def test_encode_with_kernels_of_another_bandwidth_is_data_error(trained, tmp_path, capsys):
     data, _, model = trained
     kern50 = tmp_path / "kern50"

@@ -348,7 +348,8 @@ _META_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object", "nan", *_META_DAMAGE])
+@pytest.mark.parametrize("damage", ["delete", "truncate", "meta", "meta_not_object", "nan", "negative", "asymmetric",
+                                    *_META_DAMAGE])
 def test_damaged_cache_rebuilds(tmp_path, damage):
     seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
     cache = tmp_path / "cache"
@@ -365,6 +366,12 @@ def test_damaged_cache_rebuilds(tmp_path, damage):
     elif damage == "nan":
         damaged = ks.kernels[1].copy()
         damaged[0, 1] = np.nan
+        write_matrix(victim, damaged)
+    elif damage == "negative":
+        write_matrix(victim, np.full_like(ks.kernels[1], -1.0))
+    elif damage == "asymmetric":
+        damaged = ks.kernels[1].copy()
+        damaged[0, 1] += 1e-3
         write_matrix(victim, damaged)
     elif damage in _META_DAMAGE:
         write_json(cache / "meta.json", read_json(cache / "meta.json") | _META_DAMAGE[damage])

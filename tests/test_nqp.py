@@ -3,10 +3,15 @@ import logging
 import numpy as np
 import pytest
 
+from mkdmts import mkd
+from mkdmts.kernels import build_kernelset
+from mkdmts.mtsdata import SynthConfig, synth_dataset
 from mkdmts.nqp import (
     QuadProgram,
     _cd_rows,
     _coordinate_descent,
+    _dual_bounds,
+    _LOCKSTEP_SWEEPS,
     _MIN_DECREASE,
     diagonal_solve,
     nqp_oracle,
@@ -213,3 +218,110 @@ def test_cap_hits_are_logged(caplog):
     assert np.array_equal(y, reference_nqp_solve(p, refine_swaps=False))
     capped = [r.getMessage() for r in caplog.records if "sweep cap" in r.getMessage()]
     assert capped and all("stopped at the 500-sweep cap" in m for m in capped)
+
+
+def sample_block_programs(monkeypatch):
+    """The last sample-block program of a short train on each of four seeded seen sets, N 24-36.
+
+    ``update_atom_samples`` builds them: h = weight * sum_l B[l,i] K_l over
+    Grams from ``build_kernelset``, whose clipped eigenvalues and negative
+    off-diagonals random programs do not have.
+    """
+    programs = []
+    for seed, per_class, t_a, bandwidth in ((1, 6, 3, 40.0), (2, 9, 5, 4.0), (3, 7, 4, 40.0), (4, 8, 5, 10.0)):
+        seen, _, _ = synth_dataset(SynthConfig(seed=seed, samples_per_class=per_class, length_range=(20, 30)))
+        ks = build_kernelset(seen, bandwidth=bandwidth)
+        captured = []
+        solve = mkd.nqp_solve
+
+        def capture(p, refine_swaps=True):
+            if not refine_swaps:
+                captured.append(p)
+            return solve(p, refine_swaps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mkd, "nqp_solve", capture)
+            mkd.train(seen, ks, mkd.TrainConfig(k=4, t_x=2, t_a=t_a, t_beta=1, max_iters=2, seed=seed))
+        programs.append(captured[-1])
+    return programs
+
+
+def test_sample_block_programs_equal_per_candidate_reference(monkeypatch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="mkdmts.nqp"):
+        for p in sample_block_programs(monkeypatch):
+            y = nqp_solve(p, refine_swaps=False)
+            ref = reference_nqp_solve(p, refine_swaps=False)
+            assert np.array_equal(y, ref)
+            assert np.array_equal(np.signbit(y), np.signbit(ref))
+    # the certificate did rule rows out, so the pick above was made among the survivors
+    assert any("certified out" in r.getMessage() and not r.getMessage().startswith("0 ") for r in caplog.records)
+
+
+def test_certificate_line_fires_only_when_rows_outlast_the_lockstep(monkeypatch, caplog):
+    def messages(p):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mkdmts.nqp"):
+            nqp_solve(p, refine_swaps=False)
+        return [r.getMessage() for r in caplog.records]
+
+    certified = [m for m in messages(sample_block_programs(monkeypatch)[1]) if "certified out" in m]
+    assert certified and all(m.endswith(f"after {_LOCKSTEP_SWEEPS} sweeps") for m in certified)
+    # equicorrelated at 0.7: rows outlast the lockstep but converge long before the cap,
+    # and only rows that reach the cap are counted
+    n, rng = 6, np.random.default_rng(3)
+    moderate = QuadProgram(0.3 * np.eye(n) + 0.7 * np.ones((n, n)), -1.0 - 0.1 * rng.uniform(size=n), 3)
+    logged = messages(moderate)
+    assert any("certified out" in m for m in logged) and not any("sweep cap" in m for m in logged)
+    # well-conditioned: every candidate converges within the lockstep sweeps
+    w = rng.normal(size=(8, 8))
+    easy = QuadProgram(np.eye(8) + 0.01 * (w @ w.T), -rng.uniform(0.5, 1.0, 8), 3)
+    assert not any("certified out" in m for m in messages(easy))
+
+
+def certificate_programs():
+    """Seeded programs with n <= 12, with vanishing diagonals, duplicate columns and equicorrelation."""
+    rng = np.random.default_rng(20261019)
+    for i in range(60):
+        n = int(rng.integers(3, 13))
+        w = rng.normal(size=(n, n + 2))
+        h, c = w @ w.T / (n + 2), rng.normal(size=n)
+        if i % 4 == 1:
+            h[0, :] = h[:, 0] = 0.0
+        if i % 4 == 2:
+            h[-1, :], c[-1] = h[0, :], c[0]
+            h[:, -1] = h[:, 0]
+        yield ill_conditioned_program(rng, n, 3) if i % 4 == 3 else QuadProgram(h, c, 1)
+
+
+def test_certified_bounds_are_below_oracle_and_final_descent(rng):
+    certified = 0
+    for p in certificate_programs():
+        n = p.h.shape[0]
+        s = int(rng.integers(1, min(n, 4) + 1))
+        cols = np.array([rng.permutation(n)[:s] for _ in range(6)])
+        y0 = np.zeros(n)
+        for sweeps in (1, 3, _LOCKSTEP_SWEEPS):
+            bounds = _dual_bounds(p.h, p.c, cols, _cd_rows(p.h, p.c, cols, y0, max_iters=sweeps))
+            for idx, bound in zip(cols, bounds):
+                block = QuadProgram(p.h[np.ix_(idx, idx)], p.c[idx], s)
+                assert bound <= objective(block.h, block.c, nqp_oracle(block))
+                final = _coordinate_descent(p.h, p.c, idx, y0=y0)
+                assert bound <= objective(p.h, p.c, final)
+                certified += bool(np.isfinite(bound))
+    assert certified > 800
+
+
+def test_singular_block_costs_only_its_own_certificate(rng):
+    w = rng.normal(size=(6, 8))
+    h = w @ w.T / 8
+    h[5, :], h[:, 5] = h[0, :], h[:, 0]  # coordinate 5 duplicates 0: the block on {0, 5} is exactly singular
+    c = -np.abs(rng.normal(size=6))
+    cols = np.array([[1, 2, 3], [0, 1, 5], [2, 3, 4], [1, 3, 4]])
+    vals = np.ones(cols.shape)  # every coordinate positive: S is the whole row
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(h[np.ix_(cols[1], cols[1])], -c[cols[1]])
+    bounds = _dual_bounds(h, c, cols, vals)
+    assert bounds[1] == -np.inf
+    alone = [_dual_bounds(h, c, cols[r:r + 1], vals[r:r + 1])[0] for r in (0, 2, 3)]
+    assert np.isfinite(alone).all()
+    np.testing.assert_array_equal(bounds[[0, 2, 3]], alone)
