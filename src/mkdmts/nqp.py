@@ -3,13 +3,13 @@
 Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
 for symmetric PSD H.  Support indices are admitted greedily; a round
 picks the candidate whose restricted problem, re-solved by cyclic
-coordinate descent, has the lowest objective.  A round is "bound, then
-finish": all candidates first take a few coordinate-descent sweeps in
-lockstep; a candidate still moving then gets a Wolfe-dual lower bound on
-its restricted optimum, and is ruled out when that bound is above an
-objective another candidate has already reached; the rest run on one at
-a time in a scalar loop with the same arithmetic.  The pick and its
-values are therefore those of solving every candidate to the end.
+coordinate descent, has the lowest objective.  Every candidate runs in
+one scalar coordinate-descent loop, in two phases: a few sweeps each,
+then "bound, then finish".  A candidate still moving after its sweeps
+gets a Wolfe-dual lower bound on its restricted optimum, and is ruled
+out when that bound is above an objective another candidate has already
+reached; the rest run on to the end.  The pick and its values are
+therefore those of solving every candidate to the end.
 Diagonal H separates and has a closed-form solver.  An exact oracle
 enumerating all supports is provided for testing.
 """
@@ -27,7 +27,7 @@ _CD_TOL = 1e-10
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
-_LOCKSTEP_SWEEPS = 8  # sweeps all candidates of a round run together before the certificate
+_SWEEPS_BEFORE_BOUND = 8  # sweeps every candidate of a round takes before the certificate
 _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
 _ROUND_MARGIN = 1e-9  # relative slack on batched objectives and bounds, far above their rounding
 
@@ -45,6 +45,8 @@ class QuadProgram:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64)
         c = np.asarray(self.c, dtype=np.float64)
+        if not (np.isfinite(h).all() and np.isfinite(c).all()):
+            raise ValueError("H and c must be finite")
         _check_symmetric(h)
         if c.shape != (h.shape[0],):
             raise ValueError(f"c has shape {c.shape}, expected ({h.shape[0]},)")
@@ -96,76 +98,16 @@ def _coordinate_descent(h, c, support, y0=None, tol=_CD_TOL, max_iters=500):
     return y
 
 
-def _lockstep(h, c, cols, y0, tol, sweeps):
-    """Up to ``sweeps`` sweeps of coordinate descent on every row of ``cols`` together.
-
-    Each row keeps its own restricted H block, y and Hy, and takes the
-    scalar update with the same operations in the same order as
-    ``_coordinate_descent``.  A row drops out after its first sweep whose
-    largest step is at most ``tol``.  A step is eight ufunc calls into
-    buffers bound once per live-row set; the new y[k] is built in a scratch
-    vector that then swaps places with the old one.
-
-    Returns ``(out, live, per_row)``: ``out`` (s x rows) holds every row's
-    values, ``live`` the rows still moving, and ``per_row`` for each live
-    row the Python-float lists ``_finish_row`` continues from: y, Hy, -c,
-    diag(H), the divisors, and hcol with hcol[k][a] = H[cols[r, a], cols[r, k]].
-    """
-    rows, s = cols.shape
-    idx = cols.T
-    # hcol[k][a, r] = h[cols[r, a], cols[r, k]]: column cols[r, k] of H on row r's coordinates
-    hcol = h[idx[None, :, :], idx[:, None, :]]
-    hjj = np.diagonal(h)
-    # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
-    hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
-    state = np.array((y0, h @ y0, -c, hjj, hdiv)).take(idx, axis=1)
-    ys, state = list(state[0]), state[1:]  # one vector per coordinate, so each can be swapped
-    live = np.arange(rows)
-    out = np.empty((s, rows))
-    zero = np.zeros(())  # fmax converts a Python 0.0 on every call, a 0-d array it does not
-    mul, sub, div, fmax, add = np.multiply, np.subtract, np.divide, np.fmax, np.add
-    coords = None
-    for _ in range(sweeps):
-        if coords is None:
-            hy = state[0]
-            steps, prod, new = np.empty((s, live.size)), np.empty((s, live.size)), np.empty(live.size)
-            coords = list(zip(range(s), *state, hcol, steps))
-        for k, hy_k, neg_c_k, hjj_k, hdiv_k, hcol_k, step_k in coords:
-            y_k = ys[k]
-            mul(hjj_k, y_k, out=new)
-            sub(hy_k, new, out=new)
-            sub(neg_c_k, new, out=new)
-            div(new, hdiv_k, out=new)
-            fmax(new, zero, out=new)
-            sub(new, y_k, out=step_k)
-            ys[k], new = new, y_k
-            mul(hcol_k, step_k, out=prod)
-            add(hy, prod, out=hy)
-        delta = np.maximum.reduce(np.abs(steps, out=prod))
-        if np.minimum.reduce(delta) <= tol:
-            y = np.array(ys)
-            done = delta <= tol
-            out[:, live[done]] = y[:, done]
-            keep = (~done).nonzero()[0]  # take() keeps the compacted arrays C-contiguous, a mask would not
-            live = live[keep]
-            if not live.size:
-                return out, live, []
-            ys, state, hcol = list(y.take(keep, axis=1)), state.take(keep, axis=2), hcol.take(keep, axis=2)
-            coords = None
-    y = np.array(ys)
-    out[:, live] = y
-    return out, live, list(zip(y.T.tolist(), *state.transpose(0, 2, 1).tolist(), hcol.transpose(2, 0, 1).tolist()))
-
-
 def _finish_row(y, hy, neg_c, hjj, hdiv, hcol, tol, sweeps):
-    """Continue one row of ``_lockstep`` alone, in Python floats, for at most ``sweeps`` sweeps.
+    """Run coordinate descent on one row of ``_cd_rows`` in Python floats, for at most ``sweeps`` sweeps.
 
-    ``y`` and ``hy`` are updated in place.  Each step performs the
-    lockstep's IEEE operations in the same order, so the row ends
-    bit-identical to running on in lockstep, up to the sign of zeros; a
-    zero step, which changes no value, is skipped.  At s = 3-5 a coordinate
-    step costs 0.3-0.6 us against 7-13 us for a one-row lockstep step (on
-    a 2-vCPU Xeon VM).  Returns whether the row converged.
+    ``y`` and ``hy`` are the row's iterate and H times it on its
+    coordinates; ``neg_c``, ``hjj`` and ``hdiv`` are -c, diag(H) and the
+    divisors there, and hcol[k][a] = H[cols[a], cols[k]].  ``y`` and ``hy``
+    are updated in place, so a later call continues where this one
+    stopped.  Each step is ``_coordinate_descent``'s update, with the same
+    IEEE operations in the same order; a vanishing diagonal divides by inf,
+    which leaves its coordinate at zero.  Returns whether the row converged.
     """
     coords = list(zip(range(len(y)), neg_c, hjj, hdiv, (list(enumerate(col)) for col in hcol)))
     for _ in range(sweeps):
@@ -173,7 +115,7 @@ def _finish_row(y, hy, neg_c, hjj, hdiv, hcol, tol, sweeps):
         for k, neg_c_k, hjj_k, hdiv_k, hcol_k in coords:
             y_k = y[k]
             new = (neg_c_k - (hy[k] - hjj_k * y_k)) / hdiv_k
-            if not new > 0.0:  # the lockstep's fmax(new, 0)
+            if not new > 0.0:  # max(0.0, new), NaN included
                 new = 0.0
             step = new - y_k
             if step != 0.0:
@@ -240,57 +182,61 @@ def _cd_rows(h, c, cols, y0, bar=None, tol=_CD_TOL, max_iters=500):
     Row r of the integer array ``cols`` (rows x s) is one problem: cyclic
     coordinate descent over the coordinates ``cols[r]``, in that order,
     started from ``y0``.  Row r ends bit-identical to
-    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]`` (up to the sign of
-    zeros, which no later operation can turn into a different value), or,
-    when ``bar`` is given, NaN if it provably is not the lowest restricted
-    objective below ``bar``.  Coordinates with a vanishing diagonal are
-    never updated, so ``y0`` must be zero on them, as every start
-    ``nqp_solve`` uses is.  Rows still moving after ``max_iters`` sweeps
-    are logged.  Three phases:
+    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``, or, when ``bar`` is
+    given, NaN if it provably is not the lowest restricted objective below
+    ``bar``.  Coordinates with a vanishing diagonal are never updated, so
+    ``y0`` must be zero on them, as every start ``nqp_solve`` uses is.  Rows
+    still moving after ``max_iters`` sweeps are logged.  Every row runs in
+    the one loop ``_finish_row``, in two phases:
 
-    1. Lockstep: ``_LOCKSTEP_SWEEPS`` sweeps of all rows together
-       (``_lockstep``).  Code-solve rounds converge within them.
-    2. Certificate, only with ``bar``: each row still moving gets a lower
+    1. Sweeps: each row takes up to ``_SWEEPS_BEFORE_BOUND`` sweeps.
+       Code-solve rounds converge within them.
+    2. Bound, then finish: with ``bar``, each row still moving gets a lower
        bound on its restricted optimum (``_dual_bounds``), which is also
        below its final objective, since every CD iterate is feasible.  A
        row whose bound exceeds the best objective reached so far, by a
-       rounding margin, is ruled out.  "Reached so far" covers finished
-       rows, the live rows' current iterates (CD never raises a row's
-       objective) and ``bar``.
-    3. Finish: the other rows run on one at a time (``_finish_row``),
-       lowest bound first, and the best objective tightens after each, so
-       a later row may still be ruled out.
+       rounding margin, is ruled out.  "Reached so far" covers converged
+       rows, the moving rows' current iterates (CD never raises a row's
+       objective) and ``bar``.  The other rows run on, lowest bound first,
+       and the best objective tightens after each, so a later row may
+       still be ruled out.
 
     A ruled-out row ends above some other row's final objective or above
     ``bar``, so the lowest objective below ``bar``, ties to the first row,
     is the same row among the finished rows as among all of them.
     """
-    rows, s = cols.shape
-    out, live, per_row = _lockstep(h, c, cols, y0, tol, min(max_iters, _LOCKSTEP_SWEEPS))
+    rows = len(cols)
+    hjj = np.diagonal(h)
+    # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
+    state = np.array((y0, h @ y0, -c, hjj, np.where(hjj > _DIAG_FLOOR, hjj, np.inf)))[:, cols].tolist()
+    # hcol[r][k][a] = H[cols[r, a], cols[r, k]]: column cols[r, k] of H on row r's coordinates
+    per_row = list(zip(*state, h[cols[:, None, :], cols[:, :, None]].tolist()))
+    live = [r for r in range(rows) if not _finish_row(*per_row[r], tol, min(max_iters, _SWEEPS_BEFORE_BOUND))]
+    out = np.array(state[0])
     capped = 0
-    if live.size and max_iters <= _LOCKSTEP_SWEEPS:
-        capped = live.size
-    elif live.size:
-        bounds, best = np.full(live.size, -np.inf), np.inf
+    if live and max_iters <= _SWEEPS_BEFORE_BOUND:
+        capped = len(live)
+    elif live:
+        bounds, best = np.full(len(live), -np.inf), np.inf
         if bar is not None:
-            approx, margin = _objectives(h, c, cols, out.T)
-            bounds, best = _dual_bounds(h, c, cols[live], out[:, live].T), min(bar, approx.min() + margin)
+            approx, margin = _objectives(h, c, cols, out)
+            bounds, best = _dual_bounds(h, c, cols[live], out[live]), min(bar, approx.min() + margin)
         ruled_out = 0
         for i in np.argsort(bounds, kind="stable"):
             r = live[i]
             if bounds[i] > best:
-                out[:, r] = np.nan
+                out[r] = np.nan
                 ruled_out += 1
                 continue
-            capped += not _finish_row(*per_row[i], tol, max_iters - _LOCKSTEP_SWEEPS)
-            out[:, r] = per_row[i][0]
-            obj, margin = _objectives(h, c, cols[r:r + 1], out[None, :, r])
+            capped += not _finish_row(*per_row[r], tol, max_iters - _SWEEPS_BEFORE_BOUND)
+            out[r] = per_row[r][0]
+            obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
             best = min(best, obj[0] + margin)
         if bar is not None:
-            log.debug("%d of %d candidates certified out after %d sweeps", ruled_out, rows, _LOCKSTEP_SWEEPS)
+            log.debug("%d of %d candidates certified out after %d sweeps", ruled_out, rows, _SWEEPS_BEFORE_BOUND)
     if capped:
         log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, rows, max_iters)
-    return out.T
+    return out
 
 
 def _objectives(h, c, cols, vals):
@@ -344,10 +290,11 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     position and then the lowest index, for at most 20 rounds.  All
     candidates of a round go to ``_cd_rows`` together, except in the first
     greedy round, whose one-coordinate problems have a closed form.
-    ``_cd_rows`` sweeps them in lockstep, rules out with a dual bound the
-    ones that cannot beat an objective already reached or the round's bar,
-    and finishes the others; the pick among the finished ones is the pick
-    among all.  The result is non-negative with at most ``limit`` nonzeros.
+    ``_cd_rows`` gives each a few sweeps, rules out with a dual bound the
+    ones still moving that cannot beat an objective already reached or the
+    round's bar, and finishes the others; the pick among the finished ones
+    is the pick among all.  The result is non-negative with at most
+    ``limit`` nonzeros.
     """
     h, c, limit = p.h, p.c, p.limit
     n = h.shape[0]

@@ -11,8 +11,8 @@ from mkdmts.nqp import (
     _cd_rows,
     _coordinate_descent,
     _dual_bounds,
-    _LOCKSTEP_SWEEPS,
     _MIN_DECREASE,
+    _SWEEPS_BEFORE_BOUND,
     diagonal_solve,
     nqp_oracle,
     nqp_solve,
@@ -97,6 +97,12 @@ def test_validation_errors():
         QuadProgram(np.eye(2), np.zeros(2), 0)
     with pytest.raises(ValueError, match="exceeds"):
         QuadProgram(np.eye(2), np.zeros(2), 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadProgram(np.array([[1.0, bad], [bad, 1.0]]), np.zeros(2), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadProgram(np.eye(2), np.array([bad, -1.0]), 1)
     with pytest.raises(ValueError, match="oracle limits"):
         nqp_oracle(QuadProgram(np.eye(13), np.zeros(13), 1))
 
@@ -190,7 +196,7 @@ def test_lockstep_solver_equals_per_candidate_reference(refine_swaps):
         assert np.array_equal(np.signbit(y), np.signbit(ref))
 
 
-@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 500])
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, _SWEEPS_BEFORE_BOUND, _SWEEPS_BEFORE_BOUND + 1, 500])
 def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
     # rows stop at different sweeps, some exactly at the cap
     for i, p in enumerate([random_program(rng, n_max=12, t_max=5) for _ in range(20)] + [
@@ -209,6 +215,7 @@ def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
         for r, idx in enumerate(cols):
             ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
             assert np.array_equal(rows[r], ref)
+            assert np.array_equal(np.signbit(rows[r]), np.signbit(ref))
 
 
 def test_cap_hits_are_logged(caplog):
@@ -265,14 +272,14 @@ def test_certificate_line_fires_only_when_rows_outlast_the_lockstep(monkeypatch,
         return [r.getMessage() for r in caplog.records]
 
     certified = [m for m in messages(sample_block_programs(monkeypatch)[1]) if "certified out" in m]
-    assert certified and all(m.endswith(f"after {_LOCKSTEP_SWEEPS} sweeps") for m in certified)
-    # equicorrelated at 0.7: rows outlast the lockstep but converge long before the cap,
+    assert certified and all(m.endswith(f"after {_SWEEPS_BEFORE_BOUND} sweeps") for m in certified)
+    # equicorrelated at 0.7: rows outlast the sweeps before the bound but converge long before the cap,
     # and only rows that reach the cap are counted
     n, rng = 6, np.random.default_rng(3)
     moderate = QuadProgram(0.3 * np.eye(n) + 0.7 * np.ones((n, n)), -1.0 - 0.1 * rng.uniform(size=n), 3)
     logged = messages(moderate)
     assert any("certified out" in m for m in logged) and not any("sweep cap" in m for m in logged)
-    # well-conditioned: every candidate converges within the lockstep sweeps
+    # well-conditioned: every candidate converges within the sweeps before the bound
     w = rng.normal(size=(8, 8))
     easy = QuadProgram(np.eye(8) + 0.01 * (w @ w.T), -rng.uniform(0.5, 1.0, 8), 3)
     assert not any("certified out" in m for m in messages(easy))
@@ -300,7 +307,7 @@ def test_certified_bounds_are_below_oracle_and_final_descent(rng):
         s = int(rng.integers(1, min(n, 4) + 1))
         cols = np.array([rng.permutation(n)[:s] for _ in range(6)])
         y0 = np.zeros(n)
-        for sweeps in (1, 3, _LOCKSTEP_SWEEPS):
+        for sweeps in (1, 3, _SWEEPS_BEFORE_BOUND):
             bounds = _dual_bounds(p.h, p.c, cols, _cd_rows(p.h, p.c, cols, y0, max_iters=sweeps))
             for idx, bound in zip(cols, bounds):
                 block = QuadProgram(p.h[np.ix_(idx, idx)], p.c[idx], s)
