@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
@@ -174,10 +174,14 @@ def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
 
     ``cross`` is as in ``atom_data_cross`` and ``ks`` holds the training
     Grams the dictionary lives on.  Columns are independent problems; the
-    result does not depend on the order they are solved in.
+    result does not depend on the order they are solved in.  Weights so
+    large that the atom Gram or cross terms overflow are a NumericalError.
     """
-    gram = atom_gram(d, ks)
-    cvec = atom_data_cross(d, cross)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = atom_gram(d, ks)
+        cvec = atom_data_cross(d, cross)
+    if not (np.isfinite(gram).all() and np.isfinite(cvec).all()):
+        raise NumericalError("atom Gram or atom-data cross values are not finite: dictionary weights too large")
     limit = min(t_x, d.k)
     return np.stack([nqp_solve(QuadProgram(gram, -c, limit)) for c in cvec.T], axis=1)
 
@@ -461,17 +465,18 @@ def load_model(model_dir) -> tuple[Dictionary, dict]:
     if fmt != MODEL_FORMAT:
         raise DataError(f"{model_dir}: unknown model format {fmt!r}")
     try:
-        shape = (int(meta["k"]), int(meta["n"]), int(meta["f"]))
-        meta["t_x"] = int(meta["t_x"])
+        for key in ("k", "n", "f", "t_x"):
+            if isinstance(meta[key], bool) or not isinstance(meta[key], int) or meta[key] < 1:
+                raise ValueError(f"{key} must be an integer of at least 1, got {meta[key]!r}")
         meta["bandwidths"] = [float(b) for b in meta["bandwidths"]]
         dataset_hash = str(meta["dataset_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{model_dir}: malformed model metadata ({exc!r})") from None
-    d = Dictionary(
-        sample_weights=read_matrix(model_dir / "sample_weights.bin"),
-        dim_weights=read_matrix(model_dir / "dim_weights.bin"),
-        dataset_hash=dataset_hash,
-    )
-    if (d.k, d.n, d.dims) != shape:
+    a, b = read_matrix(model_dir / "sample_weights.bin"), read_matrix(model_dir / "dim_weights.bin")
+    try:
+        d = Dictionary(sample_weights=a, dim_weights=b, dataset_hash=dataset_hash)
+    except ValueError as exc:
+        raise DataError(f"{model_dir}: {exc}") from None
+    if (d.k, d.n, d.dims) != (meta["k"], meta["n"], meta["f"]):
         raise DataError(f"{model_dir}: matrix shapes disagree with meta.json")
     return d, meta

@@ -580,6 +580,42 @@ def test_impossible_gram_values_are_data_error(trained, tmp_path, capsys, damage
     assert path.read_bytes() == healthy
 
 
+@pytest.mark.parametrize("damage,code,expected", [
+    ({"t_x": 0}, 2, "t_x must be an integer of at least 1, got 0"),
+    ({"t_x": -3}, 2, "t_x must be an integer of at least 1, got -3"),
+    ({"t_x": True}, 2, "t_x must be an integer of at least 1, got True"),
+    ({"t_x": 2.7}, 2, "t_x must be an integer of at least 1, got 2.7"),
+    ({"k": 2.5}, 2, "k must be an integer of at least 1, got 2.5"),
+    ("negative_weight", 2, "dictionary weights must be non-negative"),
+    ("huge_weights", 3, "atom Gram or atom-data cross values are not finite"),
+], ids=["tx_zero", "tx_negative", "tx_bool", "tx_float", "k_float", "negative_weight", "huge_weights"])
+def test_damaged_model_is_one_line_error(trained, tmp_path, capsys, damage, code, expected):
+    import shutil
+
+    from mkdmts.ioutil import read_matrix, write_matrix
+
+    data, kern, model = trained
+    shutil.copytree(model, tmp_path / "model")
+    if isinstance(damage, dict):
+        meta = read_json(model / "meta.json")
+        (tmp_path / "model" / "meta.json").write_text(json.dumps(meta | damage))
+    else:
+        path = tmp_path / "model" / "sample_weights.bin"
+        m = read_matrix(path)
+        if damage == "negative_weight":
+            m[0, 0] = -1e-3
+        else:
+            m[:] = 1e300
+        write_matrix(path, m)
+    out = tmp_path / "enc"
+    capsys.readouterr()
+    assert _run(_encode_args(data, kern, tmp_path / "model", out)) == code
+    err = capsys.readouterr().err
+    _one_error_line(err, {2: "data error: ", 3: "numerical error: "}[code])
+    assert expected in err
+    assert not out.exists()
+
+
 def test_encode_with_kernels_of_another_bandwidth_is_data_error(trained, tmp_path, capsys):
     data, _, model = trained
     kern50 = tmp_path / "kern50"

@@ -259,15 +259,25 @@ def test_train_deterministic():
     np.testing.assert_array_equal(t1.codes, t2.codes)
 
 
-def test_trainer_bytes_pinned():
+@pytest.mark.parametrize("synth,bandwidth,cfg,expected", [
+    (SynthConfig(seed=13, dims=3, samples_per_class=6, length_range=(60, 90)), 40.0,
+     TrainConfig(k=8, t_x=2, t_a=4, t_beta=1, seed=13),
+     "0da8ae143bd22659ac67069d4d817070e0b9e810b4d1f70baef6cfea48056f05"),
+    # many_short's shape: the 5-coordinate sample-block rows
+    (SynthConfig(seed=5, num_seen_classes=6, num_unseen_classes=2, dims=2, samples_per_class=6,
+                 length_range=(10, 14)), 4.0,
+     TrainConfig(k=10, t_x=2, t_a=5, t_beta=1, seed=5),
+     "c6383c74e38eee8e9e4ee8220f19b89ecbf1d45a566b25b9e592cbbabb2465ea"),
+], ids=["long", "short"])
+def test_trainer_bytes_pinned(synth, bandwidth, cfg, expected):
     """A seeded train at benchmark shapes, pinned by one digest of its loss trace, A, B and codes."""
-    seen, _, _ = synth_dataset(SynthConfig(seed=13, dims=3, samples_per_class=6, length_range=(60, 90)))
-    ks = build_kernelset(seen, bandwidth=40.0)
-    result = train(seen, ks, TrainConfig(k=8, t_x=2, t_a=4, t_beta=1, seed=13))
+    seen, _, _ = synth_dataset(synth)
+    ks = build_kernelset(seen, bandwidth=bandwidth)
+    result = train(seen, ks, cfg)
     digest = hashlib.sha256(np.array(result.loss_trace).tobytes())
     for part in (result.dictionary.sample_weights, result.dictionary.dim_weights, result.codes):
         digest.update(part.tobytes())
-    assert digest.hexdigest() == "0da8ae143bd22659ac67069d4d817070e0b9e810b4d1f70baef6cfea48056f05"
+    assert digest.hexdigest() == expected
 
 
 def test_train_halves_initial_loss():

@@ -8,9 +8,12 @@ from mkdmts.kernels import build_kernelset
 from mkdmts.mtsdata import SynthConfig, synth_dataset
 from mkdmts.nqp import (
     QuadProgram,
+    _CD_TOL,
+    _DIAG_FLOOR,
     _cd_rows,
     _coordinate_descent,
     _dual_bounds,
+    _finish_row,
     _MIN_DECREASE,
     _SWEEPS_BEFORE_BOUND,
     diagonal_solve,
@@ -196,6 +199,33 @@ def test_lockstep_solver_equals_per_candidate_reference(refine_swaps):
         assert np.array_equal(np.signbit(y), np.signbit(ref))
 
 
+def _assert_rows_equal_reference(p, cols, y0, max_iters):
+    """``_cd_rows`` and the kernel of each row's size equal ``_coordinate_descent`` bit for bit, flag included."""
+    rows = _cd_rows(p.h, p.c, cols, y0, max_iters=max_iters)
+    hjj = np.diagonal(p.h)
+    hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
+    for r, idx in enumerate(cols):
+        ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
+        assert np.array_equal(rows[r], ref)
+        assert np.array_equal(np.signbit(rows[r]), np.signbit(ref))
+        y = y0[idx].tolist()
+        converged = _finish_row(len(idx))(y, (p.h @ y0)[idx].tolist(), (-p.c[idx]).tolist(), hjj[idx].tolist(),
+                                          hdiv[idx].tolist(), p.h[np.ix_(idx, idx)].T.tolist(), _CD_TOL, max_iters)
+        assert np.array_equal(y, ref) and np.array_equal(np.signbit(y), np.signbit(ref))
+        # a sweep's largest step is the largest change it makes, so the reference converged within
+        # max_iters sweeps exactly when its last sweep changed no coordinate by more than the tolerance
+        before = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters - 1)[idx]
+        assert converged == (np.abs(ref - before).max() <= _CD_TOL)
+
+
+def _vanishing_first(p, y0):
+    """``p`` with a vanishing diagonal at coordinate 0, which ``y0`` is set to zero on, as in every start nqp_solve uses."""
+    h = p.h.copy()
+    h[0, :] = h[:, 0] = 0.0
+    y0[0] = 0.0
+    return QuadProgram(h, p.c, p.limit)
+
+
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 7, _SWEEPS_BEFORE_BOUND, _SWEEPS_BEFORE_BOUND + 1, 500])
 def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
     # rows stop at different sweeps, some exactly at the cap
@@ -207,15 +237,19 @@ def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
         cols = np.array([rng.permutation(n)[:s] for _ in range(int(rng.integers(1, 9)))])
         y0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
         if i % 4 == 0:
-            h = p.h.copy()
-            h[0, :] = h[:, 0] = 0.0
-            y0[0] = 0.0  # as in every start nqp_solve uses
-            p = QuadProgram(h, p.c, p.limit)
-        rows = _cd_rows(p.h, p.c, cols, y0, max_iters=max_iters)
-        for r, idx in enumerate(cols):
-            ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
-            assert np.array_equal(rows[r], ref)
-            assert np.array_equal(np.signbit(rows[r]), np.signbit(ref))
+            p = _vanishing_first(p, y0)
+        _assert_rows_equal_reference(p, cols, y0, max_iters)
+    # every row size up to 8, and 16, runs its own generated kernel
+    for s in (*range(1, 9), 16):
+        n = s + 2
+        w = rng.normal(size=(n, n + 2))
+        p = ill_conditioned_program(rng, n, 1) if s % 3 == 0 else QuadProgram(w @ w.T / (n + 2), rng.normal(size=n), 1)
+        y0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+        if s % 2 == 0:
+            p = _vanishing_first(p, y0)
+        # the first row holds coordinate 0
+        cols = np.array([rng.permutation(s)] + [rng.permutation(n)[:s] for _ in range(2)])
+        _assert_rows_equal_reference(p, cols, y0, max_iters)
 
 
 def test_cap_hits_are_logged(caplog):
