@@ -21,7 +21,9 @@ from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
 from .errors import DataError, MkdError, UsageError
-from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text
+from .ioutil import (
+    check_int, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,8 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _effective(args: argparse.Namespace) -> dict:
-    """The subcommand's flags, with those left unset filled from the optional --config file."""
+def _effective(args: argparse.Namespace, kinds: dict) -> dict:
+    """The subcommand's flags, with those left unset filled from the optional --config file.
+
+    ``kinds`` maps each flag to its argparse type.  A file value for an int
+    flag must be a JSON integer, for a float flag a number (an integer is
+    taken as that float), and for any other flag a string; the bandwidth,
+    "median" or a number, is left to ``check_bandwidth``.
+    """
+    expected = {int: ("an integer", int), float: ("a number", (int, float)), None: ("a string", str)}
     cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     if args.config:
         loaded = read_json(args.config)
@@ -39,19 +48,12 @@ def _effective(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)} in {args.config}")
+        for key, value in loaded.items():
+            what, types = expected[kinds[key]]
+            if value is not None and key != "bandwidth" and (isinstance(value, bool) or not isinstance(value, types)):
+                raise UsageError(f"{key} must be {what}, got {value!r}")
         cfg.update({k: v for k, v in loaded.items() if cfg[k] is None})
     return cfg
-
-
-def _num(cfg: dict, key: str, kind: type, default=None):
-    """``cfg[key]`` as an int or float, ``default`` if unset; a bad value is a usage error."""
-    value = cfg[key]
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
 def _checked(check, *args, **kwargs):
@@ -79,8 +81,12 @@ _CLUSTER_FLAGS = {
 
 
 def _config(cls, cfg: dict, flags: dict[str, tuple[str, type]], **fields):
-    """``cls`` built from ``fields`` and the set ``flags``; unset flags keep the class's defaults."""
-    fields.update({field: _num(cfg, flag, kind) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
+    """``cls`` built from ``fields`` and the set ``flags``; unset flags keep the class's defaults.
+
+    Values already have their flag's type, except a file's integer for a
+    float flag, which ``kind`` turns into that float.
+    """
+    fields.update({field: kind(cfg[flag]) for flag, (field, kind) in flags.items() if cfg[flag] is not None})
     return _checked(cls, **fields)
 
 
@@ -97,8 +103,8 @@ def _cmd_synth(cfg: dict) -> int:
     from .mtsdata import SynthConfig
 
     lo, hi = SynthConfig.length_range
-    synth_cfg = _config(SynthConfig, cfg, _SYNTH_FLAGS,
-                        length_range=(_num(cfg, "length_min", int, lo), _num(cfg, "length_max", int, hi)))
+    synth_cfg = _config(SynthConfig, cfg, _SYNTH_FLAGS, length_range=(
+        lo if cfg["length_min"] is None else cfg["length_min"], hi if cfg["length_max"] is None else cfg["length_max"]))
     out = Path(cfg["out"])
     seen, unseen = synthesize(synth_cfg, out)
     _write_run_info(out, "synth", cfg, asdict(synth_cfg))
@@ -122,10 +128,10 @@ def _tune_grid(path) -> list[tuple[int, int]]:
     """The (k, t_x) pairs of a ``{"grid": [[k, tx], ...]}`` file; a malformed grid is a usage error."""
     spec = read_json(path)
     try:
-        grid = [(int(k), int(tx)) for k, tx in spec["grid"]]
+        grid = [(k, tx) for k, tx in spec["grid"]]
     except (KeyError, TypeError, ValueError):
         grid = []
-    if not grid or min(min(pair) for pair in grid) < 1:
+    if not grid or not all(is_integer(v) and v >= 1 for pair in grid for v in pair):
         raise UsageError(f'{path}: expected {{"grid": [[k, tx], ...]}} with at least one pair of integers >= 1')
     return grid
 
@@ -157,10 +163,10 @@ def _cmd_encode(cfg: dict) -> int:
     from .mtsdata import load_dataset
     from .zeroshot import DEFAULT_THRESHOLD, check_threshold
 
-    t_x = _num(cfg, "tx", int)
-    if t_x is not None and t_x < 1:
-        raise UsageError("t_x must be at least 1")
-    threshold = _checked(check_threshold, _num(cfg, "threshold", float, DEFAULT_THRESHOLD))
+    t_x = cfg["tx"]
+    if t_x is not None:
+        _checked(check_int, "t_x", t_x, 1)
+    threshold = _checked(check_threshold, DEFAULT_THRESHOLD if cfg["threshold"] is None else cfg["threshold"])
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
     ks = load_kernelset(cfg["kernels"])
@@ -286,6 +292,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mkdmts", description="multiple-kernel dictionary learning for multivariate time series")
     parser.add_argument("--version", action="version", version=f"mkdmts {__version__} (formats v{FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -354,7 +361,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.verbose:
             logging.getLogger().setLevel(logging.INFO)
-        return _COMMANDS[args.command](_effective(args))
+        kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
+        return _COMMANDS[args.command](_effective(args, kinds))
     except SystemExit as exc:  # argparse --version / --help
         return int(exc.code or 0)
     except MkdError as exc:

@@ -220,16 +220,20 @@ def run_experiment(config: dict, out_dir) -> dict:
     ``config`` holds field dicts for ``SynthConfig`` (``synth``),
     ``TrainConfig`` (``train``) and ``ClusterConfig`` plus ``order_seed``
     (``cluster``), and optional ``bandwidth`` and ``threshold``; what it
-    leaves out takes the library defaults.  Every stage runs with seeds
-    derived from the global seed so reruns are bit-identical.  Artifacts
-    and the report land in ``out_dir``; the report dict is returned.
+    leaves out takes the library defaults.  The spectral baseline needs at
+    least 2 unseen classes, so a config with one is rejected up front.
+    Every stage runs with seeds derived from the global seed so reruns are
+    bit-identical.  Artifacts and the report land in ``out_dir``; the
+    report dict is returned.
     """
     threshold = check_threshold(config.get("threshold", DEFAULT_THRESHOLD))
     bandwidth = check_bandwidth(config.get("bandwidth", DEFAULT_BANDWIDTH))
+    synth_cfg = SynthConfig(**config.get("synth", {}))
+    if synth_cfg.num_unseen_classes < 2:
+        raise DataError("run_experiment needs at least 2 unseen classes, for the spectral baseline's clusters")
     out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
-        synth_cfg = SynthConfig(**config.get("synth", {}))
         seen, unseen = synthesize(synth_cfg, out_dir / "data")
     with _stage("kernels", timings):
         ks = build_or_load_kernelset(seen, out_dir / "kernels", bandwidth)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import write_json
+from .ioutil import check_int, write_json
 
 _SPLIT_ITERS = 50
 
@@ -62,8 +62,7 @@ class ClusterConfig:
             raise ValueError("k_rmv must not exceed k_clust")
         if not 0.0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if self.split_min < 2:
-            raise ValueError("split_min must be at least 2")
+        check_int("split_min", self.split_min, 2)
         if not 0.0 <= self.dup_eps < np.inf:
             raise ValueError("dup_eps must be non-negative and finite")
 

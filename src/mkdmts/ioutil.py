@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,19 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; bools and integral floats are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, minimum: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (``is_integer``) of at least ``minimum``."""
+    if not is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be at least {minimum}")
 
 
 def read_json(path: str | Path):

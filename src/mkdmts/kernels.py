@@ -212,11 +212,11 @@ def psd_repair(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def check_bandwidth(bandwidth) -> float | str:
-    """"median", or the fixed bandwidth as a float, which must be positive and finite."""
+    """"median", or the fixed bandwidth as a float, which must be positive and finite (a bool is not)."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return bandwidth
     try:
-        if 0.0 < float(bandwidth) < np.inf:
+        if not isinstance(bandwidth, (bool, np.bool_)) and 0.0 < float(bandwidth) < np.inf:
             return float(bandwidth)
     except (TypeError, ValueError):
         pass

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
@@ -84,16 +84,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        for name in ("t_x", "t_a", "t_beta"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("k", "t_x", "t_a", "t_beta", "max_iters", "seed"):
+            if getattr(self, name) is not None or name not in ("t_a", "t_beta"):
+                check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
     def resolve(self, n: int, dims: int) -> "TrainConfig":
         t_a = self.t_a if self.t_a is not None else max(1, math.ceil(n / 10))
@@ -466,7 +461,7 @@ def load_model(model_dir) -> tuple[Dictionary, dict]:
         raise DataError(f"{model_dir}: unknown model format {fmt!r}")
     try:
         for key in ("k", "n", "f", "t_x"):
-            if isinstance(meta[key], bool) or not isinstance(meta[key], int) or meta[key] < 1:
+            if not is_integer(meta[key]) or meta[key] < 1:
                 raise ValueError(f"{key} must be an integer of at least 1, got {meta[key]!r}")
         meta["bandwidths"] = [float(b) for b in meta["bandwidths"]]
         dataset_hash = str(meta["dataset_hash"])

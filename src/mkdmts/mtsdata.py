@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import content_hash, make_dir, read_text, remove_file, write_json, write_text
+from .ioutil import check_int, content_hash, make_dir, read_text, remove_file, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -226,19 +226,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_seen_classes < 2:
-            raise DataError("need at least 2 seen classes")
-        if self.num_unseen_classes < 1:
-            raise DataError("need at least 1 unseen class")
-        if self.dims < 2:
-            raise DataError("need at least 2 dimensions")
+        for name, minimum in (("num_seen_classes", 2), ("num_unseen_classes", 1), ("dims", 2),
+                              ("samples_per_class", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum, DataError)
         if not 0.0 <= self.noise_std < np.inf:
             raise DataError("noise_std must be non-negative and finite")
-        lo, hi = self.length_range
-        if lo < 8 or hi < lo:
-            raise DataError(f"invalid length_range {self.length_range}")
-        if self.samples_per_class < 1:
-            raise DataError("samples_per_class must be positive")
+        if not isinstance(self.length_range, (list, tuple)) or len(self.length_range) != 2:
+            raise DataError(f"length_range must be two integers, got {self.length_range!r}")
+        check_int("length_range[0]", self.length_range[0], 8, DataError)
+        check_int("length_range[1]", self.length_range[1], self.length_range[0], DataError)
 
 
 def _template_bank(rng: np.random.Generator, num_classes: int, dims: int):

@@ -6,10 +6,10 @@ picks the candidate whose restricted problem, re-solved by cyclic
 coordinate descent, has the lowest objective.  Every candidate runs in
 two phases: a few sweeps each, then "bound, then finish".  A candidate
 still moving after its sweeps gets a Wolfe-dual lower bound on its
-restricted optimum, and is ruled out when that bound is above an
-objective another candidate has already reached; the rest run on to the
-end.  The pick and its values are therefore those of solving every
-candidate to the end.
+restricted optimum, from one linear solve over all of its coordinates,
+and is ruled out when that bound is above an objective another candidate
+has already reached; the rest run on to the end.  The pick and its
+values are therefore those of solving every candidate to the end.
 
 The sweeps run in Python floats, in a straight-line kernel generated for
 each row size s (``_finish_row``): every value of the row lives in a
@@ -196,38 +196,33 @@ def _solve_rows(a, b):
         return u
 
 
-def _dual_bounds(h, c, cols, vals):
+def _dual_bounds(h, c, cols):
     """Certified lower bounds on the rows' restricted optima; -inf where none is found.
 
-    Row r is the problem on the coordinates C = cols[r], at the iterate
-    vals[r] >= 0.  Let u solve H_SS u = tau - c_S on S, the positive
-    coordinates of vals[r] (or, when that fails, all of C), with u = 0
-    off S, and let lambda = H_CC u + c_C.  Expanding the square,
+    Row r is the problem on the coordinates C = cols[r].  Let u solve
+    H_CC u = tau - c_C, one batched solve for all rows, and let
+    lambda = H_CC u + c_C, which is tau up to rounding.  Expanding the
+    square,
         f(y) = 0.5 (y-u)'H_CC(y-u) - 0.5 u'H_CC u + lambda'y,
     so if lambda >= 0 on C then f(y) >= -0.5 u'H_CC u for every y >= 0,
-    because H is PSD.  The shift tau > 0 keeps lambda_S positive under
+    because H is PSD.  The shift tau > 0 keeps lambda positive under
     rounding: the certificate needs lambda >= tau / 2 on every coordinate,
     and tau / 2 above the rounding bound of lambda.  The bound is lowered
     by a rounding margin.  A singular block costs only its own row's
     certificate.
     """
-    rows, s = cols.shape
+    s = cols.shape[1]
     hcc, cc = h[cols[:, :, None], cols[:, None, :]], c[cols]
     half_tau = 0.5 * _CERT_SHIFT * (1.0 + np.abs(cc).max(axis=1, keepdims=True))
-    bounds = np.full(rows, -np.inf)
-    for support in (vals > 0.0, np.ones(vals.shape, dtype=bool)):
-        todo = np.flatnonzero(bounds == -np.inf)
-        m, hm, cm, ht = support[todo], hcc[todo], cc[todo], half_tau[todo]
-        u = _solve_rows(np.where(m[:, :, None] & m[:, None, :], hm, np.eye(s)), np.where(m, 2.0 * ht - cm, 0.0))
-        ok = np.isfinite(u).all(axis=1)
-        u[~ok] = 0.0
-        hu = np.matmul(hm, u[:, :, None])[:, :, 0]
-        abs_hu = np.matmul(np.abs(hm), np.abs(u)[:, :, None])[:, :, 0]
-        rounding = 4.0 * (s + 2) * np.finfo(np.float64).eps * (abs_hu + np.abs(cm))  # bounds lambda's error
-        ok &= ((hu + cm >= ht) & (rounding <= ht)).all(axis=1)
-        bound = -0.5 * (u * hu).sum(axis=1) - _ROUND_MARGIN * (1.0 + (np.abs(u) * abs_hu).sum(axis=1))
-        bounds[todo[ok]] = bound[ok]
-    return bounds
+    u = _solve_rows(hcc, 2.0 * half_tau - cc)
+    ok = np.isfinite(u).all(axis=1)
+    u[~ok] = 0.0
+    hu = np.matmul(hcc, u[:, :, None])[:, :, 0]
+    abs_hu = np.matmul(np.abs(hcc), np.abs(u)[:, :, None])[:, :, 0]
+    rounding = 4.0 * (s + 2) * np.finfo(np.float64).eps * (abs_hu + np.abs(cc))  # bounds lambda's error
+    ok &= ((hu + cc >= half_tau) & (rounding <= half_tau)).all(axis=1)
+    bound = -0.5 * (u * hu).sum(axis=1) - _ROUND_MARGIN * (1.0 + (np.abs(u) * abs_hu).sum(axis=1))
+    return np.where(ok, bound, -np.inf)
 
 
 def _cd_rows(h, c, cols, y0, bar=None, tol=_CD_TOL, max_iters=500):
@@ -246,14 +241,15 @@ def _cd_rows(h, c, cols, y0, bar=None, tol=_CD_TOL, max_iters=500):
     1. Sweeps: each row takes up to ``_SWEEPS_BEFORE_BOUND`` sweeps.
        Code-solve rounds converge within them.
     2. Bound, then finish: with ``bar``, each row still moving gets a lower
-       bound on its restricted optimum (``_dual_bounds``), which is also
-       below its final objective, since every CD iterate is feasible.  A
-       row whose bound exceeds the best objective reached so far, by a
-       rounding margin, is ruled out.  "Reached so far" covers converged
-       rows, the moving rows' current iterates (CD never raises a row's
-       objective) and ``bar``.  The other rows run on, lowest bound first,
-       and the best objective tightens after each, so a later row may
-       still be ruled out.
+       bound on its restricted optimum from one solve over all of its
+       coordinates (``_dual_bounds``, which does not read the iterate).
+       The bound is also below the row's final objective, since every CD
+       iterate is feasible.  A row whose bound exceeds the best objective
+       reached so far, by a rounding margin, is ruled out.  "Reached so
+       far" covers converged rows, the moving rows' current iterates (CD
+       never raises a row's objective) and ``bar``.  The other rows run
+       on, lowest bound first, and the best objective tightens after each,
+       so a later row may still be ruled out.
 
     A ruled-out row ends above some other row's final objective or above
     ``bar``, so the lowest objective below ``bar``, ties to the first row,
@@ -275,7 +271,7 @@ def _cd_rows(h, c, cols, y0, bar=None, tol=_CD_TOL, max_iters=500):
         bounds, best = np.full(len(live), -np.inf), np.inf
         if bar is not None:
             approx, margin = _objectives(h, c, cols, out)
-            bounds, best = _dual_bounds(h, c, cols[live], out[live]), min(bar, approx.min() + margin)
+            bounds, best = _dual_bounds(h, c, cols[live]), min(bar, approx.min() + margin)
         ruled_out = 0
         for i in np.argsort(bounds, kind="stable"):
             r = live[i]

@@ -22,9 +22,9 @@ DEFAULT_THRESHOLD = 0.1
 
 
 def check_threshold(threshold) -> float:
-    """The error threshold as a float, which must be non-negative and finite."""
+    """The error threshold as a float, which must be non-negative and finite (a bool is not)."""
     try:
-        if 0.0 <= float(threshold) < np.inf:
+        if not isinstance(threshold, (bool, np.bool_)) and 0.0 <= float(threshold) < np.inf:
             return float(threshold)
     except (TypeError, ValueError):
         pass

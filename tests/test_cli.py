@@ -337,7 +337,9 @@ def test_config_file_takes_only_the_subcommands_flags(tmp_path, capsys, config):
     {"grid": [2]},
     {"grid": []},
     {"grid": [[0, 1]]},
-], ids=["no_grid_key", "non_integer", "triple", "not_a_list", "empty", "zero_k"])
+    {"grid": [[2.7, 1]]},
+    {"grid": [[2, True]]},
+], ids=["no_grid_key", "non_integer", "triple", "not_a_list", "empty", "zero_k", "non_integral", "bool"])
 def test_malformed_tune_grid_is_usage_error(trained, tmp_path, capsys, grid):
     data, kern, _ = trained
     (tmp_path / "grid.json").write_text(json.dumps(grid))
@@ -346,6 +348,48 @@ def test_malformed_tune_grid_is_usage_error(trained, tmp_path, capsys, grid):
                  "--tune", tmp_path / "grid.json", "--out", tmp_path / "model"]) == 1
     _one_error_line(capsys.readouterr().err, "usage error: ")
     assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("cluster", {"order": 5}, "order must be a string, got 5"),
+    ("cluster", {"dot": 2}, "dot must be a string, got 2"),
+    ("train", {"tune": 5}, "tune must be a string, got 5"),
+    ("train", {"k": 2.7}, "k must be an integer, got 2.7"),
+    ("train", {"tol": True}, "tol must be a number, got True"),
+    ("encode", {"tx": 1.9}, "tx must be an integer, got 1.9"),
+    ("kernels", {"bandwidth": True}, "bandwidth must be 'median' or positive and finite, got True"),
+    ("synth", {"length_min": 30.5}, "length_min must be an integer, got 30.5"),
+    ("synth", {"seed": -1}, "seed must be at least 0"),
+])
+def test_bad_config_file_value_is_usage_error(trained, tmp_path, capsys, command, config, expected):
+    data, kern, model = trained
+    out = tmp_path / "out"
+    args = {
+        "synth": ["--out", out],
+        "kernels": ["--manifest", data / "seen.jsonl", "--out", out],
+        "train": ["--manifest", data / "seen.jsonl", "--kernels", kern, "--iters", 1, "--out", out],
+        "encode": _encode_args(data, kern, model, out)[1:],
+        "cluster": ["--enc", tmp_path / "enc", "--out", out],
+    }[command]
+    if command == "cluster":
+        _write_encodings(tmp_path / "enc", ["a", "b"])
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert _run([command, "--config", tmp_path / "c.json", *args]) == 1
+    err = capsys.readouterr().err
+    _one_error_line(err, "usage error: ")
+    assert expected in err
+    assert not out.exists()
+
+
+def test_config_integer_for_a_float_flag_is_that_float(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"noise": 0, "samples": 2, "length_min": 8, "length_max": 10}))
+    assert _run(["synth", "--config", tmp_path / "c.json", "--out", tmp_path / "d"]) == 0
+    info = read_json(tmp_path / "d" / "run_info.json")
+    # the flags as given, and the resolved float
+    assert info["args"]["noise"] == 0 and isinstance(info["args"]["noise"], int)
+    assert info["config"]["noise_std"] == 0.0 and isinstance(info["config"]["noise_std"], float)
+    assert info["config"]["length_range"] == [8, 10]
 
 
 @pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "model_meta_without_hash",

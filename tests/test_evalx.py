@@ -245,6 +245,20 @@ def test_run_experiment_rejects_bad_threshold_and_bandwidth(tmp_path, key, value
     assert not (tmp_path / "run").exists()  # rejected before anything is synthesized or written
 
 
+def test_run_experiment_rejects_one_unseen_class_up_front(tmp_path):
+    from mkdmts.evalx import run_experiment
+
+    config = {
+        "synth": {"num_seen_classes": 2, "num_unseen_classes": 1, "length_range": (8, 10),
+                  "samples_per_class": 3, "seed": 5},
+        "bandwidth": 5.0,
+        "train": {"k": 2, "t_beta": 1, "max_iters": 2},
+    }
+    with pytest.raises(DataError, match="at least 2 unseen classes"):
+        run_experiment(config, tmp_path / "run")
+    assert not (tmp_path / "run").exists()  # rejected before anything is synthesized or written
+
+
 def _canonical_partition(pred):
     """Sorted groups of sorted ids: the partition, free of label numbering."""
     groups = {}

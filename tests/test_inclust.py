@@ -233,3 +233,10 @@ def test_tree_bytes_pinned_over_seeded_streams():
         outcomes.update(r.split for r in tree.records)
     assert outcomes == {None, "replaced", "children", "discarded"}
     assert digest.hexdigest() == _PINNED_TREES_SHA256
+
+
+@pytest.mark.parametrize("value", [6.5, 6.0, True])
+def test_config_rejects_non_integer_split_min(value):
+    with pytest.raises(ValueError, match="split_min must be an integer"):
+        ClusterConfig(split_min=value)
+    assert ClusterConfig(split_min=np.int64(6)).split_min == 6

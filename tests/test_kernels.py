@@ -444,3 +444,12 @@ def test_cache_without_bandwidth_record_is_rebuilt(tmp_path, monkeypatch):
     assert len(builds) == 1 and read_json(cache / "meta.json")["bandwidth_request"] == 5.0
     build_or_load_kernelset(seen, cache, 5.0)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_check_bandwidth_rejects_bools(value):
+    from mkdmts.kernels import check_bandwidth
+
+    with pytest.raises(DataError, match="bandwidth must be"):
+        check_bandwidth(value)
+    assert check_bandwidth(1) == 1.0 and check_bandwidth("median") == "median"

@@ -383,3 +383,15 @@ def test_train_config_validation():
         TrainConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True), ("t_x", 2.5), ("t_a", 1.5), ("t_beta", 1.0),
+                                          ("max_iters", 3.0), ("seed", False), ("seed", -1)])
+def test_train_config_rejects_bad_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(k=np.int64(3), t_x=np.int32(2), t_a=np.int64(2), seed=np.uint8(4))
+    assert (cfg.k, cfg.t_x, cfg.t_a, cfg.seed) == (3, 2, 2, 4)

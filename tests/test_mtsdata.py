@@ -221,3 +221,17 @@ def test_synth_config_validation():
         SynthConfig(noise_std=float("nan"))
     with pytest.raises(DataError):
         SynthConfig(length_range=(50, 40))
+
+
+@pytest.mark.parametrize("field, value", [("num_seen_classes", 3.0), ("num_unseen_classes", True), ("dims", 2.5),
+                                          ("samples_per_class", 4.2), ("seed", 1.5), ("length_range", (20.5, 30)),
+                                          ("length_range", [20, True]), ("length_range", (20, 30, 40)),
+                                          ("length_range", 25), ("seed", -1)])
+def test_synth_config_rejects_bad_integers(field, value):
+    with pytest.raises(DataError, match=rf"{field}(\[\d\])? must be"):
+        SynthConfig(**{field: value})
+
+
+def test_synth_config_takes_numpy_integers_and_a_length_list():
+    cfg = SynthConfig(num_seen_classes=np.int64(3), samples_per_class=np.int32(2), length_range=[20, np.int64(30)])
+    assert cfg.num_seen_classes == 3 and list(cfg.length_range) == [20, 30]

@@ -338,11 +338,11 @@ def test_certified_bounds_are_below_oracle_and_final_descent(rng):
     certified = 0
     for p in certificate_programs():
         n = p.h.shape[0]
-        s = int(rng.integers(1, min(n, 4) + 1))
-        cols = np.array([rng.permutation(n)[:s] for _ in range(6)])
         y0 = np.zeros(n)
-        for sweeps in (1, 3, _SWEEPS_BEFORE_BOUND):
-            bounds = _dual_bounds(p.h, p.c, cols, _cd_rows(p.h, p.c, cols, y0, max_iters=sweeps))
+        for _ in range(3):
+            s = int(rng.integers(1, min(n, 4) + 1))
+            cols = np.array([rng.permutation(n)[:s] for _ in range(6)])
+            bounds = _dual_bounds(p.h, p.c, cols)
             for idx, bound in zip(cols, bounds):
                 block = QuadProgram(p.h[np.ix_(idx, idx)], p.c[idx], s)
                 assert bound <= objective(block.h, block.c, nqp_oracle(block))
@@ -352,17 +352,31 @@ def test_certified_bounds_are_below_oracle_and_final_descent(rng):
     assert certified > 800
 
 
+def test_certified_bounds_hold_on_sample_block_programs(monkeypatch):
+    # kernel Grams, N 24-36: the last greedy round's candidates, each run by _cd_rows to the end
+    for p in sample_block_programs(monkeypatch):
+        n = p.h.shape[0]
+        y0 = nqp_solve(QuadProgram(p.h, p.c, p.limit - 1), refine_swaps=False)
+        support = np.flatnonzero(y0).tolist()
+        cols = np.array([support + [j] for j in range(n) if j not in support])
+        bounds = _dual_bounds(p.h, p.c, cols)
+        assert np.isfinite(bounds).all()
+        for idx, bound, vals in zip(cols, bounds, _cd_rows(p.h, p.c, cols, y0)):
+            y = np.zeros(n)
+            y[idx] = vals
+            assert bound <= objective(p.h, p.c, y)
+
+
 def test_singular_block_costs_only_its_own_certificate(rng):
     w = rng.normal(size=(6, 8))
     h = w @ w.T / 8
     h[5, :], h[:, 5] = h[0, :], h[:, 0]  # coordinate 5 duplicates 0: the block on {0, 5} is exactly singular
     c = -np.abs(rng.normal(size=6))
     cols = np.array([[1, 2, 3], [0, 1, 5], [2, 3, 4], [1, 3, 4]])
-    vals = np.ones(cols.shape)  # every coordinate positive: S is the whole row
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(h[np.ix_(cols[1], cols[1])], -c[cols[1]])
-    bounds = _dual_bounds(h, c, cols, vals)
+    bounds = _dual_bounds(h, c, cols)
     assert bounds[1] == -np.inf
-    alone = [_dual_bounds(h, c, cols[r:r + 1], vals[r:r + 1])[0] for r in (0, 2, 3)]
+    alone = [_dual_bounds(h, c, cols[r:r + 1])[0] for r in (0, 2, 3)]
     assert np.isfinite(alone).all()
     np.testing.assert_array_equal(bounds[[0, 2, 3]], alone)

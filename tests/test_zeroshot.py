@@ -197,3 +197,12 @@ def test_full_subset_error_equals_per_sequence_loss_term(rng):
     term = compute_loss(d, ks, only_n) - (sum(np.trace(k) for k in ks.kernels) - float(ck.self_k.sum()))
     err = partial_error(d, ks, ck, x, range(3))
     assert err == pytest.approx(term / float(ck.self_k.sum()), abs=1e-10)
+
+
+@pytest.mark.parametrize("value", [True, False, np.False_])
+def test_check_threshold_rejects_bools(value):
+    from mkdmts.zeroshot import check_threshold
+
+    with pytest.raises(DataError, match="threshold must be"):
+        check_threshold(value)
+    assert check_threshold(0) == 0.0
