@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict
@@ -163,9 +162,7 @@ def _cmd_encode(cfg: dict) -> int:
     from .mtsdata import load_dataset
     from .zeroshot import DEFAULT_THRESHOLD, check_threshold
 
-    t_x = cfg["tx"]
-    if t_x is not None:
-        _checked(check_int, "t_x", t_x, 1)
+    t_x = cfg["tx"] if cfg["tx"] is None else _checked(check_int, "t_x", cfg["tx"], 1)
     threshold = _checked(check_threshold, DEFAULT_THRESHOLD if cfg["threshold"] is None else cfg["threshold"])
     seen = load_dataset(cfg["seen_manifest"], role="seen")
     unseen = load_dataset(cfg["manifest"], role="unseen")
@@ -248,32 +245,10 @@ def _cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def _render(path: Path, render) -> str:
-    """``render`` applied to the JSON in ``path``; content it cannot render is a data error."""
-    try:
-        return render(read_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: cannot render ({type(exc).__name__}: {exc})") from None
-
-
 def _cmd_report(cfg: dict) -> int:
-    from .evalx import render_report
+    from .evalx import render_report, run_report
 
-    run_dir = Path(cfg["run"])
-    score_path = run_dir / "score.json"
-    if score_path.exists():
-        sys.stdout.write(_render(score_path, render_report))
-        return 0
-    lines = [f"mkdmts run directory {run_dir}"]
-    for name in ("run_info.json", "provenance.json"):
-        p = run_dir / name
-        if p.exists():
-            lines.append(f"-- {name}:")
-            lines.append(json.dumps(read_json(p), indent=2, sort_keys=True))
-    eval_path = run_dir / "eval.json"
-    if eval_path.exists():
-        lines.append(_render(eval_path, lambda ev: f"CE {100 * ev['ce']:.2f}%  NMI {ev['nmi']:.4f}"))
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(render_report(run_report(cfg["run"])))
     return 0
 
 

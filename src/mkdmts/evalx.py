@@ -1,7 +1,9 @@
-"""Pipeline stages, clustering metrics, the spectral baseline, and experiment orchestration.
+"""Pipeline stages, clustering metrics, the spectral baseline, experiment orchestration and the run report.
 
 The CLI subcommands and ``run_experiment`` share the stages ``synthesize``,
-``describe`` and ``cluster``.
+``describe`` and ``cluster``, and one run report: ``run_report`` reads
+either pipeline's run directory into one layout and ``render_report``
+prints it.
 
 Clustering error (CE) is one minus the accuracy of the best injective
 cluster-to-class matching on the contingency table.  NMI normalizes
@@ -25,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import make_dir, write_json, write_text
+from .ioutil import make_dir, read_json, write_json, write_text
 from .kernels import (
     DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
 )
@@ -44,6 +46,9 @@ BENCHMARK_REFERENCE = {
     "ce_percent": {"words": 12.31, "squat": 0.0, "cmu": 9.28, "cricket": 0.0},
     "nmi": {"words": 0.89, "squat": 1.0, "cmu": 0.92, "cricket": 1.0},
 }
+
+# What every run report holds besides its stages' outputs
+_REPORT_BASE = {"version": __version__, "benchmark_reference": BENCHMARK_REFERENCE}
 
 
 @dataclass(frozen=True)
@@ -256,8 +261,7 @@ def run_experiment(config: dict, out_dir) -> dict:
         )
         spectral = score_clustering(spectral_pred, truth)
 
-    report = {
-        "version": __version__,
+    report = _REPORT_BASE | {
         "config": config,
         "loss_trace": [float(x) for x in result.loss_trace],
         "dra_mean": float(np.mean([r.report.dra for r in described])),
@@ -266,7 +270,6 @@ def run_experiment(config: dict, out_dir) -> dict:
             "incremental": {"ce": ours.ce, "nmi": ours.nmi, "clusters": len(set(pred.values()))},
             "spectral_baseline": {"ce": spectral.ce, "nmi": spectral.nmi},
         },
-        "benchmark_reference": BENCHMARK_REFERENCE,
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
     }
     write_json(out_dir / "score.json", report)
@@ -275,23 +278,85 @@ def run_experiment(config: dict, out_dir) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """Plain-text rendering of a run report."""
-    lines = []
-    lines.append(f"mkdmts run report (version {report['version']})")
-    trace = report["loss_trace"]
-    lines.append(f"training loss: {trace[0]:.4f} -> {trace[-1]:.4f} over {len(trace) - 1} iterations")
-    lines.append(f"mean DRA over unseen sequences: {100 * report['dra_mean']:.1f}%")
-    inc = report["clustering"]["incremental"]
-    spec = report["clustering"]["spectral_baseline"]
-    lines.append(f"incremental clustering: CE {100 * inc['ce']:.2f}%  NMI {inc['nmi']:.3f}  ({inc['clusters']} clusters)")
-    lines.append(f"spectral baseline:      CE {100 * spec['ce']:.2f}%  NMI {spec['nmi']:.3f}")
-    lines.append("")
-    lines.append("published benchmark context (not reproduced here):")
+    """Plain-text rendering of a run report (``run_report``'s layout); a stage without output reads "not run"."""
+
+    def stage(label: str, part, text) -> str:
+        return f"{label.rstrip()} not run" if part is None else label + text(part)
+
+    lines = [
+        f"mkdmts run report (version {report['version']})",
+        stage("training loss: ", report.get("loss_trace"),
+              lambda t: f"{t[0]:.4f} -> {t[-1]:.4f} over {len(t) - 1} iterations"),
+        stage("mean DRA over unseen sequences: ", report.get("dra_mean"), lambda dra: f"{100 * dra:.1f}%"),
+        stage("incremental clustering: ", report.get("clustering", {}).get("incremental"),
+              lambda c: f"CE {100 * c['ce']:.2f}%  NMI {c['nmi']:.3f}  ({c['clusters']} clusters)"),
+        stage("spectral baseline:      ", report.get("clustering", {}).get("spectral_baseline"),
+              lambda c: f"CE {100 * c['ce']:.2f}%  NMI {c['nmi']:.3f}"),
+        "",
+        "published benchmark context (not reproduced here):",
+    ]
     ref = report["benchmark_reference"]
-    for name in ("cricket", "cmu", "words", "squat"):
-        lines.append(
-            f"  {name:8s} DRA {ref['dra_percent'][name]:5.1f}%  CE {ref['ce_percent'][name]:5.2f}%  NMI {ref['nmi'][name]:.2f}"
-        )
-    lines.append("")
-    lines.append("timings (s): " + ", ".join(f"{k}={v}" for k, v in report["timings_sec"].items()))
+    lines += [f"  {name:8s} DRA {ref['dra_percent'][name]:5.1f}%  CE {ref['ce_percent'][name]:5.2f}%  "
+              f"NMI {ref['nmi'][name]:.2f}" for name in ("cricket", "cmu", "words", "squat")]
+    if "timings_sec" in report:
+        lines += ["", "timings (s): " + ", ".join(f"{k}={v}" for k, v in report["timings_sec"].items())]
     return "\n".join(lines) + "\n"
+
+
+def _part(path: Path, extract) -> dict:
+    """The report entries that ``extract`` takes from the JSON in ``path``.
+
+    They are checked by rendering them, so content that cannot be taken or
+    rendered is a DataError that names ``path``.
+    """
+    try:
+        part = extract(read_json(path))
+        render_report(_REPORT_BASE | part)
+        return part
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: cannot render ({type(exc).__name__}: {exc})") from None
+
+
+def _score_part(score) -> dict:
+    """A ``run_experiment`` report as it is, else the clustering entries of ``eval``'s score."""
+    return score if "version" in score else {
+        "clustering": {"incremental": {"ce": score["ce"], "nmi": score["nmi"], "clusters": score["num_clusters"]}}}
+
+
+def _dra_part(enc_dir: Path, index) -> dict:
+    """The mean DRA over the sequences that ``encode``'s index lists."""
+    dras = [_part(enc_dir / f"{sid}.report.json", lambda r: {"dra_mean": r["dra"]})["dra_mean"] for sid in index["ids"]]
+    if not dras:
+        raise ValueError("lists no encoded sequences")
+    return {"dra_mean": float(np.mean(dras))}
+
+
+def run_report(run_dir) -> dict:
+    """The run report of ``run_dir``, in ``run_experiment``'s layout.
+
+    Each part is found by its content in ``run_dir`` or one of its
+    subdirectories, and taken from the first that holds it (``run_dir``
+    first, then the subdirectories by name).  A ``score.json`` that is a
+    ``run_experiment`` report (it has a ``version``) holds every part, so
+    the report of such a run is its ``score.json``.  For a CLI run, the
+    loss trace comes from the ``meta.json`` that carries one (the model's,
+    not the kernel cache's), the mean DRA from the directory with an
+    ``index.json`` (``encode``'s), and CE, NMI and the cluster count from
+    ``eval``'s ``score.json``.  A stage with no output is left out, and
+    ``render_report`` prints it as not run.  A directory that cannot be
+    listed or holds no part, and a part that cannot be rendered, is a
+    DataError.
+    """
+    run_dir, report = Path(run_dir), {}
+    try:
+        dirs = [run_dir, *sorted(p for p in run_dir.iterdir() if p.is_dir())]
+    except OSError as exc:
+        raise DataError(f"{run_dir}: cannot list run directory ({exc.strerror or exc})") from None
+    for d in dirs:
+        for name, extract in (("score.json", _score_part), ("index.json", lambda index: _dra_part(d, index)),
+                              ("meta.json", lambda meta: {"loss_trace": meta["loss_trace"]} if "loss_trace" in meta else {})):
+            if (d / name).is_file():
+                report = _part(d / name, extract) | report
+    if not report:
+        raise DataError(f"{run_dir}: holds no run output")
+    return _REPORT_BASE | report

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, write_json
+from .ioutil import check_int, check_number, write_json
 
 _SPLIT_ITERS = 50
 
@@ -54,17 +54,12 @@ class ClusterConfig:
     dup_eps: float = 1e-3
 
     def __post_init__(self):
-        if not (0.0 < self.k_clust <= 1.0):
-            raise ValueError("k_clust must be in (0, 1]")
-        if not (0.0 < self.k_rmv <= 1.0):
-            raise ValueError("k_rmv must be in (0, 1]")
+        for name, high in (("k_clust", 1.0), ("k_rmv", 1.0), ("gamma", np.inf)):
+            check_number(name, getattr(self, name), high)
         if self.k_rmv > self.k_clust:
             raise ValueError("k_rmv must not exceed k_clust")
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
         check_int("split_min", self.split_min, 2)
-        if not 0.0 <= self.dup_eps < np.inf:
-            raise ValueError("dup_eps must be non-negative and finite")
+        check_number("dup_eps", self.dup_eps, positive=False)
 
 
 @dataclass

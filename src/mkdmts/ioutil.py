@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -97,12 +97,23 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def check_int(name: str, value, minimum: int, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is an integer (``is_integer``) of at least ``minimum``."""
+def check_int(name: str, value, minimum: int, error: type[Exception] = ValueError):
+    """``value``; raise ``error`` unless it is an integer (``is_integer``) of at least ``minimum``."""
     if not is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise error(f"{name} must be at least {minimum}")
+    return value
+
+
+def check_number(name: str, value, high: float = np.inf, *, positive: bool = True,
+                 error: type[Exception] = ValueError) -> float:
+    """``value`` as a float; raise ``error`` unless it is a finite real number, not a bool, that is
+    positive (non-negative with ``positive=False``) and at most ``high``."""
+    if not (isinstance(value, Real) and not isinstance(value, bool) and np.isfinite(value)
+            and (value > 0 if positive else value >= 0) and value <= high):
+        raise error(f"{name} must be in {'(' if positive else '['}0, {high:g}{']' if high < np.inf else ')'}, got {value!r}")
+    return float(value)
 
 
 def read_json(path: str | Path):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, check_number, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
@@ -212,15 +212,14 @@ def psd_repair(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def check_bandwidth(bandwidth) -> float | str:
-    """"median", or the fixed bandwidth as a float, which must be positive and finite (a bool is not)."""
+    """"median", or the fixed bandwidth as a float, which must be a positive, finite number
+    (``check_number``); a string other than "median", such as the command line's, is parsed first."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return bandwidth
     try:
-        if not isinstance(bandwidth, (bool, np.bool_)) and 0.0 < float(bandwidth) < np.inf:
-            return float(bandwidth)
-    except (TypeError, ValueError):
-        pass
-    raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
+        return check_number("bandwidth", float(bandwidth) if isinstance(bandwidth, str) else bandwidth)
+    except ValueError:
+        raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}") from None
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
@@ -320,9 +319,7 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     if fmt != CACHE_FORMAT:
         raise DataError(f"{cache_dir}: unknown kernel cache format {fmt!r}")
     try:
-        n, dims = int(meta["n"]), int(meta["f"])
-        if dims < 1:
-            raise ValueError(f"f must be at least 1, got {dims}")
+        n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
         bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
         if not (bandwidths > 0.0).all():
             raise ValueError("bandwidths must be positive")

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, check_number, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
@@ -87,8 +87,7 @@ class TrainConfig:
         for name in ("k", "t_x", "t_a", "t_beta", "max_iters", "seed"):
             if getattr(self, name) is not None or name not in ("t_a", "t_beta"):
                 check_int(name, getattr(self, name), 0 if name == "seed" else 1)
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
+        check_number("tol", self.tol)
 
     def resolve(self, n: int, dims: int) -> "TrainConfig":
         t_a = self.t_a if self.t_a is not None else max(1, math.ceil(n / 10))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, content_hash, make_dir, read_text, remove_file, write_json, write_text
+from .ioutil import check_int, check_number, content_hash, make_dir, read_text, remove_file, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -229,8 +229,7 @@ class SynthConfig:
         for name, minimum in (("num_seen_classes", 2), ("num_unseen_classes", 1), ("dims", 2),
                               ("samples_per_class", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum, DataError)
-        if not 0.0 <= self.noise_std < np.inf:
-            raise DataError("noise_std must be non-negative and finite")
+        check_number("noise_std", self.noise_std, positive=False, error=DataError)
         if not isinstance(self.length_range, (list, tuple)) or len(self.length_range) != 2:
             raise DataError(f"length_range must be two integers, got {self.length_range!r}")
         check_int("length_range[0]", self.length_range[0], 8, DataError)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ioutil import check_number
 from .kernels import CrossKernel, KernelSet
 from .mkd import Dictionary, clamp_residual, residuals, sparse_codes
 
@@ -22,13 +23,8 @@ DEFAULT_THRESHOLD = 0.1
 
 
 def check_threshold(threshold) -> float:
-    """The error threshold as a float, which must be non-negative and finite (a bool is not)."""
-    try:
-        if not isinstance(threshold, (bool, np.bool_)) and 0.0 <= float(threshold) < np.inf:
-            return float(threshold)
-    except (TypeError, ValueError):
-        pass
-    raise DataError(f"threshold must be non-negative and finite, got {threshold!r}")
+    """The error threshold as a float, which must be a non-negative, finite number (``check_number``)."""
+    return check_number("threshold", threshold, positive=False, error=DataError)
 
 
 @dataclass(frozen=True)

@@ -123,10 +123,12 @@ def test_bad_bandwidth_is_usage_error(tmp_path):
 
 
 def test_report_renders_eval_directory(tmp_path, capsys):
-    (tmp_path / "eval.json").write_text(json.dumps({"ce": 0.25, "nmi": 0.5}))
+    (tmp_path / "score.json").write_text(json.dumps({
+        "ce": 0.25, "nmi": 0.5, "num_clusters": 2, "num_classes": 2, "contingency": [[3, 1], [1, 3]],
+        "nmi_normalization": "sqrt", "tool_version": "0.1.0"}))
     assert _run(["report", "--run", tmp_path]) == 0
     out = capsys.readouterr().out
-    assert "CE 25.00%" in out and "NMI 0.5000" in out
+    assert "CE 25.00%" in out and "NMI 0.500" in out
 
 
 def test_train_with_tune_grid(tmp_path):
@@ -160,6 +162,86 @@ def test_report_renders_experiment_directory(tmp_path, capsys):
     assert _run(["report", "--run", tmp_path]) == 0
     out = capsys.readouterr().out
     assert "training loss" in out and "incremental clustering" in out
+
+
+def test_report_after_the_quick_start_pipeline(tmp_path, capsys):
+    from mkdmts.evalx import run_experiment, run_report
+
+    run, data = tmp_path / "run", tmp_path / "run" / "data"
+    assert _run(SYNTH_ARGS + ["--out", data]) == 0
+    assert _run(["kernels", "--manifest", data / "seen.jsonl", "--out", run / "kernels", "--bandwidth", 20]) == 0
+    assert _run(["train", "--manifest", data / "seen.jsonl", "--kernels", run / "kernels", "--k", 8, "--tx", 2,
+                 "--ta", 2, "--tbeta", 1, "--iters", 6, "--tol", "1e-6", "--seed", 7, "--out", run / "model"]) == 0
+    assert _run(_encode_args(data, run / "kernels", run / "model", run / "enc")) == 0
+    assert _run(["cluster", "--enc", run / "enc", "--order", "shuffle:7", "--out", run / "tree.json"]) == 0
+    assert _run(["eval", "--tree", run / "tree.json", "--truth", data / "unseen.jsonl", "--out", run / "score.json"]) == 0
+    capsys.readouterr()
+    assert _run(["report", "--run", run]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    # run_experiment with the same seeds: the CLI report shows the same numbers, the spectral baseline aside
+    experiment = run_experiment({
+        "synth": {"seed": 7, "samples_per_class": 5, "length_range": (30, 40), "noise_std": 0.05},
+        "bandwidth": 20.0,
+        "train": {"k": 8, "t_x": 2, "t_a": 2, "t_beta": 1, "max_iters": 6, "tol": 1e-6, "seed": 7},
+        "cluster": {"order_seed": 7},
+    }, tmp_path / "experiment")
+    text = (tmp_path / "experiment" / "report.txt").read_text()
+    assert lines[1].startswith("training loss: ") and lines[2].startswith("mean DRA over unseen sequences: ")
+    assert lines[3].startswith("incremental clustering: CE ") and " NMI " in lines[3]
+    assert lines[:4] == text.splitlines()[:4]
+    assert lines[4] == "spectral baseline: not run"
+    cli_report = run_report(run)
+    assert cli_report["loss_trace"] == experiment["loss_trace"] and cli_report["dra_mean"] == experiment["dra_mean"]
+    assert cli_report["clustering"] == {"incremental": experiment["clustering"]["incremental"]}
+    # a run_experiment directory's report is its score.json, and report prints the run's own
+    # report.txt, with the timings in score.json's (sorted) key order
+    assert run_report(tmp_path / "experiment") == read_json(tmp_path / "experiment" / "score.json")
+    assert _run(["report", "--run", tmp_path / "experiment"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    timings = lambda line: sorted(line.removeprefix("timings (s): ").split(", "))
+    assert out[:-1] == text.splitlines()[:-1] and timings(out[-1]) == timings(text.splitlines()[-1])
+
+
+def test_report_prints_stages_without_output_as_not_run(trained, capsys):
+    data, _, _ = trained
+    capsys.readouterr()
+    assert _run(["report", "--run", data.parent]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("training loss: ") and not lines[1].endswith("not run")
+    assert lines[2:5] == ["mean DRA over unseen sequences: not run", "incremental clustering: not run",
+                          "spectral baseline: not run"]
+
+
+@pytest.mark.parametrize("setup", ["missing", "empty", "kernel_cache_only"])
+def test_report_without_run_output_is_data_error(tmp_path, capsys, setup):
+    run = tmp_path / "run"
+    if setup != "missing":
+        run.mkdir()
+    if setup == "kernel_cache_only":
+        (run / "kernels").mkdir()
+        (run / "kernels" / "meta.json").write_text(json.dumps({"format": 1, "n": 2, "f": 1}))
+    assert _run(["report", "--run", run]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "data error: ")
+    assert len(captured.err.splitlines()) == 1 and not captured.out
+
+
+@pytest.mark.parametrize("files,named", [
+    ({"model/meta.json": {"loss_trace": []}}, "meta.json"),
+    ({"model/meta.json": {"loss_trace": ["high"]}}, "meta.json"),
+    ({"enc/index.json": {"ids": []}}, "index.json"),
+    ({"enc/index.json": {"ids": ["a"]}, "enc/a.report.json": {"id": "a"}}, "a.report.json"),
+    ({"score.json": {"ce": "low", "nmi": 0.5, "num_clusters": 2}}, "score.json"),
+], ids=["empty_loss_trace", "loss_trace_of_strings", "index_without_ids", "report_without_dra", "ce_not_a_number"])
+def test_report_on_malformed_stage_output_is_data_error(tmp_path, capsys, files, named):
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(json.dumps(content))
+    assert _run(["report", "--run", tmp_path]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert named in err
 
 
 def _write_encodings(enc, ids, rng_seed=0):
@@ -393,7 +475,9 @@ def test_config_integer_for_a_float_flag_is_that_float(tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "model_meta_without_hash",
-                                   "model_meta_not_an_object", "kernel_meta_f_zero", "kernel_meta_bandwidths_null"])
+                                   "model_meta_not_an_object", "kernel_meta_f_zero", "kernel_meta_bandwidths_null",
+                                   "kernel_meta_f_float", "kernel_meta_f_bool", "kernel_meta_n_string",
+                                   "kernel_meta_n_float"])
 def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault):
     import shutil
 
@@ -407,11 +491,24 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
         (tmp_path / "t.json").write_text(json.dumps({"roots": [{"id": 0, "children": []}]}))
         args = ["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl", "--out", tmp_path / "s.json"]
         expected = "malformed serialized tree"
-    elif fault.startswith("kernel_meta"):
+    elif fault in ("kernel_meta_f_zero", "kernel_meta_bandwidths_null"):
         shutil.copytree(kern, tmp_path / "kern")
         change = {"f": 0} if fault == "kernel_meta_f_zero" else {"bandwidths": None}
         (tmp_path / "kern" / "meta.json").write_text(json.dumps(read_json(kern / "meta.json") | change))
         args = _encode_args(data, tmp_path / "kern", model, tmp_path / "enc")
+        expected = "malformed kernel cache metadata"
+    elif fault.startswith("kernel_meta"):
+        # n and f that are not JSON integers, though int() reads them as counts of this n x 2 cache (f = true, with
+        # one-entry lists, as 1 dimension)
+        shutil.copytree(kern, tmp_path / "kern")
+        meta = read_json(kern / "meta.json")
+        change = {"kernel_meta_f_float": {"f": 2.9}, "kernel_meta_n_string": {"n": str(meta["n"])},
+                  "kernel_meta_n_float": {"n": meta["n"] + 0.5},
+                  "kernel_meta_f_bool": {"f": True, "bandwidths": meta["bandwidths"][:1],
+                                         "repair_shift": meta["repair_shift"][:1]}}[fault]
+        (tmp_path / "kern" / "meta.json").write_text(json.dumps(meta | change))
+        args = ["train", "--manifest", data / "seen.jsonl", "--kernels", tmp_path / "kern", "--k", 2, "--tbeta", 1,
+                "--iters", 1, "--out", tmp_path / "model"]
         expected = "malformed kernel cache metadata"
     else:
         shutil.copytree(model, tmp_path / "model")
@@ -527,7 +624,7 @@ def test_manifest_field_of_wrong_type_is_data_error(trained, tmp_path, capsys, c
     assert not (tmp_path / "k").exists()
 
 
-@pytest.mark.parametrize("name,content", [("score.json", [1]), ("eval.json", {"nmi": 0.5})],
+@pytest.mark.parametrize("name,content", [("score.json", [1]), ("score.json", {"nmi": 0.5})],
                          ids=["score_not_an_object", "eval_without_ce"])
 def test_report_on_malformed_run_record_is_data_error(tmp_path, capsys, name, content):
     (tmp_path / name).write_text(json.dumps(content))

@@ -235,6 +235,12 @@ def test_tree_bytes_pinned_over_seeded_streams():
     assert digest.hexdigest() == _PINNED_TREES_SHA256
 
 
+@pytest.mark.parametrize("field", ["k_clust", "k_rmv", "gamma", "dup_eps"])
+def test_config_rejects_a_bool_in_a_float_field(field):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ClusterConfig(**{field: True})
+
+
 @pytest.mark.parametrize("value", [6.5, 6.0, True])
 def test_config_rejects_non_integer_split_min(value):
     with pytest.raises(ValueError, match="split_min must be an integer"):

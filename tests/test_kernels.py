@@ -345,6 +345,10 @@ _META_DAMAGE = {
     "bandwidths_scalar": {"bandwidths": 40.0}, "bandwidths_short": {"bandwidths": [40.0]},
     "bandwidths_zero": {"bandwidths": [0.0, 40.0]}, "repair_shift_null": {"repair_shift": None},
     "repair_shift_long": {"repair_shift": [0.0, 0.0, 0.0]},
+    # n and f that are not JSON integers, though int() reads them as counts of this 8 x 2 cache (f = true, with
+    # one-entry lists, as 1 dimension)
+    "f_float": {"f": 2.9}, "f_bool": {"f": True, "bandwidths": [1.0], "repair_shift": [10.0]},
+    "n_string": {"n": "8"}, "n_float": {"n": 8.5},
 }
 
 

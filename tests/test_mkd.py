@@ -392,6 +392,12 @@ def test_train_config_rejects_bad_integers(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_train_config_rejects_a_tol_that_is_not_a_number(value):
+    with pytest.raises(ValueError, match="tol must be"):
+        TrainConfig(tol=value)
+
+
 def test_train_config_takes_numpy_integers():
     cfg = TrainConfig(k=np.int64(3), t_x=np.int32(2), t_a=np.int64(2), seed=np.uint8(4))
     assert (cfg.k, cfg.t_x, cfg.t_a, cfg.seed) == (3, 2, 2, 4)

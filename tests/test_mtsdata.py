@@ -232,6 +232,11 @@ def test_synth_config_rejects_bad_integers(field, value):
         SynthConfig(**{field: value})
 
 
+def test_synth_config_rejects_a_bool_noise_std():
+    with pytest.raises(DataError, match="noise_std must be"):
+        SynthConfig(noise_std=True)
+
+
 def test_synth_config_takes_numpy_integers_and_a_length_list():
     cfg = SynthConfig(num_seen_classes=np.int64(3), samples_per_class=np.int32(2), length_range=[20, np.int64(30)])
     assert cfg.num_seen_classes == 3 and list(cfg.length_range) == [20, 30]
