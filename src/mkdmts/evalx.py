@@ -6,10 +6,11 @@ either pipeline's run directory into one layout and ``render_report``
 prints it.
 
 Clustering error (CE) is one minus the accuracy of the best injective
-cluster-to-class matching on the contingency table.  NMI normalizes
+cluster-to-class matching on the contingency table, found exactly by the
+Hungarian method (Kuhn 1955) with integer potentials.  NMI normalizes
 mutual information by the square root of the two partition entropies
-(natural logarithm).  The spectral baseline clusters the unseen set
-directly on its averaged per-dimension Gaussian-of-DTW affinities.
+(natural logarithm).  The spectral baseline runs a seeded k-means++ on
+the unseen set's averaged per-dimension Gaussian-of-DTW affinities.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
-from scipy.optimize import linear_sum_assignment
 
 from . import __version__
 from .errors import DataError, NumericalError
@@ -46,6 +45,9 @@ BENCHMARK_REFERENCE = {
     "ce_percent": {"words": 12.31, "squat": 0.0, "cmu": 9.28, "cricket": 0.0},
     "nmi": {"words": 0.89, "squat": 1.0, "cmu": 0.92, "cricket": 1.0},
 }
+
+# run_experiment's stages in the order they run, which is the order of a report's timings
+_STAGES = ("synth", "kernels", "train", "encode", "cluster", "score")
 
 # What every run report holds besides its stages' outputs
 _REPORT_BASE = {"version": __version__, "benchmark_reference": BENCHMARK_REFERENCE}
@@ -76,11 +78,43 @@ def contingency_table(pred: dict[str, int], truth: dict[str, int]) -> np.ndarray
     return table
 
 
+def _max_matching(table: np.ndarray) -> int:
+    """Largest total of an injective row-to-column matching: the Hungarian method with integer potentials.
+
+    It minimizes the negated table, transposed if needed so that rows <= columns and every row is matched.
+    """
+    cost = (table if table.shape[0] <= table.shape[1] else table.T).tolist()
+    n, m = sorted(table.shape)
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner = [0] * (m + 1)  # owner[j]: the 1-based row matched to column j (0: none); column 0 is the root
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, way, done = [np.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while owner[j0]:  # grow a shortest augmenting path from row i until it reaches a free column
+            done[j0], i0, delta, j1 = True, owner[j0], np.inf, 0
+            for j in range(1, m + 1):
+                if not done[j]:
+                    reduced = -cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the path's matched and unmatched edges
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    return sum(cost[owner[j] - 1][j - 1] for j in range(1, m + 1) if owner[j])
+
+
 def clustering_error(pred: dict[str, int], truth: dict[str, int]) -> float:
     """1 - accuracy of the optimal injective cluster-to-class matching."""
     table = contingency_table(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return 1.0 - table[rows, cols].sum() / table.sum()
+    return 1.0 - _max_matching(table) / table.sum()
 
 
 def nmi(pred: dict[str, int], truth: dict[str, int]) -> float:
@@ -107,6 +141,37 @@ def score_clustering(pred: dict[str, int], truth: dict[str, int]) -> ClusterScor
         nmi=nmi(pred, truth),
         contingency=contingency_table(pred, truth),
     )
+
+
+def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded k-means++ (Arthur and Vassilvitskii 2007): of 8 starts from one generator, the lowest inertia wins."""
+    rng, n = np.random.default_rng(seed), len(points)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(8):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[int(rng.integers(n))]
+        closest = ((points - centers[0]) ** 2).sum(1)
+        for j in range(1, k):
+            total = closest.sum()
+            if total <= 0:
+                centers[j] = points[int(rng.integers(n))]
+                continue
+            centers[j] = points[int(rng.choice(n, p=closest / total))]
+            closest = np.minimum(closest, ((points - centers[j]) ** 2).sum(1))
+        labels = None
+        for _ in range(100):
+            new_labels = np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for j in range(k):
+                mask = labels == j
+                if mask.any():
+                    centers[j] = points[mask].mean(0)
+        inertia = float(((points - centers[labels]) ** 2).sum())
+        if inertia < best_inertia - 1e-12:
+            best_inertia, best_labels = inertia, labels
+    return best_labels
 
 
 def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int = 0) -> dict[str, int]:
@@ -137,14 +202,7 @@ def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int 
     basis = vecs[:, :num_clusters]
     norms = np.linalg.norm(basis, axis=1, keepdims=True)
     basis = basis / np.maximum(norms, 1e-300)
-    # k-means++ from 8 seeded starts; the lowest inertia wins, ties to the first start
-    rng = np.random.default_rng(seed)
-    best_inertia = np.inf
-    for _ in range(8):
-        centers, found = kmeans2(basis, num_clusters, minit="++", seed=rng)
-        inertia = float(((basis - centers[found]) ** 2).sum())
-        if inertia < best_inertia - 1e-12:
-            best_inertia, labels = inertia, found
+    labels = _kmeans(basis, num_clusters, seed)
     return {seq.id: int(labels[i]) for i, seq in enumerate(unseen.sequences)}
 
 
@@ -299,7 +357,8 @@ def render_report(report: dict) -> str:
     lines += [f"  {name:8s} DRA {ref['dra_percent'][name]:5.1f}%  CE {ref['ce_percent'][name]:5.2f}%  "
               f"NMI {ref['nmi'][name]:.2f}" for name in ("cricket", "cmu", "words", "squat")]
     if "timings_sec" in report:
-        lines += ["", "timings (s): " + ", ".join(f"{k}={v}" for k, v in report["timings_sec"].items())]
+        timings = sorted(report["timings_sec"].items(), key=lambda item: _STAGES.index(item[0]))
+        lines += ["", "timings (s): " + ", ".join(f"{k}={v}" for k, v in timings)]
     return "\n".join(lines) + "\n"
 
 

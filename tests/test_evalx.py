@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mkdmts
 from mkdmts.errors import DataError
 from mkdmts.evalx import (
+    _max_matching,
     clustering_error,
     contingency_table,
     nmi,
@@ -21,15 +27,17 @@ def _as_dicts(pred, truth):
     return dict(zip(ids, pred)), dict(zip(ids, truth))
 
 
-def ce_bruteforce(pred, truth):
-    """Independent oracle: enumerate every injective matching."""
-    table = contingency_table(pred, truth)
+def _brute_max_matching(table):
+    """Independent oracle: the largest total over every injective matching of the shorter side."""
+    if table.shape[0] > table.shape[1]:
+        table = table.T
     r, c = table.shape
-    if r <= c:
-        best = max(sum(table[i, p[i]] for i in range(r)) for p in permutations(range(c), r))
-    else:
-        best = max(sum(table[p[j], j] for j in range(c)) for p in permutations(range(r), c))
-    return 1.0 - best / table.sum()
+    return max(sum(int(table[i, p[i]]) for i in range(r)) for p in permutations(range(c), r))
+
+
+def ce_bruteforce(pred, truth):
+    table = contingency_table(pred, truth)
+    return 1.0 - _brute_max_matching(table) / table.sum()
 
 
 def test_ce_zero_for_relabeled_partition():
@@ -49,6 +57,41 @@ def test_ce_matches_bruteforce(rng):
         truth = rng.integers(0, int(rng.integers(1, 6)), size=n).tolist()
         p, t = _as_dicts(pred, truth)
         assert clustering_error(p, t) == pytest.approx(ce_bruteforce(p, t), abs=1e-12)
+
+
+def test_max_matching_equals_brute_force():
+    # 15 tables of each shape from 1x1 to 6x6, some rows and columns all zero: 540 tables
+    rng = np.random.default_rng(17)
+    for r in range(1, 7):
+        for c in range(1, 7):
+            for _ in range(15):
+                table = rng.integers(0, int(rng.choice([2, 5, 50])), size=(r, c))
+                table[rng.random(r) < 0.25] = 0
+                table[:, rng.random(c) < 0.25] = 0
+                got = _max_matching(table)
+                assert type(got) is int and got == _brute_max_matching(table), table
+
+
+def test_max_matching_beats_the_greedy_row_maximum():
+    # greedy takes row 0's maximum (3, column 0) and leaves row 1 only its 0: total 3
+    table = np.array([[3, 2], [3, 0]])
+    assert _max_matching(table) == 5 and _max_matching(table.T) == 5
+
+
+def test_ce_with_more_clusters_than_classes():
+    # contingency [[2, 0], [1, 0], [0, 3]]: clusters 0 and 2 match the two classes, cluster 1 is unmatched
+    pred, truth = _as_dicts([0, 0, 1, 2, 2, 2], [0, 0, 0, 1, 1, 1])
+    assert clustering_error(pred, truth) == 1.0 - 5 / 6
+
+
+def test_no_mkdmts_module_imports_scipy():
+    """A fresh interpreter that imports every mkdmts module loads no scipy module."""
+    code = ("import pkgutil, sys, mkdmts, mkdmts.cli, mkdmts.evalx\n"
+            "for module in pkgutil.iter_modules(mkdmts.__path__): __import__('mkdmts.' + module.name)\n"
+            "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mkdmts.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_ce_relabel_invariance(rng):
