@@ -63,6 +63,8 @@ class ClusterScore:
 def _aligned(pred: dict[str, int], truth: dict[str, int]):
     if set(pred) != set(truth):
         raise DataError("prediction and truth cover different id sets")
+    if not pred:
+        raise DataError("prediction and truth cover no ids")
     ids = sorted(pred)
     p = np.array([pred[i] for i in ids])
     t = np.array([truth[i] for i in ids])

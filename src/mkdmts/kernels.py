@@ -54,17 +54,51 @@ class KernelSet:
         return replace(self, kernels=[k[np.ix_(idx, idx)] for k in self.kernels], dataset_hash=dataset_hash)
 
 
-@dataclass(frozen=True)
 class CrossKernel:
-    """Kernel values between every seen sequence and one unseen sequence."""
+    """Kernel values between every seen sequence and one unseen sequence, per dimension.
 
-    cross: list[np.ndarray]
-    self_k: np.ndarray
-    dataset_hash: str
+    ``CrossKernel(cross=..., self_k=..., dataset_hash=...)`` holds explicit
+    values, one length-N vector per dimension.  ``cross_kernel`` returns one
+    whose values are computed on demand: ``values(need)`` runs DTW only on
+    the (dimension, row) pairs that the f x N mask ``need`` asks for and
+    that are not known yet, all in one ``dtw_many`` call, and keeps them.
+    Every value is the one the full computation gives, bit for bit.
+    """
+
+    def __init__(self, cross, self_k, dataset_hash: str):
+        self._values = np.array([np.asarray(c, dtype=np.float64) for c in cross])
+        self._known = np.ones(self._values.shape, dtype=bool)
+        self._pairs = None  # (seen, z, bandwidths) while some values are unknown
+        self.self_k = np.asarray(self_k, dtype=np.float64)
+        self.dataset_hash = dataset_hash
+
+    @classmethod
+    def _on_demand(cls, seen: Dataset, z: TimeSeries, bandwidths: np.ndarray) -> "CrossKernel":
+        """No value known yet; ``values`` computes those of ``z`` against ``seen`` as they are asked for."""
+        ck = cls(cross=np.zeros((seen.dims, len(seen))), self_k=np.ones(seen.dims), dataset_hash=seen.hash())
+        ck._known[:] = False
+        ck._pairs = (seen, z, bandwidths)
+        return ck
 
     @property
     def dims(self) -> int:
-        return len(self.cross)
+        return len(self._values)
+
+    @property
+    def cross(self) -> list[np.ndarray]:
+        """Every value, one length-N vector per dimension."""
+        return list(self.values(np.ones(self._values.shape, dtype=bool)))
+
+    def values(self, need: np.ndarray) -> np.ndarray:
+        """f x N values at the entries where ``need`` is True, and 0 elsewhere."""
+        missing = np.asarray(need, dtype=bool) & ~self._known
+        if missing.any():
+            seen, z, bandwidths = self._pairs
+            dims, rows = missing.nonzero()
+            dists = dtw_many([z.dim(l) for l in dims], [seen.sequences[i].dim(l) for l, i in zip(dims, rows)])
+            self._values[dims, rows] = np.exp(-dists / bandwidths[dims])
+            self._known |= missing
+        return np.where(need, self._values, 0.0)
 
 
 # Pairs per dtw_many wavefront are capped so that the reversed, zero-bordered
@@ -264,7 +298,11 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
 
 
 def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
-    """Kernel values of one unseen sequence against every seen sequence."""
+    """Kernel values of one unseen sequence against every seen sequence, computed on demand.
+
+    The inputs are checked here, a non-finite value included, but DTW runs
+    only for the values a caller asks for (``CrossKernel.values``).
+    """
     if z.dims != seen.dims:
         raise DataError(
             f"sequence {z.id!r} has {z.dims} dimensions, seen set has {seen.dims}"
@@ -272,16 +310,9 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     bandwidths = np.asarray(bandwidths, dtype=np.float64)
     if bandwidths.shape != (seen.dims,):
         raise DataError("bandwidth vector does not match the dimension count")
-    dists = dtw_many(
-        [z.dim(l) for l in range(seen.dims) for _ in seen.sequences],
-        [s.dim(l) for l in range(seen.dims) for s in seen.sequences],
-    ).reshape(seen.dims, len(seen))
-    cross = [np.exp(-dists[l] / bandwidths[l]) for l in range(seen.dims)]
-    return CrossKernel(
-        cross=cross,
-        self_k=np.ones(seen.dims),
-        dataset_hash=seen.hash(),
-    )
+    if not np.isfinite(np.concatenate([z.values, *(s.values for s in seen.sequences)], axis=1)).all():
+        raise ValueError("dtw: non-finite input")
+    return CrossKernel._on_demand(seen, z, bandwidths)
 
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:

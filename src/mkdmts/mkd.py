@@ -27,7 +27,7 @@ from .errors import DataError, NumericalError
 from .ioutil import check_int, check_number, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
-from .nqp import QuadProgram, diagonal_solve, nqp_solve, objective
+from .nqp import QuadProgram, diagonal_solve, nqp_solve, nqp_solve_columns, objective
 
 log = logging.getLogger(__name__)
 
@@ -164,20 +164,22 @@ def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
 
 
 def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
-    """k x M sparse non-negative codes of M embeddings, one greedy NQP per column.
+    """k x M sparse non-negative codes of M embeddings, from one ``nqp_solve_columns`` call.
 
     ``cross`` is as in ``atom_data_cross`` and ``ks`` holds the training
-    Grams the dictionary lives on.  Columns are independent problems; the
-    result does not depend on the order they are solved in.  Weights so
-    large that the atom Gram or cross terms overflow are a NumericalError.
+    Grams the dictionary lives on.  All columns share the atom Gram, so
+    while the supports of at most t_x atoms are few, each code is the exact
+    optimum over all of them, from one batched inverse of the Gram blocks.
+    A column's code does not depend on the other columns or their order.
+    Weights so large that the atom Gram or cross terms overflow are a
+    NumericalError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = atom_gram(d, ks)
         cvec = atom_data_cross(d, cross)
     if not (np.isfinite(gram).all() and np.isfinite(cvec).all()):
         raise NumericalError("atom Gram or atom-data cross values are not finite: dictionary weights too large")
-    limit = min(t_x, d.k)
-    return np.stack([nqp_solve(QuadProgram(gram, -c, limit)) for c in cvec.T], axis=1)
+    return nqp_solve_columns(gram, -cvec, min(t_x, d.k))
 
 
 def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:

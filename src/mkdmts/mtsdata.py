@@ -202,7 +202,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, name: str = "manifest") 
     records = []
     for seq in dataset.sequences:
         rel = f"{name}/{seq.id}.csv"
-        write_text(out_dir / rel, "".join(",".join(repr(float(x)) for x in col) + "\n" for col in seq.values.T))
+        write_text(out_dir / rel, "".join(",".join(map(repr, col)) + "\n" for col in seq.values.T.tolist()))
         rec = {"id": seq.id, "path": rel}
         if seq.label is not None:
             rec["label"] = int(seq.label)

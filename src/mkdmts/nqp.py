@@ -1,9 +1,13 @@
-"""Greedy non-negative sparse quadratic pursuit.
+"""Non-negative sparse quadratic programs: greedy pursuit and exact enumeration.
 
 Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
-for symmetric PSD H.  Support indices are admitted greedily; a round
-picks the candidate whose restricted problem, re-solved by cyclic
-coordinate descent, has the lowest objective.  Every candidate runs in
+for symmetric PSD H.  Many programs that share H and have few supports
+(codes: t_x of k atoms) are solved exactly, all columns at once, by
+``nqp_solve_columns``; the rest by greedy pursuit.
+
+In greedy pursuit (``nqp_solve``), support indices are admitted
+greedily; a round picks the candidate whose restricted problem, re-solved
+by cyclic coordinate descent, has the lowest objective.  Every candidate runs in
 two phases: a few sweeps each, then "bound, then finish".  A candidate
 still moving after its sweeps gets a Wolfe-dual lower bound on its
 restricted optimum, from one linear solve over all of its coordinates,
@@ -21,12 +25,13 @@ once per size per process; its source has O(s^2) lines, and compiling it
 costs about as much as 1000 sweeps at its size.
 
 Diagonal H separates and has a closed-form solver.  An exact oracle
-enumerating all supports is provided for testing.
+enumerating all supports one by one is provided for testing.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
@@ -38,6 +43,8 @@ _CD_TOL = 1e-10
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
+_EXACT_SUPPORTS = 1200  # most supports nqp_solve_columns enumerates: the one-column break-even with nqp_solve
+_EXACT_ELEMENTS = 1 << 18  # most values per supports x slots x columns array in nqp_solve_columns
 _SWEEPS_BEFORE_BOUND = 8  # sweeps every candidate of a round takes before the certificate
 _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
 _ROUND_MARGIN = 1e-9  # relative slack on batched objectives and bounds, far above their rounding
@@ -184,15 +191,15 @@ def _finish_row(s):
     return namespace["run"]
 
 
-def _solve_rows(a, b):
-    """Batched ``np.linalg.solve`` of a[r] u[r] = b[r]; a row whose matrix is singular comes back NaN."""
+def _blockwise(solve, a, *b):
+    """``solve`` (``np.linalg.solve`` or ``inv``) on a stack of blocks a[r] at once; a singular a[r] gives NaN."""
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return solve(a, *b)
     except np.linalg.LinAlgError:
-        u = np.full(b.shape, np.nan)
-        for r in range(len(b)):
+        u = np.full(b[0].shape if b else a.shape, np.nan)
+        for r in range(len(a)):
             with suppress(np.linalg.LinAlgError):
-                u[r] = np.linalg.solve(a[r], b[r])
+                u[r] = solve(a[r], *(x[r] for x in b))
         return u
 
 
@@ -214,7 +221,7 @@ def _dual_bounds(h, c, cols):
     s = cols.shape[1]
     hcc, cc = h[cols[:, :, None], cols[:, None, :]], c[cols]
     half_tau = 0.5 * _CERT_SHIFT * (1.0 + np.abs(cc).max(axis=1, keepdims=True))
-    u = _solve_rows(hcc, 2.0 * half_tau - cc)
+    u = _blockwise(np.linalg.solve, hcc, (2.0 * half_tau - cc)[:, :, None])[:, :, 0]
     ok = np.isfinite(u).all(axis=1)
     u[~ok] = 0.0
     hu = np.matmul(hcc, u[:, :, None])[:, :, 0]
@@ -379,6 +386,87 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
                 break
             best_obj, y, r = best
             support = cols[r].tolist()
+    y[np.abs(y) < 1e-15] = 0.0
+    return y
+
+
+@cache
+def _supports(n: int, limit: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Every support of 1 to ``limit`` of n indices as padded rows, and the row range of each size.
+
+    Rows run in order of size, then lexicographically.  A support of size
+    s fills its last limit - s slots with n + s, ..., n + limit - 1, which
+    index an identity block padded onto H and zeros padded onto c, so every
+    row is a limit x limit problem whose padded coordinates solve to zero
+    and add exact zeros to the objective.
+    """
+    rows, ranges = [], []
+    for size in range(1, min(limit, n) + 1):
+        lo = len(rows)
+        rows += [(*s, *range(n + size, n + limit)) for s in combinations(range(n), size)]
+        ranges.append((lo, len(rows)))
+    sets = np.array(rows, dtype=np.intp).reshape(-1, limit)
+    sets.flags.writeable = False
+    return sets, ranges
+
+
+def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
+    """Solutions of the M programs (H, c[:, m], limit) that share H; n x M.
+
+    While the supports of at most ``limit`` indices number at most
+    ``_EXACT_SUPPORTS``, every program gets its exact optimum: one batched
+    inverse of the blocks H_SS of all supports S serves every column, each
+    column solves H_SS y = -c_S on every support, and it keeps its lowest
+    objective with y_S >= 0.  Ties go to the first support, in order of
+    size and then lexicographically, and a larger support wins only if it
+    lowers the objective by more than 1e-12, the bar ``nqp_solve`` sets for
+    admitting an index.  A singular block costs only its own support: as in
+    ``nqp_oracle``, an optimum on it is also reached on a smaller support.
+    Coordinates with a vanishing diagonal never enter, as in ``nqp_solve``.
+    Past the inverse, a column's arithmetic is elementwise, so its result
+    does not depend on the other columns.  Above ``_EXACT_SUPPORTS`` each
+    column runs ``nqp_solve``.
+    """
+    h, c = np.asarray(h, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    n, m = c.shape
+    if h.shape != (n, n) or not 1 <= limit <= n:
+        raise ValueError(f"need an {n} x {n} H and a sparsity limit from 1 to {n}")
+    usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
+    u = usable.size
+    y = np.zeros((n, m))
+    if sum(math.comb(u, s) for s in range(1, limit + 1)) > _EXACT_SUPPORTS:
+        for j in range(m):
+            y[:, j] = nqp_solve(QuadProgram(h, c[:, j], limit))
+        return y
+    if u == 0:
+        return y
+    sets, ranges = _supports(u, limit)
+    h_pad = np.eye(u + limit)
+    h_pad[:u, :u] = h[usable][:, usable]
+    h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
+    inv = _blockwise(np.linalg.inv, h_ss)
+    slots = range(limit)
+    step = max(1, _EXACT_ELEMENTS // (len(sets) * limit))
+    for lo in range(0, m, step):
+        c_pad = np.zeros((u + limit, min(step, m - lo)))
+        c_pad[:u] = c[usable, lo:lo + step]
+        c_s = c_pad[sets]
+        vals = -sum(inv[:, :, j, None] * c_s[:, None, j] for j in slots)
+        h_vals = sum(h_ss[:, :, j, None] * vals[:, None, j] for j in slots)
+        terms = vals * (0.5 * h_vals + c_s)
+        obj = sum(terms[:, j] for j in slots)
+        obj[~(vals >= 0.0).all(axis=1)] = np.inf  # infeasible, or NaN from a singular block
+        cols = np.arange(c_pad.shape[1])
+        best, pick = np.zeros(cols.size), np.full(cols.size, -1)
+        for first, end in ranges:
+            r = first + np.argmin(obj[first:end], axis=0)
+            low = obj[r, cols]
+            win = low < best - _MIN_DECREASE
+            best[win], pick[win] = low[win], r[win]
+        won = np.flatnonzero(pick >= 0)
+        y_pad = np.zeros(c_pad.shape)
+        y_pad[sets[pick[won]], won[:, None]] = vals[pick[won], :, won]
+        y[usable, lo:lo + step] = y_pad[:u]
     y[np.abs(y) < 1e-15] = 0.0
     return y
 

@@ -55,9 +55,15 @@ def _check_provenance(d: Dictionary, ck: CrossKernel) -> None:
         raise DataError("cross-kernel and dictionary come from different seen datasets")
 
 
-def _columns(ck: CrossKernel) -> list[np.ndarray]:
-    """The cross-kernel as one N x 1 column per dimension."""
-    return [c[:, None] for c in ck.cross]
+def _columns(d: Dictionary, ck: CrossKernel) -> list[np.ndarray]:
+    """The cross-kernel as one N x 1 column per dimension, on the rows the dictionary reads.
+
+    Dimension l is read only at the samples that some atom with B[l,t] > 0
+    draws on; every other entry is 0, and the code, residuals and encoding
+    multiply it by an exact zero, so they equal the full kernel's bit for bit.
+    """
+    need = (d.dim_weights > 0) @ (d.sample_weights > 0).T
+    return [c[:, None] for c in ck.values(need)]
 
 
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
@@ -65,14 +71,14 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     _check_provenance(d, ck)
     if ck.dims != d.dims:
         raise DataError("cross-kernel dimension count does not match the dictionary")
-    return sparse_codes(d, ks, _columns(ck), t_x)[:, 0]
+    return sparse_codes(d, ks, _columns(d, ck), t_x)[:, 0]
 
 
 def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray) -> np.ndarray:
     """Per-dimension residuals (length f) of one coded unseen sequence, unclamped."""
     _check_provenance(d, ck)
     codes = np.asarray(x, dtype=np.float64)[:, None]
-    return residuals(d, ks.kernels, _columns(ck), ck.self_k[:, None], codes)[:, 0]
+    return residuals(d, ks.kernels, _columns(d, ck), ck.self_k[:, None], codes)[:, 0]
 
 
 def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, dims) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from itertools import permutations
 from pathlib import Path
 
@@ -117,6 +118,15 @@ def test_ce_symmetry_when_counts_match(rng):
 def test_metrics_reject_id_mismatch():
     with pytest.raises(DataError, match="id sets"):
         clustering_error({"a": 0}, {"b": 0})
+
+
+@pytest.mark.parametrize("metric", [clustering_error, nmi, score_clustering])
+def test_metrics_reject_an_empty_id_set(metric):
+    # an empty contingency table has no CE (0 / 0) and no NMI; both are a DataError, not nan or 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no ids"):
+            metric({}, {})
 
 
 def test_nmi_identical_partitions():

@@ -262,12 +262,12 @@ def test_train_deterministic():
 @pytest.mark.parametrize("synth,bandwidth,cfg,expected", [
     (SynthConfig(seed=13, dims=3, samples_per_class=6, length_range=(60, 90)), 40.0,
      TrainConfig(k=8, t_x=2, t_a=4, t_beta=1, seed=13),
-     "0da8ae143bd22659ac67069d4d817070e0b9e810b4d1f70baef6cfea48056f05"),
+     "3f449139226984a8f4896ac977f6c0cbe17acac54327c9e80dbbedc4d787d29b"),
     # many_short's shape: the 5-coordinate sample-block rows
     (SynthConfig(seed=5, num_seen_classes=6, num_unseen_classes=2, dims=2, samples_per_class=6,
                  length_range=(10, 14)), 4.0,
      TrainConfig(k=10, t_x=2, t_a=5, t_beta=1, seed=5),
-     "c6383c74e38eee8e9e4ee8220f19b89ecbf1d45a566b25b9e592cbbabb2465ea"),
+     "b1c9ff2329c37f277b00516eb5593f65584a0058e32a6b05a83871ba908bce70"),
 ], ids=["long", "short"])
 def test_trainer_bytes_pinned(synth, bandwidth, cfg, expected):
     """A seeded train at benchmark shapes, pinned by one digest of its loss trace, A, B and codes."""

@@ -133,6 +133,17 @@ def test_save_load_round_trip(tmp_path):
         assert orig.label == loaded.label
 
 
+def test_saved_csv_text_pinned(tmp_path):
+    # one line per time step, one shortest round-trip repr per dimension
+    values = np.array([[0.1, -0.0, 1e-300, 2.0**53 + 1.0], [1.0, -2.5, 5e-324, 1.7976931348623157e308]])
+    save_dataset(Dataset([TimeSeries(id="a", values=values, label=0)], role="seen"), tmp_path, "pinned")
+    assert (tmp_path / "pinned" / "a.csv").read_text() == (
+        "0.1,1.0\n-0.0,-2.5\n1e-300,5e-324\n9007199254740992.0,1.7976931348623157e+308\n"
+    )
+    back = load_dataset(tmp_path / "pinned.jsonl", role="seen").sequences[0].values
+    assert back.tobytes() == values.tobytes()
+
+
 def test_interrupted_save_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     from mkdmts.ioutil import write_text
 

@@ -1,4 +1,6 @@
 import logging
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mkdmts.nqp import (
     QuadProgram,
     _CD_TOL,
     _DIAG_FLOOR,
+    _EXACT_SUPPORTS,
     _cd_rows,
     _coordinate_descent,
     _dual_bounds,
@@ -19,6 +22,7 @@ from mkdmts.nqp import (
     diagonal_solve,
     nqp_oracle,
     nqp_solve,
+    nqp_solve_columns,
     objective,
 )
 
@@ -380,3 +384,89 @@ def test_singular_block_costs_only_its_own_certificate(rng):
     alone = [_dual_bounds(h, c, cols[r:r + 1])[0] for r in (0, 2, 3)]
     assert np.isfinite(alone).all()
     np.testing.assert_array_equal(bounds[[0, 2, 3]], alone)
+
+
+def column_programs(rng, count=60):
+    """(H, C, limit) triples with n <= 12, limit <= 4 and 1-6 columns, some with vanishing or duplicate coordinates."""
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 13))
+        limit = int(min(rng.integers(1, 5), n))
+        w = rng.normal(size=(n, n + 2))
+        h = w @ w.T / (n + 2)
+        c = rng.normal(size=(n, int(rng.integers(1, 7))))
+        if i % 5 == 1:
+            j = int(rng.integers(n))
+            h[j, :] = h[:, j] = 0.0
+        if i % 5 == 2 and n > 2:
+            h[-1, :], c[-1] = h[0, :], c[0]
+            h[:, -1] = h[:, 0]
+        out.append((h, c, limit))
+    return out
+
+
+def test_columns_reach_the_oracle_optimum(rng):
+    for h, c, limit in column_programs(rng):
+        y = nqp_solve_columns(h, c, limit)
+        for j in range(c.shape[1]):
+            p = QuadProgram(h, c[:, j], limit)
+            best = objective(h, p.c, nqp_oracle(p))
+            got = objective(h, p.c, y[:, j])
+            assert (y[:, j] >= 0).all() and np.count_nonzero(y[:, j]) <= limit
+            assert abs(got - best) <= 1e-12 * max(1.0, abs(best))
+            assert got <= objective(h, p.c, nqp_solve(p)) + 1e-12 * max(1.0, abs(best))
+
+
+def test_columns_with_duplicate_atoms_pick_the_lowest_support(rng):
+    # coordinate 4 repeats coordinate 0, as two equal atoms do in an atom Gram: the block on {0, 4} is singular
+    w = rng.normal(size=(4, 6))
+    idx = [0, 1, 2, 3, 0]
+    h = (w @ w.T / 6)[np.ix_(idx, idx)]
+    c = -np.abs(rng.normal(size=(4, 5)))[idx]
+    c[0] -= 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = nqp_solve_columns(h, c, 2)
+    assert (y[0] > 0).all() and not y[4].any()
+    for j in range(c.shape[1]):
+        p = QuadProgram(h, c[:, j], 2)
+        best = objective(h, p.c, nqp_oracle(p))
+        assert objective(h, p.c, y[:, j]) == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+
+def test_columns_above_the_support_count_run_nqp_solve(rng):
+    n, limit = 16, 4
+    assert sum(math.comb(n, s) for s in range(1, limit + 1)) > _EXACT_SUPPORTS
+    w = rng.normal(size=(n, n + 2))
+    h = w @ w.T / (n + 2)
+    c = rng.normal(size=(n, 3))
+    y = nqp_solve_columns(h, c, limit)
+    for j in range(3):
+        expected = nqp_solve(QuadProgram(h, c[:, j], limit))
+        assert y[:, j].tobytes() == expected.tobytes()
+
+
+def test_columns_solved_together_equal_columns_solved_one_by_one(rng, monkeypatch):
+    # a small element budget also splits the batch into chunks of a few columns
+    monkeypatch.setattr("mkdmts.nqp._EXACT_ELEMENTS", 64)
+    for h, c, limit in column_programs(rng, count=30):
+        c = np.concatenate([c, rng.normal(size=(h.shape[0], 5))], axis=1)
+        y = nqp_solve_columns(h, c, limit)
+        for j in range(c.shape[1]):
+            assert y[:, j].tobytes() == nqp_solve_columns(h, c[:, j:j + 1], limit)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("h,c,limit,expected", [
+    # equal objectives: the first support wins
+    (np.eye(3), [-1.0, -1.0, -1.0], 1, [1.0, 0.0, 0.0]),
+    # {0, 1} lowers the objective by 5e-15 only, under the 1e-12 bar for a larger support
+    (np.eye(2), [-1.0, -1e-7], 2, [1.0, 0.0]),
+    # a vanishing diagonal never enters, however large its one-coordinate decrease would be
+    (np.diag([1.0, 1e-15]), [-1.0, -1.0], 2, [1.0, 0.0]),
+    # the optimum 5e-16 lowers the objective by 1.25e-12, but a value below 1e-15 is zeroed
+    (np.array([[1e19]]), [-5e3], 1, [0.0]),
+], ids=["tie", "bar", "vanishing", "tiny"])
+def test_columns_keep_nqp_solves_conventions(h, c, limit, expected):
+    c = np.array(c)
+    assert nqp_solve_columns(h, c[:, None], limit)[:, 0].tolist() == expected
+    assert nqp_solve(QuadProgram(h, c, limit)).tolist() == expected

@@ -10,9 +10,10 @@ from conftest import (
 )
 
 from mkdmts.errors import DataError
-from mkdmts.kernels import CrossKernel, build_kernelset, cross_kernel
+from mkdmts import kernels
+from mkdmts.kernels import CrossKernel, build_kernelset, cross_kernel, dtw_many
 from mkdmts.mkd import Dictionary, TrainConfig, train
-from mkdmts.mtsdata import SynthConfig, synth_dataset
+from mkdmts.mtsdata import SynthConfig, TimeSeries, synth_dataset
 from mkdmts.zeroshot import (
     encode,
     encoding_matrix,
@@ -206,3 +207,75 @@ def test_check_threshold_rejects_bools(value):
     with pytest.raises(DataError, match="threshold must be"):
         check_threshold(value)
     assert check_threshold(0) == 0.0
+
+
+def _support(d):
+    """Per dimension, the training samples that some atom using the dimension draws on."""
+    a, b = d.sample_weights, d.dim_weights
+    return [(a[:, b[l] > 0] > 0).any(axis=1) for l in range(d.dims)]
+
+
+def _count_dtw_pairs(monkeypatch):
+    calls = []
+
+    def counting(queries, references):
+        calls.append(len(queries))
+        return dtw_many(queries, references)
+
+    monkeypatch.setattr(kernels, "dtw_many", counting)
+    return calls
+
+
+def test_describe_through_the_lazy_kernel_equals_the_full_kernel():
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels = result.dictionary, seen.labels()
+    assert sum(s.sum() for s in _support(d)) < d.dims * d.n  # some values go unread
+    for z in unseen.sequences:
+        full = CrossKernel(
+            cross=[np.exp(-dtw_many([z.dim(l)] * len(seen), [s.dim(l) for s in seen.sequences]) / ks.bandwidths[l])
+                   for l in range(seen.dims)],
+            self_k=np.ones(seen.dims),
+            dataset_hash=seen.hash(),
+        )
+        lazy = cross_kernel(seen, z, ks.bandwidths)
+        x = encode(d, ks, lazy, 2)
+        assert x.tobytes() == encode(d, ks, full, 2).tobytes()
+        rep, ref = (reconstruction_report(d, ks, ck, x, labels) for ck in (lazy, full))
+        assert rep.per_dim_error.tobytes() == ref.per_dim_error.tobytes()
+        assert (rep.dra, rep.attribution) == (ref.dra, ref.attribution)
+        assert partial_error(d, ks, lazy, x, [0]) == partial_error(d, ks, full, x, [0])
+        # the full view computes the remaining values, equal to the explicit ones
+        for mine, theirs in zip(lazy.cross, full.cross):
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def test_describe_runs_dtw_once_on_the_support_only(monkeypatch):
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels = result.dictionary, seen.labels()
+    expected = sum(int(s.sum()) for s in _support(d))
+    calls = _count_dtw_pairs(monkeypatch)
+    for z in unseen.sequences:
+        calls.clear()
+        ck = cross_kernel(seen, z, ks.bandwidths)
+        x = encode(d, ks, ck, 2)
+        encoding_matrix(d, x, z.id)
+        reconstruction_report(d, ks, ck, x, labels)
+        assert calls == [expected]  # one dtw_many call; the report reuses the encode's values
+        ck.cross
+        assert calls == [expected, d.dims * d.n - expected]
+
+
+@pytest.mark.parametrize("where", ["query", "seen"])
+def test_non_finite_input_fails_in_cross_kernel(monkeypatch, where):
+    seen, unseen, _, ks, _ = _trained_synth(noise=0.1)
+    z = unseen.sequences[0]
+    calls = _count_dtw_pairs(monkeypatch)
+    for l in range(seen.dims):  # whether or not an atom uses the dimension
+        copy = seen.subset(range(len(seen)))
+        bad = TimeSeries(id="bad", values=(z if where == "query" else copy.sequences[3]).values.copy(), label=0)
+        bad.values[l, 5] = np.nan  # past TimeSeries' own check, as a caller mutating the array would
+        if where == "seen":
+            copy.sequences[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_kernel(copy, bad if where == "query" else z, ks.bandwidths)
+    assert calls == []  # the check runs before any DTW
