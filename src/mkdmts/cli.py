@@ -193,9 +193,11 @@ def _parse_order(spec: str | None) -> int | None:
         return None
     if spec.startswith("shuffle:"):
         try:
-            return int(spec.split(":", 1)[1])
+            seed = int(spec.split(":", 1)[1])
         except ValueError:
             pass
+        else:
+            return _checked(check_int, "order seed", seed, 0)
     raise UsageError(f"bad order {spec!r}; expected file or shuffle:SEED")
 
 

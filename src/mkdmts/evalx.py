@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import make_dir, read_json, write_json, write_text
+from .ioutil import check_int, make_dir, read_json, write_json, write_text
 from .kernels import (
     DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
 )
@@ -284,9 +284,11 @@ def run_experiment(config: dict, out_dir) -> dict:
 
     ``config`` holds field dicts for ``SynthConfig`` (``synth``),
     ``TrainConfig`` (``train``) and ``ClusterConfig`` plus ``order_seed``
-    (``cluster``), and optional ``bandwidth`` and ``threshold``; what it
-    leaves out takes the library defaults.  The spectral baseline needs at
-    least 2 unseen classes, so a config with one is rejected up front.
+    (``cluster``; an integer >= 0 seeds ``cluster``'s arrival order, None
+    keeps the given order, and it defaults to the synth seed), and optional
+    ``bandwidth`` and ``threshold``; what it leaves out takes the library
+    defaults.  The spectral baseline needs at least 2 unseen classes, so a
+    config with one is rejected up front.
     Every stage runs with seeds derived from the global seed so reruns are
     bit-identical.  Artifacts and the report land in ``out_dir``; the
     report dict is returned.
@@ -296,6 +298,10 @@ def run_experiment(config: dict, out_dir) -> dict:
     synth_cfg = SynthConfig(**config.get("synth", {}))
     if synth_cfg.num_unseen_classes < 2:
         raise DataError("run_experiment needs at least 2 unseen classes, for the spectral baseline's clusters")
+    cl_conf = dict(config.get("cluster", {}))
+    order_seed = cl_conf.pop("order_seed", synth_cfg.seed)
+    if order_seed is not None:
+        check_int("cluster.order_seed", order_seed, 0)
     out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
@@ -308,8 +314,6 @@ def run_experiment(config: dict, out_dir) -> dict:
     with _stage("encode", timings):
         described = describe(seen, ks, result.dictionary, unseen, train_cfg.t_x, threshold)
     with _stage("cluster", timings):
-        cl_conf = dict(config.get("cluster", {}))
-        order_seed = cl_conf.pop("order_seed", synth_cfg.seed)
         tree = cluster([(r.id, r.encoding.values) for r in described], ClusterConfig(**cl_conf), order_seed)
         tree.save(out_dir / "tree.json")
     with _stage("score", timings):

@@ -7,13 +7,14 @@ for symmetric PSD H.  Many programs that share H and have few supports
 
 In greedy pursuit (``nqp_solve``), support indices are admitted
 greedily; a round picks the candidate whose restricted problem, re-solved
-by cyclic coordinate descent, has the lowest objective.  Every candidate runs in
-two phases: a few sweeps each, then "bound, then finish".  A candidate
-still moving after its sweeps gets a Wolfe-dual lower bound on its
-restricted optimum, from one linear solve over all of its coordinates,
-and is ruled out when that bound is above an objective another candidate
-has already reached; the rest run on to the end.  The pick and its
-values are therefore those of solving every candidate to the end.
+by cyclic coordinate descent, has the lowest objective.  Certificate
+first: every candidate gets a Wolfe-dual lower bound on its restricted
+optimum, from one linear solve over its coordinates, before any sweep.
+Candidates then run to the end lowest bound first, and the round stops at
+the first bound above the lowest objective already reached (or the
+round's bar); that candidate and the rest are ruled out unswept.  The
+pick and its values are therefore those of solving every candidate to
+the end.
 
 The sweeps run in Python floats, in a straight-line kernel generated for
 each row size s (``_finish_row``): every value of the row lives in a
@@ -45,7 +46,6 @@ _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
 _EXACT_SUPPORTS = 1200  # most supports nqp_solve_columns enumerates: the one-column break-even with nqp_solve
 _EXACT_ELEMENTS = 1 << 18  # most values per supports x slots x columns array in nqp_solve_columns
-_SWEEPS_BEFORE_BOUND = 8  # sweeps every candidate of a round takes before the certificate
 _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
 _ROUND_MARGIN = 1e-9  # relative slack on batched objectives and bounds, far above their rounding
 
@@ -122,11 +122,11 @@ def _finish_row(s):
 
     The kernel is ``run(y, hy, neg_c, hjj, hdiv, hcol, tol, sweeps)``: it
     runs at most ``sweeps`` sweeps on one row of ``_cd_rows`` and returns
-    whether the row converged.  ``y`` and ``hy`` are the row's iterate and
-    H times it on its coordinates; ``neg_c``, ``hjj`` and ``hdiv`` are -c,
+    whether the row converged.  ``y`` and ``hy`` are the row's start and H
+    times it on its coordinates; ``neg_c``, ``hjj`` and ``hdiv`` are -c,
     diag(H) and the divisors there, and hcol[k][a] = H[cols[a], cols[k]].
-    All of them are lists of Python floats.  ``y`` and ``hy`` are written
-    back at the end, so a later call continues where this one stopped.
+    All of them are lists of Python floats.  The row's final iterate is
+    written back into ``y``.
 
     The source is straight-line: every value is unpacked into a local
     (y_k, g_k for Hy, n_k, d_k, v_k, and h_a_k for each matrix entry), and
@@ -183,7 +183,6 @@ def _finish_row(s):
         "            converged = True",
         "            break",
         f"    y[:] = {names('y')}",
-        f"    hy[:] = {names('g')}",
         "    return converged",
     ]
     namespace = {}
@@ -232,68 +231,52 @@ def _dual_bounds(h, c, cols):
     return np.where(ok, bound, -np.inf)
 
 
-def _cd_rows(h, c, cols, y0, bar=None, tol=_CD_TOL, max_iters=500):
-    """Run ``_coordinate_descent`` on many restricted problems; with ``bar``, rule out losers.
+def _cd_rows(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
+    """Run ``_coordinate_descent`` on the restricted problems that can beat ``bar``; NaN for the rest.
 
     Row r of the integer array ``cols`` (rows x s) is one problem: cyclic
     coordinate descent over the coordinates ``cols[r]``, in that order,
     started from ``y0``.  Row r ends bit-identical to
-    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``, or, when ``bar`` is
-    given, NaN if it provably is not the lowest restricted objective below
-    ``bar``.  Coordinates with a vanishing diagonal are never updated, so
-    ``y0`` must be zero on them, as every start ``nqp_solve`` uses is.  Rows
-    still moving after ``max_iters`` sweeps are logged.  Every row runs in
-    the kernel ``_finish_row(s)`` generated for its size, in two phases:
+    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``, or NaN if it
+    provably is not the lowest restricted objective below ``bar``.
+    Coordinates with a vanishing diagonal are never updated, so ``y0``
+    must be zero on them, as every start ``nqp_solve`` uses is.
 
-    1. Sweeps: each row takes up to ``_SWEEPS_BEFORE_BOUND`` sweeps.
-       Code-solve rounds converge within them.
-    2. Bound, then finish: with ``bar``, each row still moving gets a lower
-       bound on its restricted optimum from one solve over all of its
-       coordinates (``_dual_bounds``, which does not read the iterate).
-       The bound is also below the row's final objective, since every CD
-       iterate is feasible.  A row whose bound exceeds the best objective
-       reached so far, by a rounding margin, is ruled out.  "Reached so
-       far" covers converged rows, the moving rows' current iterates (CD
-       never raises a row's objective) and ``bar``.  The other rows run
-       on, lowest bound first, and the best objective tightens after each,
-       so a later row may still be ruled out.
+    Certificate first: every row gets a lower bound on its restricted
+    objective from one solve over all of its coordinates (``_dual_bounds``,
+    which does not read the iterate); it holds at every feasible point, so
+    also at the row's final iterate.  Rows then run lowest bound first,
+    each to convergence or ``max_iters`` sweeps in the kernel
+    ``_finish_row(s)`` generated for its size, and the best objective
+    reached, which starts at ``bar``, tightens after each by its
+    objective plus a rounding margin.  The first row whose bound is above
+    the best ends the pass; it and every row after it stay NaN.  Rows
+    still moving after ``max_iters`` sweeps are logged.
 
-    A ruled-out row ends above some other row's final objective or above
+    A ruled-out row ends above some finished row's objective or above
     ``bar``, so the lowest objective below ``bar``, ties to the first row,
     is the same row among the finished rows as among all of them.
     """
-    rows = len(cols)
+    bounds, best = _dual_bounds(h, c, cols), bar
     hjj = np.diagonal(h)
     # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
-    state = np.array((y0, h @ y0, -c, hjj, np.where(hjj > _DIAG_FLOOR, hjj, np.inf)))[:, cols].tolist()
-    # hcol[r][k][a] = H[cols[r, a], cols[r, k]]: column cols[r, k] of H on row r's coordinates
-    per_row = list(zip(*state, h[cols[:, None, :], cols[:, :, None]].tolist()))
+    state = np.array((y0, h @ y0, -c, hjj, np.where(hjj > _DIAG_FLOOR, hjj, np.inf)))
     finish = _finish_row(cols.shape[1])
-    live = [r for r in range(rows) if not finish(*per_row[r], tol, min(max_iters, _SWEEPS_BEFORE_BOUND))]
-    out = np.array(state[0])
+    out = np.full(cols.shape, np.nan)
     capped = 0
-    if live and max_iters <= _SWEEPS_BEFORE_BOUND:
-        capped = len(live)
-    elif live:
-        bounds, best = np.full(len(live), -np.inf), np.inf
-        if bar is not None:
-            approx, margin = _objectives(h, c, cols, out)
-            bounds, best = _dual_bounds(h, c, cols[live]), min(bar, approx.min() + margin)
-        ruled_out = 0
-        for i in np.argsort(bounds, kind="stable"):
-            r = live[i]
-            if bounds[i] > best:
-                out[r] = np.nan
-                ruled_out += 1
-                continue
-            capped += not finish(*per_row[r], tol, max_iters - _SWEEPS_BEFORE_BOUND)
-            out[r] = per_row[r][0]
-            obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
-            best = min(best, obj[0] + margin)
-        if bar is not None:
-            log.debug("%d of %d candidates certified out after %d sweeps", ruled_out, rows, _SWEEPS_BEFORE_BOUND)
+    for r in np.argsort(bounds, kind="stable"):
+        if bounds[r] > best:
+            break
+        idx = cols[r]
+        y, *rest = state[:, idx].tolist()
+        # hcol[k][a] = H[idx[a], idx[k]]: column idx[k] of H on the row's coordinates
+        capped += not finish(y, *rest, h[idx[None, :], idx[:, None]].tolist(), tol, max_iters)
+        out[r] = y
+        obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
+        best = min(best, obj[0] + margin)
+    log.debug("%d of %d candidates certified out", np.isnan(out[:, 0]).sum(), len(cols))
     if capped:
-        log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, rows, max_iters)
+        log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, len(cols), max_iters)
     return out
 
 
@@ -348,10 +331,10 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     position and then the lowest index, for at most 20 rounds.  All
     candidates of a round go to ``_cd_rows`` together, except in the first
     greedy round, whose one-coordinate problems have a closed form.
-    ``_cd_rows`` gives each a few sweeps, rules out with a dual bound the
-    ones still moving that cannot beat an objective already reached or the
-    round's bar, and finishes the others; the pick among the finished ones
-    is the pick among all.  The result is non-negative with at most
+    ``_cd_rows`` bounds each from below, finishes them lowest bound first,
+    and rules out unswept those whose bound is above an objective already
+    reached or the round's bar; the pick among the finished ones is the
+    pick among all.  The result is non-negative with at most
     ``limit`` nonzeros.
     """
     h, c, limit = p.h, p.c, p.limit

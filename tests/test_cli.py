@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mkdmts.cli import main
-from mkdmts.ioutil import read_json
+from mkdmts.ioutil import read_json, write_matrix
 
 
 SYNTH_ARGS = [
@@ -115,6 +115,20 @@ def test_bad_order_spec_is_usage_error(tmp_path):
     enc.mkdir()
     (enc / "index.json").write_text('{"ids": []}')
     assert _run(["cluster", "--enc", enc, "--order", "sideways", "--out", tmp_path / "t.json"]) == 1
+
+
+@pytest.mark.parametrize("order", ["shuffle:-1", "shuffle:1.5", "shuffle:"])
+def test_bad_order_seed_is_one_usage_line(tmp_path, capsys, order):
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    (enc / "index.json").write_text('{"ids": ["a", "b"]}')
+    for sid in ("a", "b"):
+        write_matrix(enc / f"{sid}.R.bin", [[1.0, 0.0], [0.0, 1.0]])
+    assert _run(["cluster", "--enc", enc, "--order", order, "--out", tmp_path / "t.json"]) == 1
+    _one_error_line(capsys.readouterr().err, "usage error: ")
+    assert not (tmp_path / "t.json").exists()
+    # the same encodings cluster under a good seed
+    assert _run(["cluster", "--enc", enc, "--order", "shuffle:0", "--out", tmp_path / "t.json"]) == 0
 
 
 def test_bad_bandwidth_is_usage_error(tmp_path):

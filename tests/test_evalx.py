@@ -312,6 +312,22 @@ def test_run_experiment_rejects_one_unseen_class_up_front(tmp_path):
     assert not (tmp_path / "run").exists()  # rejected before anything is synthesized or written
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "2", True])
+def test_run_experiment_rejects_bad_order_seed_up_front(tmp_path, seed):
+    from mkdmts.evalx import run_experiment
+
+    config = {
+        "synth": {"num_seen_classes": 2, "num_unseen_classes": 2, "length_range": (8, 10),
+                  "samples_per_class": 3, "seed": 5},
+        "bandwidth": 5.0,
+        "train": {"k": 2, "t_beta": 1, "max_iters": 2},
+        "cluster": {"order_seed": seed},
+    }
+    with pytest.raises(ValueError, match="cluster.order_seed"):
+        run_experiment(config, tmp_path / "run")
+    assert not (tmp_path / "run").exists()  # rejected before anything is synthesized or written
+
+
 def _canonical_partition(pred):
     """Sorted groups of sorted ids: the partition, free of label numbering."""
     groups = {}

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mkdmts import mkd
+from mkdmts import mkd, nqp
 from mkdmts.kernels import build_kernelset
 from mkdmts.mtsdata import SynthConfig, synth_dataset
 from mkdmts.nqp import (
@@ -18,7 +18,7 @@ from mkdmts.nqp import (
     _dual_bounds,
     _finish_row,
     _MIN_DECREASE,
-    _SWEEPS_BEFORE_BOUND,
+    _objectives,
     diagonal_solve,
     nqp_oracle,
     nqp_solve,
@@ -203,15 +203,31 @@ def test_lockstep_solver_equals_per_candidate_reference(refine_swaps):
         assert np.array_equal(np.signbit(y), np.signbit(ref))
 
 
-def _assert_rows_equal_reference(p, cols, y0, max_iters):
-    """``_cd_rows`` and the kernel of each row's size equal ``_coordinate_descent`` bit for bit, flag included."""
-    rows = _cd_rows(p.h, p.c, cols, y0, max_iters=max_iters)
+def _no_certificate(monkeypatch):
+    """Every bound -inf from here on, as for a singular block: ``_cd_rows`` then runs every row."""
+    monkeypatch.setattr(nqp, "_dual_bounds", lambda h, c, cols: np.full(len(cols), -np.inf))
+
+
+def _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch):
+    """``_cd_rows`` and the kernel of each row's size equal ``_coordinate_descent`` bit for bit, flag included.
+
+    With its bounds, ``_cd_rows`` runs some rows and leaves the rest NaN;
+    without a certificate it runs them all.
+    """
+    certified = _cd_rows(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
+    assert not np.isnan(certified).all()
+    with monkeypatch.context() as patch:
+        _no_certificate(patch)
+        rows = _cd_rows(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
     hjj = np.diagonal(p.h)
     hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
     for r, idx in enumerate(cols):
         ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
         assert np.array_equal(rows[r], ref)
         assert np.array_equal(np.signbit(rows[r]), np.signbit(ref))
+        if not np.isnan(certified[r]).all():
+            assert np.array_equal(certified[r], ref)
+            assert np.array_equal(np.signbit(certified[r]), np.signbit(ref))
         y = y0[idx].tolist()
         converged = _finish_row(len(idx))(y, (p.h @ y0)[idx].tolist(), (-p.c[idx]).tolist(), hjj[idx].tolist(),
                                           hdiv[idx].tolist(), p.h[np.ix_(idx, idx)].T.tolist(), _CD_TOL, max_iters)
@@ -230,8 +246,8 @@ def _vanishing_first(p, y0):
     return QuadProgram(h, p.c, p.limit)
 
 
-@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, _SWEEPS_BEFORE_BOUND, _SWEEPS_BEFORE_BOUND + 1, 500])
-def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 8, 9, 500])
+def test_lockstep_rows_equal_scalar_coordinate_descent(rng, monkeypatch, max_iters):
     # rows stop at different sweeps, some exactly at the cap
     for i, p in enumerate([random_program(rng, n_max=12, t_max=5) for _ in range(20)] + [
         ill_conditioned_program(rng, 5, 3)
@@ -242,7 +258,7 @@ def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
         y0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
         if i % 4 == 0:
             p = _vanishing_first(p, y0)
-        _assert_rows_equal_reference(p, cols, y0, max_iters)
+        _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch)
     # every row size up to 8, and 16, runs its own generated kernel
     for s in (*range(1, 9), 16):
         n = s + 2
@@ -253,7 +269,7 @@ def test_lockstep_rows_equal_scalar_coordinate_descent(rng, max_iters):
             p = _vanishing_first(p, y0)
         # the first row holds coordinate 0
         cols = np.array([rng.permutation(s)] + [rng.permutation(n)[:s] for _ in range(2)])
-        _assert_rows_equal_reference(p, cols, y0, max_iters)
+        _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch)
 
 
 def test_cap_hits_are_logged(caplog):
@@ -302,27 +318,6 @@ def test_sample_block_programs_equal_per_candidate_reference(monkeypatch, caplog
     assert any("certified out" in r.getMessage() and not r.getMessage().startswith("0 ") for r in caplog.records)
 
 
-def test_certificate_line_fires_only_when_rows_outlast_the_lockstep(monkeypatch, caplog):
-    def messages(p):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="mkdmts.nqp"):
-            nqp_solve(p, refine_swaps=False)
-        return [r.getMessage() for r in caplog.records]
-
-    certified = [m for m in messages(sample_block_programs(monkeypatch)[1]) if "certified out" in m]
-    assert certified and all(m.endswith(f"after {_SWEEPS_BEFORE_BOUND} sweeps") for m in certified)
-    # equicorrelated at 0.7: rows outlast the sweeps before the bound but converge long before the cap,
-    # and only rows that reach the cap are counted
-    n, rng = 6, np.random.default_rng(3)
-    moderate = QuadProgram(0.3 * np.eye(n) + 0.7 * np.ones((n, n)), -1.0 - 0.1 * rng.uniform(size=n), 3)
-    logged = messages(moderate)
-    assert any("certified out" in m for m in logged) and not any("sweep cap" in m for m in logged)
-    # well-conditioned: every candidate converges within the sweeps before the bound
-    w = rng.normal(size=(8, 8))
-    easy = QuadProgram(np.eye(8) + 0.01 * (w @ w.T), -rng.uniform(0.5, 1.0, 8), 3)
-    assert not any("certified out" in m for m in messages(easy))
-
-
 def certificate_programs():
     """Seeded programs with n <= 12, with vanishing diagonals, duplicate columns and equicorrelation."""
     rng = np.random.default_rng(20261019)
@@ -365,10 +360,91 @@ def test_certified_bounds_hold_on_sample_block_programs(monkeypatch):
         cols = np.array([support + [j] for j in range(n) if j not in support])
         bounds = _dual_bounds(p.h, p.c, cols)
         assert np.isfinite(bounds).all()
-        for idx, bound, vals in zip(cols, bounds, _cd_rows(p.h, p.c, cols, y0)):
+        with monkeypatch.context() as patch:
+            _no_certificate(patch)
+            finished = _cd_rows(p.h, p.c, cols, y0, np.inf)
+        for idx, bound, vals in zip(cols, bounds, finished):
             y = np.zeros(n)
             y[idx] = vals
             assert bound <= objective(p.h, p.c, y)
+
+
+def _record_kernel_runs(monkeypatch, record):
+    """Wrap ``_finish_row`` so that each kernel run first passes ``record`` its row's -c, as a list."""
+    finish_row = nqp._finish_row
+
+    def spy(s):
+        def run(y, hy, neg_c, *rest):
+            record(list(neg_c))
+            return finish_row(s)(y, hy, neg_c, *rest)
+        return run
+
+    monkeypatch.setattr(nqp, "_finish_row", spy)
+
+
+def test_kernel_runs_only_on_rows_bounded_at_or_below_the_best_reached(monkeypatch):
+    # each _cd_rows call records its inputs, its bounds, the -c of each row the kernel runs and its output
+    calls = []
+    cd_rows, dual_bounds = nqp._cd_rows, nqp._dual_bounds
+
+    def spy_cd_rows(h, c, cols, y0, bar):
+        calls.append({"h": h, "c": c, "cols": cols, "bar": bar, "runs": []})
+        calls[-1]["out"] = cd_rows(h, c, cols, y0, bar)
+        return calls[-1]["out"]
+
+    def spy_bounds(h, c, cols):
+        calls[-1]["bounds"] = dual_bounds(h, c, cols)
+        return calls[-1]["bounds"]
+
+    blocks = sample_block_programs(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(nqp, "_cd_rows", spy_cd_rows)
+        patch.setattr(nqp, "_dual_bounds", spy_bounds)
+        _record_kernel_runs(patch, lambda neg_c: calls[-1]["runs"].append(neg_c))
+        for p, swaps in [(p, False) for p in blocks] + [(p, True) for p in certificate_programs()]:
+            y = nqp_solve(p, refine_swaps=swaps)
+            ref = reference_nqp_solve(p, refine_swaps=swaps)
+            assert np.array_equal(y, ref)
+            assert np.array_equal(np.signbit(y), np.signbit(ref))
+    for call in calls:
+        h, c, cols, bounds, out = call["h"], call["c"], call["cols"], call["bounds"], call["out"]
+        order = np.argsort(bounds, kind="stable")
+        ran = order[:len(call["runs"])]
+        # the kernel ran on the lowest bounds, in order, and only those rows have values
+        assert call["runs"] == [(-c[cols[r]]).tolist() for r in ran]
+        assert np.array_equal(np.flatnonzero(~np.isnan(out).any(axis=1)), np.sort(ran))
+        best = call["bar"]
+        for r in ran:
+            assert bounds[r] <= best
+            obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
+            best = min(best, obj[0] + margin)
+        # every row left out is bounded above the best objective reached
+        assert (np.delete(bounds, ran) > best).all()
+    # rows were left out, and a later row was run after the best had tightened
+    assert sum(len(call["runs"]) for call in calls) < sum(len(call["cols"]) for call in calls)
+    assert any(len(call["runs"]) > 1 for call in calls)
+
+
+def test_tie_goes_to_the_first_row_when_a_later_row_finishes_first(monkeypatch):
+    # next to coordinate 0 (y = 3), coordinates 1 (h = 4, c = -2, y = 1/2) and 2 (h = 1, c = -1, y = 1) each reach
+    # exactly -5, all in dyadic arithmetic, but row {0, 2} has the lower bound and runs first; the others
+    # have c > 0 and are decoupled from 0-2, so they never enter
+    rng = np.random.default_rng(20261020)
+    w = rng.normal(size=(4, 6))
+    h = np.zeros((7, 7))
+    h[:3, :3] = np.diag([1.0, 4.0, 1.0])
+    h[3:, 3:] = w @ w.T / 6
+    p = QuadProgram(h, np.concatenate(([-3.0, -2.0, -1.0], 0.1 * np.abs(rng.normal(size=4)))), 2)
+    bounds = _dual_bounds(p.h, p.c, np.array([[0, 1], [0, 2]]))
+    assert bounds[1] < bounds[0] < -5.0
+    runs = []
+    _record_kernel_runs(monkeypatch, runs.append)
+    y = nqp_solve(p)
+    # the first round has a closed form, so the second round's two rows are the first kernel runs
+    assert runs[:2] == [[3.0, 1.0], [3.0, 2.0]]
+    ref = reference_nqp_solve(p)
+    assert np.array_equal(y, ref) and np.array_equal(np.signbit(y), np.signbit(ref))
+    assert y.tolist() == [3.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_singular_block_costs_only_its_own_certificate(rng):
