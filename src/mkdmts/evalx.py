@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -279,6 +279,14 @@ def _stage(name: str, timings: dict[str, float]):
     timings[name] = time.perf_counter() - t0
 
 
+def _build(cls, section: str, values: dict):
+    """``cls(**values)``; a field that ``cls`` does not have is a ValueError that names it."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section} config keys {sorted(unknown)}")
+    return cls(**values)
+
+
 def run_experiment(config: dict, out_dir) -> dict:
     """Synthesize, train, encode, cluster, and score one end-to-end run.
 
@@ -287,21 +295,28 @@ def run_experiment(config: dict, out_dir) -> dict:
     (``cluster``; an integer >= 0 seeds ``cluster``'s arrival order, None
     keeps the given order, and it defaults to the synth seed), and optional
     ``bandwidth`` and ``threshold``; what it leaves out takes the library
-    defaults.  The spectral baseline needs at least 2 unseen classes, so a
-    config with one is rejected up front.
+    defaults.  The whole config is checked before anything is written: an
+    unknown key at either level is a ValueError that names it, and so is
+    a bad field value.  The spectral baseline needs at least 2 unseen
+    classes, so a config with one is rejected up front too.
     Every stage runs with seeds derived from the global seed so reruns are
     bit-identical.  Artifacts and the report land in ``out_dir``; the
     report dict is returned.
     """
+    unknown = set(config) - {"synth", "train", "cluster", "bandwidth", "threshold"}
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     threshold = check_threshold(config.get("threshold", DEFAULT_THRESHOLD))
     bandwidth = check_bandwidth(config.get("bandwidth", DEFAULT_BANDWIDTH))
-    synth_cfg = SynthConfig(**config.get("synth", {}))
+    synth_cfg = _build(SynthConfig, "synth", config.get("synth", {}))
     if synth_cfg.num_unseen_classes < 2:
         raise DataError("run_experiment needs at least 2 unseen classes, for the spectral baseline's clusters")
     cl_conf = dict(config.get("cluster", {}))
     order_seed = cl_conf.pop("order_seed", synth_cfg.seed)
     if order_seed is not None:
         check_int("cluster.order_seed", order_seed, 0)
+    train_cfg = _build(TrainConfig, "train", config.get("train", {}))
+    cluster_cfg = _build(ClusterConfig, "cluster", cl_conf)
     out_dir = make_dir(out_dir)
     timings: dict[str, float] = {}
     with _stage("synth", timings):
@@ -309,12 +324,11 @@ def run_experiment(config: dict, out_dir) -> dict:
     with _stage("kernels", timings):
         ks = build_or_load_kernelset(seen, out_dir / "kernels", bandwidth)
     with _stage("train", timings):
-        train_cfg = TrainConfig(**config.get("train", {}))
         result = train(seen, ks, train_cfg)
     with _stage("encode", timings):
         described = describe(seen, ks, result.dictionary, unseen, train_cfg.t_x, threshold)
     with _stage("cluster", timings):
-        tree = cluster([(r.id, r.encoding.values) for r in described], ClusterConfig(**cl_conf), order_seed)
+        tree = cluster([(r.id, r.encoding.values) for r in described], cluster_cfg, order_seed)
         tree.save(out_dir / "tree.json")
     with _stage("score", timings):
         truth = dict(zip(unseen.ids(), unseen.labels().tolist()))

@@ -335,11 +335,15 @@ class Dendrogram:
 
 
 def flat_clusters_from_dict(tree: dict) -> dict[str, int]:
-    """Top-level assignment from a serialized tree (as written by save)."""
+    """Top-level assignment from a serialized tree (as written by save); each id must be listed once."""
     out: dict[str, int] = {}
 
     def collect(node: dict, top: int) -> None:
+        if not isinstance(node["members"], list):
+            raise DataError(f"malformed serialized tree (members {node['members']!r} is not a list)")
         for sid in node["members"]:
+            if sid in out:
+                raise DataError(f"serialized tree lists {sid!r} under two nodes")
             out[sid] = top
         for child in node["children"]:
             collect(child, top)

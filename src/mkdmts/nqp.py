@@ -10,11 +10,14 @@ greedily; a round picks the candidate whose restricted problem, re-solved
 by cyclic coordinate descent, has the lowest objective.  Certificate
 first: every candidate gets a Wolfe-dual lower bound on its restricted
 optimum, from one linear solve over its coordinates, before any sweep.
-Candidates then run to the end lowest bound first, and the round stops at
-the first bound above the lowest objective already reached (or the
-round's bar); that candidate and the rest are ruled out unswept.  The
-pick and its values are therefore those of solving every candidate to
-the end.
+Candidates then run to the end lowest bound first, each scored once
+with ``objective``, and the round stops at the first bound above the
+lowest objective already reached (or the round's bar); that candidate
+and the rest are ruled out unswept.  The pick and its values are
+therefore those of solving every candidate to the end.  The first
+greedy round is no exception: from zero, its one-coordinate rows reach
+their closed form -c_j / H_jj in the first sweep and confirm it in the
+second.
 
 The sweeps run in Python floats, in a straight-line kernel generated for
 each row size s (``_finish_row``): every value of the row lives in a
@@ -47,7 +50,7 @@ _SWAP_ROUNDS = 20
 _EXACT_SUPPORTS = 1200  # most supports nqp_solve_columns enumerates: the one-column break-even with nqp_solve
 _EXACT_ELEMENTS = 1 << 18  # most values per supports x slots x columns array in nqp_solve_columns
 _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
-_ROUND_MARGIN = 1e-9  # relative slack on batched objectives and bounds, far above their rounding
+_ROUND_MARGIN = 1e-9  # relative slack on objectives and bounds, far above their rounding
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +124,7 @@ def _finish_row(s):
     """The coordinate-descent kernel for rows of ``s`` coordinates, compiled on first use.
 
     The kernel is ``run(y, hy, neg_c, hjj, hdiv, hcol, tol, sweeps)``: it
-    runs at most ``sweeps`` sweeps on one row of ``_cd_rows`` and returns
+    runs at most ``sweeps`` sweeps on one row of ``_pick`` and returns
     whether the row converged.  ``y`` and ``hy`` are the row's start and H
     times it on its coordinates; ``neg_c``, ``hjj`` and ``hdiv`` are -c,
     diag(H) and the divisors there, and hcol[k][a] = H[cols[a], cols[k]].
@@ -231,91 +234,55 @@ def _dual_bounds(h, c, cols):
     return np.where(ok, bound, -np.inf)
 
 
-def _cd_rows(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
-    """Run ``_coordinate_descent`` on the restricted problems that can beat ``bar``; NaN for the rest.
+def _pick(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
+    """The round's pick: the candidate with the lowest objective below ``bar``, ties to the first row.
 
-    Row r of the integer array ``cols`` (rows x s) is one problem: cyclic
+    Row r of the integer array ``cols`` (rows x s) is one candidate: cyclic
     coordinate descent over the coordinates ``cols[r]``, in that order,
-    started from ``y0``.  Row r ends bit-identical to
-    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``, or NaN if it
-    provably is not the lowest restricted objective below ``bar``.
-    Coordinates with a vanishing diagonal are never updated, so ``y0``
-    must be zero on them, as every start ``nqp_solve`` uses is.
+    started from ``y0``, whose result is bit-identical to
+    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``.  Returns
+    ``(objective, y, row)``, y the row's iterate on its coordinates and
+    zero elsewhere, or None when no row goes below ``bar``.  Coordinates
+    with a vanishing diagonal are never updated, so ``y0`` must be zero on
+    them, as every start ``nqp_solve`` uses is.
 
     Certificate first: every row gets a lower bound on its restricted
     objective from one solve over all of its coordinates (``_dual_bounds``,
     which does not read the iterate); it holds at every feasible point, so
     also at the row's final iterate.  Rows then run lowest bound first,
     each to convergence or ``max_iters`` sweeps in the kernel
-    ``_finish_row(s)`` generated for its size, and the best objective
-    reached, which starts at ``bar``, tightens after each by its
-    objective plus a rounding margin.  The first row whose bound is above
-    the best ends the pass; it and every row after it stay NaN.  Rows
-    still moving after ``max_iters`` sweeps are logged.
-
-    A ruled-out row ends above some finished row's objective or above
-    ``bar``, so the lowest objective below ``bar``, ties to the first row,
-    is the same row among the finished rows as among all of them.
+    ``_finish_row(s)`` generated for its size, and each is scored once with
+    ``objective``.  The cut starts at ``bar`` and becomes the pick's
+    objective plus a rounding margin; the first row whose bound is above
+    the cut ends the pass.  That row and the rest end above the pick, so
+    the pick among the finished rows is the pick among all.  Rows still
+    moving after ``max_iters`` sweeps are logged.
     """
-    bounds, best = _dual_bounds(h, c, cols), bar
+    bounds, cut, best = _dual_bounds(h, c, cols), bar, (bar, None, -1)
     hjj = np.diagonal(h)
     # dividing by inf turns the update of a vanishing-diagonal coordinate into a no-op
     state = np.array((y0, h @ y0, -c, hjj, np.where(hjj > _DIAG_FLOOR, hjj, np.inf)))
     finish = _finish_row(cols.shape[1])
-    out = np.full(cols.shape, np.nan)
-    capped = 0
+    h_max, c_max = np.abs(h).max(), np.abs(c).max()
+    ran = capped = 0
     for r in np.argsort(bounds, kind="stable"):
-        if bounds[r] > best:
+        if bounds[r] > cut:
             break
         idx = cols[r]
-        y, *rest = state[:, idx].tolist()
+        vals, *rest = state[:, idx].tolist()
         # hcol[k][a] = H[idx[a], idx[k]]: column idx[k] of H on the row's coordinates
-        capped += not finish(y, *rest, h[idx[None, :], idx[:, None]].tolist(), tol, max_iters)
-        out[r] = y
-        obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
-        best = min(best, obj[0] + margin)
-    log.debug("%d of %d candidates certified out", np.isnan(out[:, 0]).sum(), len(cols))
+        capped += not finish(vals, *rest, h[idx[None, :], idx[:, None]].tolist(), tol, max_iters)
+        ran += 1
+        y = np.zeros(h.shape[0])
+        y[idx] = vals
+        obj = objective(h, c, y)
+        if (obj, r) < best[::2]:  # below the pick so far (at first bar, with row -1), or a tie on an earlier row
+            total = sum(vals)  # vals >= 0; the margin is far above the rounding error of any objective or bound
+            best, cut = (obj, y, int(r)), obj + _ROUND_MARGIN * (1.0 + total * (0.5 * total * h_max + c_max))
+    log.debug("%d of %d candidates certified out", len(cols) - ran, len(cols))
     if capped:
         log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, len(cols), max_iters)
-    return out
-
-
-def _objectives(h, c, cols, vals):
-    """Batched restricted objectives of the rows, and a safe rounding margin for them.
-
-    Row r of ``vals`` is a point on the coordinates ``cols[r]`` (zero
-    elsewhere); a NaN row gets a NaN objective and leaves the margin alone.
-    The batched sums round differently from ``objective``; the margin is
-    far above the rounding error of either evaluation.
-    """
-    hv = np.matmul(h[cols[:, :, None], cols[:, None, :]], vals[:, :, None])[:, :, 0]
-    approx = (vals * (0.5 * hv + c[cols])).sum(axis=1)
-    total = np.fmax.reduce(vals.sum(axis=1))  # vals >= 0; NaN rows are passed over
-    return approx, _ROUND_MARGIN * (1.0 + total * (0.5 * total * np.abs(h).max() + np.abs(c).max()))
-
-
-def _first_best(h, c, cols, vals, bar):
-    """The lowest-objective candidate below ``bar``, ties to the first row.
-
-    Row r of ``vals`` is a candidate solution on the coordinates ``cols[r]``
-    (zero elsewhere); NaN rows, ruled out by ``_cd_rows``, are skipped.
-    Returns ``(objective, y, row)`` with y of full length, or None when no
-    row goes below ``bar``.  ``_objectives`` shortlists the rows within its
-    margin of the lowest; only those are scored with ``objective`` itself,
-    so the pick equals a row-by-row scan.
-    """
-    approx, margin = _objectives(h, c, cols, vals)
-    low = np.fmin.reduce(approx)  # NaN only when every row is
-    if not low - margin < bar:
-        return None
-    best = None
-    for r in (approx <= low + margin).nonzero()[0]:
-        y = np.zeros(h.shape[0])
-        y[cols[r]] = vals[r]
-        obj = objective(h, c, y)
-        if obj < bar:
-            best, bar = (obj, y, int(r)), obj
-    return best
+    return best if best[1] is not None else None
 
 
 def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
@@ -328,13 +295,12 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     time while that strictly decreases the objective, repairing the rare
     instances where pure greedy admission locks in a poor support: per
     round the best (out, in) pair wins, ties to the earliest support
-    position and then the lowest index, for at most 20 rounds.  All
-    candidates of a round go to ``_cd_rows`` together, except in the first
-    greedy round, whose one-coordinate problems have a closed form.
-    ``_cd_rows`` bounds each from below, finishes them lowest bound first,
-    and rules out unswept those whose bound is above an objective already
-    reached or the round's bar; the pick among the finished ones is the
-    pick among all.  The result is non-negative with at most
+    position and then the lowest index, for at most 20 rounds.  Every
+    round, greedy or swap, hands all of its candidates to ``_pick``, which
+    bounds each from below, finishes them lowest bound first, scores each
+    finished one once, and rules out unswept those whose bound is above
+    the pick so far or the round's bar; the pick among the finished ones
+    is the pick among all.  The result is non-negative with at most
     ``limit`` nonzeros.
     """
     h, c, limit = p.h, p.c, p.limit
@@ -343,28 +309,18 @@ def nqp_solve(p: QuadProgram, refine_swaps: bool = True) -> np.ndarray:
     best_obj = 0.0
     support: list[int] = []
     while len(support) < limit:
-        outside = [j for j in range(n) if j not in support]
-        cols = np.array([support + [j] for j in outside])
-        bar = best_obj - _MIN_DECREASE
-        if support:
-            vals = _cd_rows(h, c, cols, y, bar)
-        else:
-            # from zero, descent on one coordinate lands on its clipped closed
-            # form in the first sweep and only confirms it in the second
-            hjj = h[cols, cols]
-            vals = np.fmax(-c[cols] / np.where(hjj > _DIAG_FLOOR, hjj, np.inf), 0.0)
-        best = _first_best(h, c, cols, vals, bar)
+        cols = np.array([support + [j] for j in range(n) if j not in support])
+        best = _pick(h, c, cols, y, best_obj - _MIN_DECREASE)
         if best is None:
             break
         best_obj, y, r = best
-        support.append(outside[r])
+        support = cols[r].tolist()
     if refine_swaps and 0 < len(support) < n:
         zero = np.zeros(n)
         for _ in range(_SWAP_ROUNDS):
             outside = [j for j in range(n) if j not in support]
             cols = np.array([[s for s in support if s != out] + [j] for out in support for j in outside])
-            bar = best_obj - _MIN_DECREASE
-            best = _first_best(h, c, cols, _cd_rows(h, c, cols, zero, bar), bar)
+            best = _pick(h, c, cols, zero, best_obj - _MIN_DECREASE)
             if best is None:
                 break
             best_obj, y, r = best

@@ -486,7 +486,8 @@ def test_config_integer_for_a_float_flag_is_that_float(tmp_path):
     assert info["config"]["length_range"] == [8, 10]
 
 
-@pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "model_meta_without_hash",
+@pytest.mark.parametrize("fault", ["index_without_ids", "tree_node_without_members", "tree_member_listed_twice",
+                                   "tree_members_a_string", "model_meta_without_hash",
                                    "model_meta_not_an_object", "kernel_meta_f_zero", "kernel_meta_bandwidths_null",
                                    "kernel_meta_f_float", "kernel_meta_f_bool", "kernel_meta_n_string",
                                    "kernel_meta_n_float"])
@@ -503,6 +504,17 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
         (tmp_path / "t.json").write_text(json.dumps({"roots": [{"id": 0, "children": []}]}))
         args = ["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl", "--out", tmp_path / "s.json"]
         expected = "malformed serialized tree"
+    elif fault.startswith("tree_member"):
+        # every unseen id under node 0 and the first again under node 1's child, or a string of members
+        from mkdmts.mtsdata import load_dataset
+
+        ids = load_dataset(data / "unseen.jsonl", role="unseen").ids()
+        roots = ([{"id": 0, "members": ids, "children": []}, {"id": 1, "members": [], "children": [
+            {"id": 2, "members": ids[:1], "children": []}]}] if fault == "tree_member_listed_twice"
+                 else [{"id": 0, "members": "ab", "children": []}])
+        (tmp_path / "t.json").write_text(json.dumps({"roots": roots}))
+        args = ["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl", "--out", tmp_path / "s.json"]
+        expected = "under two nodes" if fault == "tree_member_listed_twice" else "is not a list"
     elif fault in ("kernel_meta_f_zero", "kernel_meta_bandwidths_null"):
         shutil.copytree(kern, tmp_path / "kern")
         change = {"f": 0} if fault == "kernel_meta_f_zero" else {"bandwidths": None}

@@ -328,6 +328,26 @@ def test_run_experiment_rejects_bad_order_seed_up_front(tmp_path, seed):
     assert not (tmp_path / "run").exists()  # rejected before anything is synthesized or written
 
 
+@pytest.mark.parametrize("part, match", [
+    ({"train": {"k": 0}}, "k must be at least 1"),
+    ({"cluster": {"gamma": -1.0}}, "gamma"),
+    ({"cluster": {"bogus": 1}}, "unknown cluster config keys \\['bogus'\\]"),
+    ({"trian": {"k": 3}}, "unknown config keys \\['trian'\\]"),
+], ids=["train-value", "cluster-value", "cluster-key", "top-level-key"])
+def test_run_experiment_checks_the_whole_config_up_front(tmp_path, part, match):
+    from mkdmts.evalx import run_experiment
+
+    config = {
+        "synth": {"num_seen_classes": 2, "num_unseen_classes": 2, "length_range": (8, 10),
+                  "samples_per_class": 3, "seed": 5},
+        "bandwidth": 5.0,
+        "train": {"k": 2, "t_beta": 1, "max_iters": 2},
+    } | part
+    with pytest.raises(ValueError, match=match):
+        run_experiment(config, tmp_path / "run")
+    assert not (tmp_path / "run" / "data").exists()  # rejected before anything is synthesized or written
+
+
 def _canonical_partition(pred):
     """Sorted groups of sorted ids: the partition, free of label numbering."""
     groups = {}

@@ -268,7 +268,12 @@ def test_train_deterministic():
                  length_range=(10, 14)), 4.0,
      TrainConfig(k=10, t_x=2, t_a=5, t_beta=1, seed=5),
      "b1c9ff2329c37f277b00516eb5593f65584a0058e32a6b05a83871ba908bce70"),
-], ids=["long", "short"])
+    # t_x=4 of k=16 atoms: 2516 supports, above the 1200 nqp_solve_columns enumerates, so the codes run nqp_solve
+    # with swap refinement
+    (SynthConfig(seed=13, dims=3, samples_per_class=6, length_range=(20, 30)), 10.0,
+     TrainConfig(k=16, t_x=4, t_a=3, t_beta=2, seed=13, max_iters=10),
+     "675cbc6a49e42baddcf8766649aeee18f32dc5e116cd71bfbce45eae1538420e"),
+], ids=["long", "short", "swap"])
 def test_trainer_bytes_pinned(synth, bandwidth, cfg, expected):
     """A seeded train at benchmark shapes, pinned by one digest of its loss trace, A, B and codes."""
     seen, _, _ = synth_dataset(synth)

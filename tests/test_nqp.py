@@ -13,12 +13,12 @@ from mkdmts.nqp import (
     _CD_TOL,
     _DIAG_FLOOR,
     _EXACT_SUPPORTS,
-    _cd_rows,
     _coordinate_descent,
     _dual_bounds,
     _finish_row,
     _MIN_DECREASE,
-    _objectives,
+    _pick,
+    _ROUND_MARGIN,
     diagonal_solve,
     nqp_oracle,
     nqp_solve,
@@ -204,30 +204,27 @@ def test_lockstep_solver_equals_per_candidate_reference(refine_swaps):
 
 
 def _no_certificate(monkeypatch):
-    """Every bound -inf from here on, as for a singular block: ``_cd_rows`` then runs every row."""
+    """Every bound -inf from here on, as for a singular block: ``_pick`` then runs every row."""
     monkeypatch.setattr(nqp, "_dual_bounds", lambda h, c, cols: np.full(len(cols), -np.inf))
 
 
 def _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch):
-    """``_cd_rows`` and the kernel of each row's size equal ``_coordinate_descent`` bit for bit, flag included.
+    """The kernel of each row's size equals ``_coordinate_descent`` bit for bit, flag included, and so does the pick.
 
-    With its bounds, ``_cd_rows`` runs some rows and leaves the rest NaN;
-    without a certificate it runs them all.
+    ``_pick``, with its bounds and without a certificate (every row run),
+    returns the row with the lowest objective of the reference's values on
+    the row's coordinates, ties to the first row.
     """
-    certified = _cd_rows(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
-    assert not np.isnan(certified).all()
-    with monkeypatch.context() as patch:
-        _no_certificate(patch)
-        rows = _cd_rows(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
     hjj = np.diagonal(p.h)
     hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
+    expected = None
     for r, idx in enumerate(cols):
         ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
-        assert np.array_equal(rows[r], ref)
-        assert np.array_equal(np.signbit(rows[r]), np.signbit(ref))
-        if not np.isnan(certified[r]).all():
-            assert np.array_equal(certified[r], ref)
-            assert np.array_equal(np.signbit(certified[r]), np.signbit(ref))
+        full = np.zeros(len(p.c))
+        full[idx] = ref
+        obj = objective(p.h, p.c, full)
+        if expected is None or obj < expected[0]:
+            expected = (obj, full, r)
         y = y0[idx].tolist()
         converged = _finish_row(len(idx))(y, (p.h @ y0)[idx].tolist(), (-p.c[idx]).tolist(), hjj[idx].tolist(),
                                           hdiv[idx].tolist(), p.h[np.ix_(idx, idx)].T.tolist(), _CD_TOL, max_iters)
@@ -236,6 +233,13 @@ def _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch):
         # max_iters sweeps exactly when its last sweep changed no coordinate by more than the tolerance
         before = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters - 1)[idx]
         assert converged == (np.abs(ref - before).max() <= _CD_TOL)
+    with monkeypatch.context() as patch:
+        for certificate in (True, False):
+            if not certificate:
+                _no_certificate(patch)
+            obj, y, r = _pick(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
+            assert (obj, r) == (expected[0], expected[2])
+            assert np.array_equal(y, expected[1]) and np.array_equal(np.signbit(y), np.signbit(expected[1]))
 
 
 def _vanishing_first(p, y0):
@@ -352,7 +356,7 @@ def test_certified_bounds_are_below_oracle_and_final_descent(rng):
 
 
 def test_certified_bounds_hold_on_sample_block_programs(monkeypatch):
-    # kernel Grams, N 24-36: the last greedy round's candidates, each run by _cd_rows to the end
+    # kernel Grams, N 24-36: the last greedy round's candidates, each run to the end
     for p in sample_block_programs(monkeypatch):
         n = p.h.shape[0]
         y0 = nqp_solve(QuadProgram(p.h, p.c, p.limit - 1), refine_swaps=False)
@@ -360,13 +364,8 @@ def test_certified_bounds_hold_on_sample_block_programs(monkeypatch):
         cols = np.array([support + [j] for j in range(n) if j not in support])
         bounds = _dual_bounds(p.h, p.c, cols)
         assert np.isfinite(bounds).all()
-        with monkeypatch.context() as patch:
-            _no_certificate(patch)
-            finished = _cd_rows(p.h, p.c, cols, y0, np.inf)
-        for idx, bound, vals in zip(cols, bounds, finished):
-            y = np.zeros(n)
-            y[idx] = vals
-            assert bound <= objective(p.h, p.c, y)
+        for idx, bound in zip(cols, bounds):
+            assert bound <= objective(p.h, p.c, _coordinate_descent(p.h, p.c, idx, y0=y0))
 
 
 def _record_kernel_runs(monkeypatch, record):
@@ -383,14 +382,14 @@ def _record_kernel_runs(monkeypatch, record):
 
 
 def test_kernel_runs_only_on_rows_bounded_at_or_below_the_best_reached(monkeypatch):
-    # each _cd_rows call records its inputs, its bounds, the -c of each row the kernel runs and its output
+    # each _pick call records its inputs, its bounds, the -c of each row the kernel runs and its pick
     calls = []
-    cd_rows, dual_bounds = nqp._cd_rows, nqp._dual_bounds
+    pick, dual_bounds = nqp._pick, nqp._dual_bounds
 
-    def spy_cd_rows(h, c, cols, y0, bar):
-        calls.append({"h": h, "c": c, "cols": cols, "bar": bar, "runs": []})
-        calls[-1]["out"] = cd_rows(h, c, cols, y0, bar)
-        return calls[-1]["out"]
+    def spy_pick(h, c, cols, y0, bar):
+        calls.append({"h": h, "c": c, "cols": cols, "y0": y0, "bar": bar, "runs": []})
+        calls[-1]["pick"] = pick(h, c, cols, y0, bar)
+        return calls[-1]["pick"]
 
     def spy_bounds(h, c, cols):
         calls[-1]["bounds"] = dual_bounds(h, c, cols)
@@ -398,7 +397,7 @@ def test_kernel_runs_only_on_rows_bounded_at_or_below_the_best_reached(monkeypat
 
     blocks = sample_block_programs(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(nqp, "_cd_rows", spy_cd_rows)
+        patch.setattr(nqp, "_pick", spy_pick)
         patch.setattr(nqp, "_dual_bounds", spy_bounds)
         _record_kernel_runs(patch, lambda neg_c: calls[-1]["runs"].append(neg_c))
         for p, swaps in [(p, False) for p in blocks] + [(p, True) for p in certificate_programs()]:
@@ -407,20 +406,29 @@ def test_kernel_runs_only_on_rows_bounded_at_or_below_the_best_reached(monkeypat
             assert np.array_equal(y, ref)
             assert np.array_equal(np.signbit(y), np.signbit(ref))
     for call in calls:
-        h, c, cols, bounds, out = call["h"], call["c"], call["cols"], call["bounds"], call["out"]
-        order = np.argsort(bounds, kind="stable")
-        ran = order[:len(call["runs"])]
-        # the kernel ran on the lowest bounds, in order, and only those rows have values
+        h, c, cols, bounds = call["h"], call["c"], call["cols"], call["bounds"]
+        ran = np.argsort(bounds, kind="stable")[:len(call["runs"])]
+        # the kernel ran on the lowest bounds, in order
         assert call["runs"] == [(-c[cols[r]]).tolist() for r in ran]
-        assert np.array_equal(np.flatnonzero(~np.isnan(out).any(axis=1)), np.sort(ran))
-        best = call["bar"]
+        cut, best = call["bar"], (call["bar"], None, -1)
         for r in ran:
-            assert bounds[r] <= best
-            obj, margin = _objectives(h, c, cols[r:r + 1], out[r:r + 1])
-            best = min(best, obj[0] + margin)
-        # every row left out is bounded above the best objective reached
-        assert (np.delete(bounds, ran) > best).all()
-    # rows were left out, and a later row was run after the best had tightened
+            assert bounds[r] <= cut
+            vals = _coordinate_descent(h, c, cols[r], y0=call["y0"])[cols[r]]
+            y = np.zeros(len(c))
+            y[cols[r]] = vals
+            obj = objective(h, c, y)
+            if obj < best[0] or obj == best[0] and r < best[2]:
+                total = sum(vals.tolist())
+                best = (obj, y, r)
+                cut = obj + _ROUND_MARGIN * (1.0 + total * (0.5 * total * np.abs(h).max() + np.abs(c).max()))
+        # the pick is the lowest objective below the bar among the rows run, ties to the first row, and every
+        # row left out is bounded above the final cut
+        if best[1] is None:
+            assert call["pick"] is None
+        else:
+            assert call["pick"][::2] == best[::2] and np.array_equal(call["pick"][1], best[1])
+        assert (np.delete(bounds, ran) > cut).all()
+    # rows were left out, and a later row was run after the cut had tightened
     assert sum(len(call["runs"]) for call in calls) < sum(len(call["cols"]) for call in calls)
     assert any(len(call["runs"]) > 1 for call in calls)
 
@@ -440,8 +448,8 @@ def test_tie_goes_to_the_first_row_when_a_later_row_finishes_first(monkeypatch):
     runs = []
     _record_kernel_runs(monkeypatch, runs.append)
     y = nqp_solve(p)
-    # the first round has a closed form, so the second round's two rows are the first kernel runs
-    assert runs[:2] == [[3.0, 1.0], [3.0, 2.0]]
+    # the first round's certificate leaves only coordinate 0 to run; the second round's two rows follow
+    assert runs[:3] == [[3.0], [3.0, 1.0], [3.0, 2.0]]
     ref = reference_nqp_solve(p)
     assert np.array_equal(y, ref) and np.array_equal(np.signbit(y), np.signbit(ref))
     assert y.tolist() == [3.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
