@@ -24,6 +24,7 @@ from .errors import DataError
 from .ioutil import check_int, check_number, write_json
 
 _SPLIT_ITERS = 50
+_CACHE_TOL = 1e-10  # largest deviation validate_caches accepts
 
 
 @dataclass
@@ -271,11 +272,11 @@ class Dendrogram:
             raise DataError("empty tree")
         return {sid: root.node_id for root in self.roots for node in root.walk() for sid in node.member_ids}
 
-    def validate_caches(self, tol: float = 1e-10) -> float:
+    def validate_caches(self) -> float:
         """Compare cached statistics to from-scratch recomputation.
 
-        Returns the worst absolute deviation; raises if members are lost
-        or duplicated.
+        Returns the worst absolute deviation; raises if it exceeds
+        ``_CACHE_TOL`` or if members are lost or duplicated.
         """
         worst = 0.0
         seen_ids: list[str] = []
@@ -291,7 +292,7 @@ class Dendrogram:
         root_total = sum(root.count for root in self.roots)
         if len(seen_ids) != len(set(seen_ids)) or root_total != len(set(seen_ids)):
             raise AssertionError("membership conservation violated")
-        if worst > tol:
+        if worst > _CACHE_TOL:
             raise AssertionError(f"cached statistics deviate by {worst:.3e}")
         return worst
 

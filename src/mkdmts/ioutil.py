@@ -1,4 +1,4 @@
-"""Shared on-disk formats: binary matrices, JSON helpers, content hashing.
+"""Shared on-disk formats and checks: binary matrices, JSON helpers, value checks.
 
 Binary matrix format: two little-endian uint64 (rows, cols) followed by
 row-major little-endian float64 data.  Used by the kernel cache, persisted
@@ -7,7 +7,6 @@ models, and per-sequence encoding matrices.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from numbers import Integral, Real
 from pathlib import Path
@@ -122,10 +121,3 @@ def read_json(path: str | Path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 
-
-def content_hash(chunks) -> str:
-    """sha256 hex digest over an iterable of bytes chunks."""
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()

@@ -55,39 +55,25 @@ class KernelSet:
 
 
 class CrossKernel:
-    """Kernel values between every seen sequence and one unseen sequence, per dimension.
+    """Kernel values between every seen sequence and one unseen sequence, per dimension, computed on demand.
 
-    ``CrossKernel(cross=..., self_k=..., dataset_hash=...)`` holds explicit
-    values, one length-N vector per dimension.  ``cross_kernel`` returns one
-    whose values are computed on demand: ``values(need)`` runs DTW only on
-    the (dimension, row) pairs that the f x N mask ``need`` asks for and
-    that are not known yet, all in one ``dtw_many`` call, and keeps them.
-    Every value is the one the full computation gives, bit for bit.
+    ``values(need)`` runs DTW only on the (dimension, row) pairs that the
+    f x N mask ``need`` asks for and that are not known yet, all in one
+    ``dtw_many`` call, and keeps them.  Every value is the one the full
+    computation gives, bit for bit.  The unseen sequence's self-kernel is
+    1 in every dimension, since its DTW cost against itself is 0.
     """
 
-    def __init__(self, cross, self_k, dataset_hash: str):
-        self._values = np.array([np.asarray(c, dtype=np.float64) for c in cross])
-        self._known = np.ones(self._values.shape, dtype=bool)
-        self._pairs = None  # (seen, z, bandwidths) while some values are unknown
-        self.self_k = np.asarray(self_k, dtype=np.float64)
-        self.dataset_hash = dataset_hash
-
-    @classmethod
-    def _on_demand(cls, seen: Dataset, z: TimeSeries, bandwidths: np.ndarray) -> "CrossKernel":
-        """No value known yet; ``values`` computes those of ``z`` against ``seen`` as they are asked for."""
-        ck = cls(cross=np.zeros((seen.dims, len(seen))), self_k=np.ones(seen.dims), dataset_hash=seen.hash())
-        ck._known[:] = False
-        ck._pairs = (seen, z, bandwidths)
-        return ck
+    def __init__(self, seen: Dataset, z: TimeSeries, bandwidths: np.ndarray):
+        self._pairs = (seen, z, bandwidths)
+        self._values = np.zeros((seen.dims, len(seen)))
+        self._known = np.zeros(self._values.shape, dtype=bool)
+        self.self_k = np.ones(seen.dims)
+        self.dataset_hash = seen.hash()
 
     @property
     def dims(self) -> int:
         return len(self._values)
-
-    @property
-    def cross(self) -> list[np.ndarray]:
-        """Every value, one length-N vector per dimension."""
-        return list(self.values(np.ones(self._values.shape, dtype=bool)))
 
     def values(self, need: np.ndarray) -> np.ndarray:
         """f x N values at the entries where ``need`` is True, and 0 elsewhere."""
@@ -300,8 +286,10 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
 def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     """Kernel values of one unseen sequence against every seen sequence, computed on demand.
 
-    The inputs are checked here, a non-finite value included, but DTW runs
-    only for the values a caller asks for (``CrossKernel.values``).
+    The dimension count and the bandwidths are checked here, but DTW runs
+    only for the values a caller asks for (``CrossKernel.values``).  Every
+    sequence is finite and read-only from its construction on, and the
+    seen set hashes itself once, so no per-query scan or hash is needed.
     """
     if z.dims != seen.dims:
         raise DataError(
@@ -310,9 +298,7 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     bandwidths = np.asarray(bandwidths, dtype=np.float64)
     if bandwidths.shape != (seen.dims,):
         raise DataError("bandwidth vector does not match the dimension count")
-    if not np.isfinite(np.concatenate([z.values, *(s.values for s in seen.sequences)], axis=1)).all():
-        raise ValueError("dtw: non-finite input")
-    return CrossKernel._on_demand(seen, z, bandwidths)
+    return CrossKernel(seen, z, bandwidths)
 
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +32,7 @@ log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "mkd-model-v1"
 _NORM_FLOOR = 1e-12
+_N_FOLDS = 5  # cross-validation folds in tune
 
 
 @dataclass
@@ -371,22 +371,19 @@ def train(seen: Dataset, ks: KernelSet, cfg: TrainConfig) -> TrainResult:
     return TrainResult(dictionary=d, codes=codes, loss_trace=trace)
 
 
-def _stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Deal each class round-robin into folds after a seeded shuffle."""
-    classes, counts = np.unique(labels, return_counts=True)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    if counts.min() < n_folds:
-        warnings.warn("a class has fewer samples than folds; using unstratified folds")
-        order = rng.permutation(len(labels))
-        for pos, idx in enumerate(order):
-            folds[pos % n_folds].append(int(idx))
-    else:
-        for cls in classes:
-            idx = np.flatnonzero(labels == cls)
-            idx = idx[rng.permutation(len(idx))]
-            for pos, j in enumerate(idx):
-                folds[pos % n_folds].append(int(j))
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+def _stratified_folds(labels: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Deal the samples round-robin into ``_N_FOLDS`` folds, class by class, each class after a seeded shuffle.
+
+    The dealing position carries over from one class to the next, so fold
+    sizes differ by at most 1 and each class's counts across the folds
+    differ by at most 1, however small the class.
+    """
+    order = []
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        order.append(idx[rng.permutation(len(idx))])
+    order = np.concatenate(order).astype(np.int64)
+    return [np.sort(order[f::_N_FOLDS]) for f in range(_N_FOLDS)]
 
 
 def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_idx, held_idx, t_x: int) -> float:
@@ -399,17 +396,17 @@ def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_i
     return float(np.mean(resid / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
 
 
-def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainConfig, n_folds: int = 5) -> TrainConfig:
-    """Pick (k, t_x) from ``grid`` by stratified cross-validated held-out error.
+def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainConfig) -> TrainConfig:
+    """Pick (k, t_x) from ``grid`` by stratified ``_N_FOLDS``-fold cross-validated held-out error.
 
     Ties prefer smaller k, then smaller t_x.  Fold assignment and training
     are fully determined by ``base.seed``.
     """
-    if len(seen) < 2 * n_folds:
-        raise DataError(f"cross-validation needs at least {2 * n_folds} samples")
+    if len(seen) < 2 * _N_FOLDS:
+        raise DataError(f"cross-validation needs at least {2 * _N_FOLDS} samples")
     labels = seen.labels()
     rng = np.random.default_rng(base.seed)
-    folds = _stratified_folds(labels, n_folds, rng)
+    folds = _stratified_folds(labels, rng)
     all_idx = np.arange(len(seen))
     scores: dict[tuple[int, int], float] = {}
     for k, t_x in sorted(set(grid)):

@@ -9,15 +9,16 @@ unseen classes as dimension-level recombinations of seen classes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, check_number, content_hash, make_dir, read_text, remove_file, write_json, write_text
+from .ioutil import check_int, check_number, make_dir, read_text, remove_file, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -26,14 +27,17 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """One multivariate sequence; rows are dimensions, columns time steps."""
+    """One multivariate sequence; rows are dimensions, columns time steps.
+
+    ``values`` is the sequence's own finite, read-only copy of the given matrix.
+    """
 
     id: str
     values: np.ndarray
     label: int | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64, order="C")
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataError(
                 f"sequence {self.id!r}: expected a (dims x steps) matrix, got shape {v.shape}"
@@ -43,6 +47,7 @@ class TimeSeries:
             raise DataError(
                 f"sequence {self.id!r}: non-finite value at dimension {bad[0]}, step {bad[1]}"
             )
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -57,20 +62,22 @@ class TimeSeries:
         return self.values[l]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of sequences sharing a dimension count.
+    """An ordered, immutable tuple of sequences sharing a dimension count.
 
     Ids name per-sequence files: unique, non-empty, not "." or "..", and
     without path separators.  For role "seen" every sequence must carry a
     label.  For role "unseen" labels are optional, used for evaluation only.
     """
 
-    sequences: list[TimeSeries]
+    sequences: tuple[TimeSeries, ...]
     role: str = ROLE_SEEN
     label_names: dict[int, str] | None = None
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sequences", tuple(self.sequences))
         if self.role not in (ROLE_SEEN, ROLE_UNSEEN):
             raise DataError(f"unknown dataset role {self.role!r}")
         if not self.sequences:
@@ -112,13 +119,19 @@ class Dataset:
         return Dataset(seqs, role=self.role, label_names=self.label_names)
 
     def hash(self) -> str:
-        def chunks():
-            for s in self.sequences:
-                yield s.id.encode()
-                yield str(s.label).encode()
-                yield np.ascontiguousarray(s.values).tobytes()
+        """sha256 hex digest of the sequences, computed on the first call only.
 
-        return content_hash(chunks())
+        Each sequence's bytes follow the JSON line ``[id, label, rows, cols]``,
+        so no id running into a label, or shape read as another, hashes equal.
+        """
+        if self._hash is None:
+            h = hashlib.sha256()
+            for s in self.sequences:
+                label = None if s.label is None else int(s.label)
+                h.update(json.dumps([s.id, label, *s.values.shape]).encode() + b"\n")
+                h.update(s.values.tobytes())
+            object.__setattr__(self, "_hash", h.hexdigest())
+        return self._hash
 
 
 def _load_csv(path: Path) -> np.ndarray:

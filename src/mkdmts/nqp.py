@@ -22,14 +22,14 @@ second.
 The sweeps run in Python floats, in a straight-line kernel generated for
 each row size s (``_finish_row``): every value of the row lives in a
 local variable and every coordinate step is written out, so the
-interpreter does no indexing or inner looping.  Each statement performs
-``_coordinate_descent``'s IEEE operations in the same order, so the
-kernel's results are bit for bit the reference's.  A kernel is compiled
+interpreter does no indexing or inner looping.  Each step is the
+scalar update y_j <- max(0, (-c_j - sum_{i != j} H_ji y_i) / H_jj), with
+the IEEE operations of a plain loop over the coordinates in the same
+order, so the kernel's results are bit for bit that loop's.  A kernel is compiled
 once per size per process; its source has O(s^2) lines, and compiling it
 costs about as much as 1000 sweeps at its size.
 
-Diagonal H separates and has a closed-form solver.  An exact oracle
-enumerating all supports one by one is provided for testing.
+Diagonal H separates and has a closed-form solver.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from itertools import combinations
 import numpy as np
 
 _CD_TOL = 1e-10
+_MAX_SWEEPS = 500  # coordinate-descent sweeps per candidate row; _pick reads it at each call
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
@@ -91,34 +92,6 @@ def objective(h: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * y @ h @ y + c @ y)
 
 
-def _coordinate_descent(h, c, support, y0=None, tol=_CD_TOL, max_iters=500):
-    """Solve the problem restricted to ``support`` by cyclic coordinate descent.
-
-    Each coordinate takes its non-negative closed-form update
-    y_j <- max(0, (-c_j - sum_{i != j} H_ji y_i) / H_jj); coordinates with
-    a vanishing diagonal are skipped.
-    """
-    support = list(support)
-    n = h.shape[0]
-    y = np.zeros(n) if y0 is None else y0.copy()
-    hy = h @ y
-    for _ in range(max_iters):
-        delta = 0.0
-        for j in support:
-            hjj = h[j, j]
-            if hjj <= _DIAG_FLOOR:
-                continue
-            new = max(0.0, (-c[j] - (hy[j] - hjj * y[j])) / hjj)
-            step = new - y[j]
-            if step != 0.0:
-                hy += h[:, j] * step
-                y[j] = new
-                delta = max(delta, abs(step))
-        if delta <= tol:
-            break
-    return y
-
-
 @cache
 def _finish_row(s):
     """The coordinate-descent kernel for rows of ``s`` coordinates, compiled on first use.
@@ -134,10 +107,11 @@ def _finish_row(s):
     The source is straight-line: every value is unpacked into a local
     (y_k, g_k for Hy, n_k, d_k, v_k, and h_a_k for each matrix entry), and
     each coordinate's step is written out, with one ``g_a += h_a_k * step``
-    line per a.  A step is ``_coordinate_descent``'s update, with the same
-    IEEE operations in the same order, and a double held in a local rounds
-    exactly as one held in a list cell, so the kernel's output is bit for
-    bit that of the reference.  A vanishing diagonal divides by inf, which
+    line per a.  A step is the scalar update
+    y_k <- max(0, (-c_k - (Hy_k - H_kk y_k)) / H_kk), with the IEEE
+    operations of a plain loop in the same order, and a double held in a
+    local rounds exactly as one held in a list cell, so the kernel's output
+    is bit for bit that loop's.  A vanishing diagonal divides by inf, which
     leaves its coordinate at zero.
 
     The source has O(s^2) lines.  On a 2-vCPU Xeon VM under Python 3.11,
@@ -234,13 +208,13 @@ def _dual_bounds(h, c, cols):
     return np.where(ok, bound, -np.inf)
 
 
-def _pick(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
+def _pick(h, c, cols, y0, bar):
     """The round's pick: the candidate with the lowest objective below ``bar``, ties to the first row.
 
     Row r of the integer array ``cols`` (rows x s) is one candidate: cyclic
     coordinate descent over the coordinates ``cols[r]``, in that order,
-    started from ``y0``, whose result is bit-identical to
-    ``_coordinate_descent(h, c, cols[r], y0)[cols[r]]``.  Returns
+    started from ``y0``, each coordinate taking its scalar update in turn
+    until no step exceeds ``_CD_TOL`` or ``_MAX_SWEEPS`` sweeps.  Returns
     ``(objective, y, row)``, y the row's iterate on its coordinates and
     zero elsewhere, or None when no row goes below ``bar``.  Coordinates
     with a vanishing diagonal are never updated, so ``y0`` must be zero on
@@ -250,13 +224,13 @@ def _pick(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
     objective from one solve over all of its coordinates (``_dual_bounds``,
     which does not read the iterate); it holds at every feasible point, so
     also at the row's final iterate.  Rows then run lowest bound first,
-    each to convergence or ``max_iters`` sweeps in the kernel
+    each to convergence or ``_MAX_SWEEPS`` sweeps in the kernel
     ``_finish_row(s)`` generated for its size, and each is scored once with
     ``objective``.  The cut starts at ``bar`` and becomes the pick's
     objective plus a rounding margin; the first row whose bound is above
     the cut ends the pass.  That row and the rest end above the pick, so
     the pick among the finished rows is the pick among all.  Rows still
-    moving after ``max_iters`` sweeps are logged.
+    moving after ``_MAX_SWEEPS`` sweeps are logged.
     """
     bounds, cut, best = _dual_bounds(h, c, cols), bar, (bar, None, -1)
     hjj = np.diagonal(h)
@@ -271,7 +245,7 @@ def _pick(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
         idx = cols[r]
         vals, *rest = state[:, idx].tolist()
         # hcol[k][a] = H[idx[a], idx[k]]: column idx[k] of H on the row's coordinates
-        capped += not finish(vals, *rest, h[idx[None, :], idx[:, None]].tolist(), tol, max_iters)
+        capped += not finish(vals, *rest, h[idx[None, :], idx[:, None]].tolist(), _CD_TOL, _MAX_SWEEPS)
         ran += 1
         y = np.zeros(h.shape[0])
         y[idx] = vals
@@ -281,7 +255,7 @@ def _pick(h, c, cols, y0, bar, tol=_CD_TOL, max_iters=500):
             best, cut = (obj, y, int(r)), obj + _ROUND_MARGIN * (1.0 + total * (0.5 * total * h_max + c_max))
     log.debug("%d of %d candidates certified out", len(cols) - ran, len(cols))
     if capped:
-        log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, len(cols), max_iters)
+        log.debug("coordinate descent: %d of %d rows stopped at the %d-sweep cap", capped, len(cols), _MAX_SWEEPS)
     return best if best[1] is not None else None
 
 
@@ -359,8 +333,8 @@ def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     objective with y_S >= 0.  Ties go to the first support, in order of
     size and then lexicographically, and a larger support wins only if it
     lowers the objective by more than 1e-12, the bar ``nqp_solve`` sets for
-    admitting an index.  A singular block costs only its own support: as in
-    ``nqp_oracle``, an optimum on it is also reached on a smaller support.
+    admitting an index.  A singular block costs only its own support: an
+    optimum on it is also reached on a smaller support.
     Coordinates with a vanishing diagonal never enter, as in ``nqp_solve``.
     Past the inverse, a column's arithmetic is elementwise, so its result
     does not depend on the other columns.  Above ``_EXACT_SUPPORTS`` each
@@ -427,30 +401,3 @@ def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     y = np.zeros(c.shape[0])
     y[top] = -c[top] / h_diag[top]
     return y
-
-
-def nqp_oracle(p: QuadProgram) -> np.ndarray:
-    """Exact reference solver: best restricted solution over all supports.
-
-    The optimum is stationary on its own support S, H_SS y_S = -c_S, so
-    one least-squares solve per support of size <= limit, keeping the best
-    non-negative solution, finds it; an optimum whose block is singular is
-    also reached on a smaller support, which is enumerated too.  Intended
-    for tests, hence the tight size limits.
-    """
-    h, c, limit = p.h, p.c, p.limit
-    n = h.shape[0]
-    if n > 12 or limit > 4:
-        raise ValueError("oracle limits exceeded (n <= 12, limit <= 4)")
-    best_y = np.zeros(n)
-    best_obj = 0.0
-    for size in range(1, limit + 1):
-        for support in map(list, combinations(range(n), size)):
-            y = np.zeros(n)
-            y[support] = np.linalg.lstsq(h[np.ix_(support, support)], -c[support], rcond=None)[0]
-            obj = objective(h, c, y)
-            if (y >= 0.0).all() and obj < best_obj - 1e-15:
-                best_obj = obj
-                best_y = y
-    best_y[np.abs(best_y) < 1e-15] = 0.0
-    return best_y

@@ -2,7 +2,8 @@
 
 The explicit-embedding oracle replaces each per-dimension Gram matrix with
 V_l' V_l for a random finite-dimensional V_l, so every kernel-space
-quantity can be recomputed with ordinary vectors and compared.
+quantity can be recomputed with ordinary vectors and compared; an unseen
+embedding's cross kernel is ``oracles.explicit_unseen``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mkdmts.kernels import CrossKernel, KernelSet
+from mkdmts.kernels import KernelSet
 from mkdmts.mkd import Dictionary, atom_gram
 
 
@@ -67,22 +68,6 @@ def explicit_data(vs) -> np.ndarray:
     """Stacked explicit embeddings of every training sample (all-ones weights)."""
     n = vs[0].shape[1]
     return np.stack([np.concatenate([v[:, j] for v in vs]) for j in range(n)], axis=1)
-
-
-def explicit_unseen(rng, vs):
-    """A random unseen embedding with unit norm per dimension block.
-
-    Returns (CrossKernel, list of per-dimension explicit vectors).
-    """
-    zs = []
-    cross = []
-    for v in vs:
-        z = rng.normal(size=v.shape[0])
-        z /= np.linalg.norm(z)
-        zs.append(z)
-        cross.append(v.T @ z)
-    ck = CrossKernel(cross=cross, self_k=np.ones(len(vs)), dataset_hash="explicit")
-    return ck, zs
 
 
 @pytest.fixture

@@ -15,10 +15,10 @@ import pytest
 from conftest import (
     explicit_atoms,
     explicit_data,
-    explicit_unseen,
     make_explicit_kernelset,
     random_dictionary,
 )
+from oracles import explicit_unseen, nqp_oracle
 
 from mkdmts.cli import main as cli_main
 from mkdmts.evalx import clustering_error, nmi, run_experiment, score_clustering, spectral_baseline
@@ -34,7 +34,7 @@ from mkdmts.mkd import (
     update_codes,
 )
 from mkdmts.mtsdata import SynthConfig, synth_dataset
-from mkdmts.nqp import QuadProgram, nqp_oracle, nqp_solve, objective
+from mkdmts.nqp import QuadProgram, nqp_solve, objective
 from mkdmts.zeroshot import encode, encoding_matrix, partial_error, reconstruction_report
 
 from test_evalx import ce_bruteforce
@@ -280,7 +280,7 @@ def test_criterion_7_incremental_cache_exactness():
     for i in range(500):
         c = centers[int(rng.integers(5))]
         tree.insert(f"s{i}", c + rng.normal(0, 0.06, size=c.shape))
-    worst = tree.validate_caches(tol=1e-10)
+    worst = tree.validate_caches()
     assert tree.size() == 500
     flat = tree.flat_clusters()
     assert len(flat) == 500

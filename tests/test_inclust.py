@@ -146,7 +146,7 @@ def test_cache_exactness_and_conservation_after_random_inserts(rng):
     for i in range(300):
         c = centers[int(rng.integers(4))]
         tree.insert(f"s{i}", c + rng.normal(0, 0.05, size=c.shape))
-    worst = tree.validate_caches(tol=1e-10)
+    worst = tree.validate_caches()
     assert worst <= 1e-10
     assert tree.size() == 300
 

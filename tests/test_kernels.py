@@ -65,6 +65,10 @@ def dtw_loop(a, b):
     return d[-1][-1]
 
 
+def _all_values(ck, seen):
+    """Every value of a cross kernel against ``seen``, one length-N row per dimension."""
+    return ck.values(np.ones((seen.dims, len(seen)), dtype=bool))
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -204,7 +208,7 @@ def test_kernel_bytes_pinned():
     for k in ks.kernels:
         digest.update(k.tobytes())
     for z in unseen.sequences[:4]:
-        for c in cross_kernel(seen, z, ks.bandwidths).cross:
+        for c in _all_values(cross_kernel(seen, z, ks.bandwidths), seen):
             digest.update(c.tobytes())
     assert digest.hexdigest() == "826fc6628a2b0ed92322d4d5a68023417f74d140d4dcf73c2dd15a64a48179a0"
 
@@ -231,13 +235,14 @@ def test_cross_kernel_self_match(rng):
     ks = build_kernelset(ds)
     z = TimeSeries(id="z", values=seqs[2].copy())
     ck = cross_kernel(ds, z, ks.bandwidths)
+    cross = _all_values(ck, ds)
     for l in range(2):
-        assert ck.cross[l][2] == pytest.approx(1.0, abs=1e-12)
-        assert ((ck.cross[l] > 0) & (ck.cross[l] <= 1.0)).all()
+        assert cross[l][2] == pytest.approx(1.0, abs=1e-12)
+        assert ((cross[l] > 0) & (cross[l] <= 1.0)).all()
         assert ck.self_k[l] == 1.0
     # spot check one entry against direct recomputation
     expect = np.exp(-dtw(z.values[1], seqs[0][1]) / ks.bandwidths[1])
-    assert ck.cross[1][0] == pytest.approx(expect, rel=1e-12)
+    assert cross[1][0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_cross_kernel_dimension_mismatch(rng):
@@ -316,10 +321,10 @@ def test_pairwise_and_cross_kernel_equal_per_pair_reference(rng):
         assert _bits(pairwise_dtw(series)) == _bits(_reference_pairwise(series))
     bandwidths = np.array([0.7, 3.0, 11.0])
     z = TimeSeries(id="z", values=rng.normal(size=(3, 12)))
-    ck = cross_kernel(ds, z, bandwidths)
+    cross = _all_values(cross_kernel(ds, z, bandwidths), ds)
     for l in range(3):
         dists = np.array([dtw_loop(z.values[l], s[l]) for s in seqs])
-        assert _bits(ck.cross[l]) == _bits(np.exp(-dists / bandwidths[l]))
+        assert _bits(cross[l]) == _bits(np.exp(-dists / bandwidths[l]))
 
 
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):

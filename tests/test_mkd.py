@@ -9,10 +9,12 @@ from mkdmts.errors import DataError
 from mkdmts.ioutil import write_matrix
 from mkdmts.kernels import build_kernelset
 from mkdmts.mkd import (
+    _N_FOLDS,
     Dictionary,
     TrainConfig,
     _atom_targets,
     _holdout_error,
+    _stratified_folds,
     atom_data_cross,
     atom_gram,
     compute_loss,
@@ -362,8 +364,8 @@ def test_tune_deterministic_and_prefers_spanning_k():
     assert first.k >= 4
 
 
-def test_tune_warns_on_small_class():
-    # one class has fewer samples than folds, forcing the unstratified path
+def test_tune_folds_balance_sizes_and_spread_small_classes():
+    # class 0 has fewer samples than folds: dealing carries on from class to class, so no fallback is needed
     full, _, _ = synth_dataset(SynthConfig(
         num_seen_classes=2, num_unseen_classes=1, dims=2,
         length_range=(16, 20), samples_per_class=8, noise_std=0.05, seed=6,
@@ -371,10 +373,20 @@ def test_tune_warns_on_small_class():
     labels = full.labels()
     keep = list(np.flatnonzero(labels == 0)[:4]) + list(np.flatnonzero(labels == 1))
     seen = full.subset(sorted(keep))
+    labels = seen.labels()
+    for seed in range(10):
+        folds = _stratified_folds(labels, np.random.default_rng(seed))
+        assert len(folds) == _N_FOLDS
+        assert sorted(np.concatenate(folds).tolist()) == list(range(len(seen)))
+        sizes = [len(f) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        for cls in (0, 1):
+            per_fold = [int((labels[f] == cls).sum()) for f in folds]
+            assert max(per_fold) - min(per_fold) <= 1
     ks = build_kernelset(seen, bandwidth=10.0)
     base = TrainConfig(k=2, t_x=1, t_a=1, t_beta=1, max_iters=2, tol=1e-6, seed=0)
-    with pytest.warns(UserWarning, match="unstratified"):
-        tune(seen, ks, [(2, 1)], base)
+    picked = tune(seen, ks, [(2, 1)], base)  # a UserWarning here fails the test
+    assert (picked.k, picked.t_x) == (2, 1)
 
 
 def test_train_config_validation():

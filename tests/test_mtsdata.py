@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,29 @@ def test_timeseries_rejects_bad_shape():
     with pytest.raises(DataError):
         TimeSeries(id="x", values=np.array([1.0, 2.0, 3.0]).reshape(3))
 
+
+def test_dataset_hash_frames_each_sequence():
+    # an id running into its label, and one value buffer read in two shapes, both hashed equal before framing
+    values = np.arange(12.0)
+    pairs = [
+        (TimeSeries(id="x1", values=np.ones((2, 3)), label=23), TimeSeries(id="x12", values=np.ones((2, 3)), label=3)),
+        (TimeSeries(id="x", values=values.reshape(2, 6), label=0), TimeSeries(id="x", values=values.reshape(3, 4), label=0)),
+    ]
+    for a, b in pairs:
+        assert Dataset([a]).hash() != Dataset([b]).hash()
+        assert Dataset([a]).hash() == Dataset([TimeSeries(a.id, a.values.copy(), a.label)]).hash()
+
+
+def test_dataset_hash_is_computed_once(monkeypatch):
+    ds = Dataset([TimeSeries(id=f"s{i}", values=np.full((2, 4), float(i)), label=i) for i in range(3)])
+    first = ds.hash()
+
+    def no_second_hash(*args, **kwargs):
+        raise AssertionError("the dataset hashed its sequences again")
+
+    monkeypatch.setattr(hashlib, "sha256", no_second_hash)
+    assert ds.hash() == first
+    assert isinstance(ds.sequences, tuple)
 
 def test_dataset_requires_consistent_dims():
     a = TimeSeries(id="a", values=np.zeros((2, 5)), label=0)

@@ -13,18 +13,17 @@ from mkdmts.nqp import (
     _CD_TOL,
     _DIAG_FLOOR,
     _EXACT_SUPPORTS,
-    _coordinate_descent,
     _dual_bounds,
     _finish_row,
     _MIN_DECREASE,
     _pick,
     _ROUND_MARGIN,
     diagonal_solve,
-    nqp_oracle,
     nqp_solve,
     nqp_solve_columns,
     objective,
 )
+from oracles import coordinate_descent, nqp_oracle
 
 
 def random_program(rng, diag_only=False, n_max=8, t_max=3):
@@ -135,7 +134,7 @@ def reference_nqp_solve(p, refine_swaps=True):
         for j in range(n):
             if j in support:
                 continue
-            trial = _coordinate_descent(h, c, support + [j], y0=y)
+            trial = coordinate_descent(h, c, support + [j], y0=y)
             trial_obj = objective(h, c, trial)
             if trial_obj < best_obj:
                 best_j, best_y, best_obj = j, trial, trial_obj
@@ -151,7 +150,7 @@ def reference_nqp_solve(p, refine_swaps=True):
                 for j in range(n):
                     if j in support:
                         continue
-                    trial = _coordinate_descent(h, c, reduced + [j])
+                    trial = coordinate_descent(h, c, reduced + [j])
                     trial_obj = objective(h, c, trial)
                     if trial_obj < obj - _MIN_DECREASE and (best is None or trial_obj < best[0]):
                         best = (trial_obj, reduced + [j], trial)
@@ -209,17 +208,18 @@ def _no_certificate(monkeypatch):
 
 
 def _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch):
-    """The kernel of each row's size equals ``_coordinate_descent`` bit for bit, flag included, and so does the pick.
+    """The kernel of each row's size equals ``coordinate_descent`` bit for bit, flag included, and so does the pick.
 
-    ``_pick``, with its bounds and without a certificate (every row run),
-    returns the row with the lowest objective of the reference's values on
-    the row's coordinates, ties to the first row.
+    ``_pick``, with ``_MAX_SWEEPS`` set to ``max_iters``, with its bounds
+    and without a certificate (every row run), returns the row with the
+    lowest objective of the reference's values on the row's coordinates,
+    ties to the first row.
     """
     hjj = np.diagonal(p.h)
     hdiv = np.where(hjj > _DIAG_FLOOR, hjj, np.inf)
     expected = None
     for r, idx in enumerate(cols):
-        ref = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
+        ref = coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters)[idx]
         full = np.zeros(len(p.c))
         full[idx] = ref
         obj = objective(p.h, p.c, full)
@@ -231,13 +231,14 @@ def _assert_rows_equal_reference(p, cols, y0, max_iters, monkeypatch):
         assert np.array_equal(y, ref) and np.array_equal(np.signbit(y), np.signbit(ref))
         # a sweep's largest step is the largest change it makes, so the reference converged within
         # max_iters sweeps exactly when its last sweep changed no coordinate by more than the tolerance
-        before = _coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters - 1)[idx]
+        before = coordinate_descent(p.h, p.c, idx, y0=y0, max_iters=max_iters - 1)[idx]
         assert converged == (np.abs(ref - before).max() <= _CD_TOL)
     with monkeypatch.context() as patch:
+        patch.setattr(nqp, "_MAX_SWEEPS", max_iters)
         for certificate in (True, False):
             if not certificate:
                 _no_certificate(patch)
-            obj, y, r = _pick(p.h, p.c, cols, y0, np.inf, max_iters=max_iters)
+            obj, y, r = _pick(p.h, p.c, cols, y0, np.inf)
             assert (obj, r) == (expected[0], expected[2])
             assert np.array_equal(y, expected[1]) and np.array_equal(np.signbit(y), np.signbit(expected[1]))
 
@@ -349,7 +350,7 @@ def test_certified_bounds_are_below_oracle_and_final_descent(rng):
             for idx, bound in zip(cols, bounds):
                 block = QuadProgram(p.h[np.ix_(idx, idx)], p.c[idx], s)
                 assert bound <= objective(block.h, block.c, nqp_oracle(block))
-                final = _coordinate_descent(p.h, p.c, idx, y0=y0)
+                final = coordinate_descent(p.h, p.c, idx, y0=y0)
                 assert bound <= objective(p.h, p.c, final)
                 certified += bool(np.isfinite(bound))
     assert certified > 800
@@ -365,7 +366,7 @@ def test_certified_bounds_hold_on_sample_block_programs(monkeypatch):
         bounds = _dual_bounds(p.h, p.c, cols)
         assert np.isfinite(bounds).all()
         for idx, bound in zip(cols, bounds):
-            assert bound <= objective(p.h, p.c, _coordinate_descent(p.h, p.c, idx, y0=y0))
+            assert bound <= objective(p.h, p.c, coordinate_descent(p.h, p.c, idx, y0=y0))
 
 
 def _record_kernel_runs(monkeypatch, record):
@@ -413,7 +414,7 @@ def test_kernel_runs_only_on_rows_bounded_at_or_below_the_best_reached(monkeypat
         cut, best = call["bar"], (call["bar"], None, -1)
         for r in ran:
             assert bounds[r] <= cut
-            vals = _coordinate_descent(h, c, cols[r], y0=call["y0"])[cols[r]]
+            vals = coordinate_descent(h, c, cols[r], y0=call["y0"])[cols[r]]
             y = np.zeros(len(c))
             y[cols[r]] = vals
             obj = objective(h, c, y)

@@ -1,17 +1,21 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import (
     explicit_atoms,
     explicit_data,
-    explicit_unseen,
     make_explicit_kernelset,
     random_dictionary,
 )
+from oracles import ExplicitCrossKernel, explicit_unseen
 
 from mkdmts.errors import DataError
 from mkdmts import kernels
-from mkdmts.kernels import CrossKernel, build_kernelset, cross_kernel, dtw_many
+from mkdmts.evalx import describe
+from mkdmts.kernels import build_kernelset, cross_kernel, dtw_many
 from mkdmts.mkd import Dictionary, TrainConfig, train
 from mkdmts.mtsdata import SynthConfig, TimeSeries, synth_dataset
 from mkdmts.zeroshot import (
@@ -25,8 +29,7 @@ from mkdmts.zeroshot import (
 def test_encode_rejects_hash_mismatch(rng):
     ks, vs = make_explicit_kernelset(rng, 5, 2)
     d = random_dictionary(rng, ks, 3)
-    ck, _ = explicit_unseen(rng, vs)
-    ck = CrossKernel(cross=ck.cross, self_k=ck.self_k, dataset_hash="other")
+    ck, _ = explicit_unseen(rng, vs, dataset_hash="other")
     with pytest.raises(DataError, match="different seen datasets"):
         encode(d, ks, ck, 2)
 
@@ -187,7 +190,7 @@ def test_full_subset_error_equals_per_sequence_loss_term(rng):
     d = random_dictionary(rng, ks, 4)
     codes = update_codes(d, ks, t_x=2)
     n = 2
-    ck = CrossKernel(
+    ck = ExplicitCrossKernel(
         cross=[k[:, n].copy() for k in ks.kernels],
         self_k=np.array([k[n, n] for k in ks.kernels]),
         dataset_hash=ks.dataset_hash,
@@ -231,7 +234,7 @@ def test_describe_through_the_lazy_kernel_equals_the_full_kernel():
     d, labels = result.dictionary, seen.labels()
     assert sum(s.sum() for s in _support(d)) < d.dims * d.n  # some values go unread
     for z in unseen.sequences:
-        full = CrossKernel(
+        full = ExplicitCrossKernel(
             cross=[np.exp(-dtw_many([z.dim(l)] * len(seen), [s.dim(l) for s in seen.sequences]) / ks.bandwidths[l])
                    for l in range(seen.dims)],
             self_k=np.ones(seen.dims),
@@ -244,9 +247,8 @@ def test_describe_through_the_lazy_kernel_equals_the_full_kernel():
         assert rep.per_dim_error.tobytes() == ref.per_dim_error.tobytes()
         assert (rep.dra, rep.attribution) == (ref.dra, ref.attribution)
         assert partial_error(d, ks, lazy, x, [0]) == partial_error(d, ks, full, x, [0])
-        # the full view computes the remaining values, equal to the explicit ones
-        for mine, theirs in zip(lazy.cross, full.cross):
-            assert mine.tobytes() == theirs.tobytes()
+        # asking for every value computes the remaining ones, equal to the explicit ones
+        assert lazy.values(np.ones((d.dims, d.n), dtype=bool)).tobytes() == full.cross.tobytes()
 
 
 def test_describe_runs_dtw_once_on_the_support_only(monkeypatch):
@@ -261,21 +263,52 @@ def test_describe_runs_dtw_once_on_the_support_only(monkeypatch):
         encoding_matrix(d, x, z.id)
         reconstruction_report(d, ks, ck, x, labels)
         assert calls == [expected]  # one dtw_many call; the report reuses the encode's values
-        ck.cross
+        ck.values(np.ones((d.dims, d.n), dtype=bool))
         assert calls == [expected, d.dims * d.n - expected]
 
 
 @pytest.mark.parametrize("where", ["query", "seen"])
 def test_non_finite_input_fails_in_cross_kernel(monkeypatch, where):
+    """No sequence reaches ``cross_kernel`` non-finite, so it scans none.
+
+    A sequence is finite when it is built, and then neither an in-place
+    write into its values nor replacing a sequence of a dataset goes
+    through; all of it runs no DTW.
+    """
     seen, unseen, _, ks, _ = _trained_synth(noise=0.1)
     z = unseen.sequences[0]
+    target = z if where == "query" else seen.sequences[3]
+    before = target.values.copy()
     calls = _count_dtw_pairs(monkeypatch)
     for l in range(seen.dims):  # whether or not an atom uses the dimension
-        copy = seen.subset(range(len(seen)))
-        bad = TimeSeries(id="bad", values=(z if where == "query" else copy.sequences[3]).values.copy(), label=0)
-        bad.values[l, 5] = np.nan  # past TimeSeries' own check, as a caller mutating the array would
-        if where == "seen":
-            copy.sequences[3] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            cross_kernel(copy, bad if where == "query" else z, ks.bandwidths)
-    assert calls == []  # the check runs before any DTW
+        with pytest.raises(ValueError, match="read-only"):
+            target.values[l, 5] = np.nan
+        bad = before.copy()
+        bad[l, 5] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            TimeSeries(id="bad", values=bad, label=0)
+    fresh = TimeSeries(id="fresh", values=before, label=0)
+    before[0, 0] = np.nan  # the sequence keeps its own copy
+    assert np.isfinite(fresh.values).all()
+    if where == "seen":
+        with pytest.raises(TypeError):
+            seen.sequences[3] = fresh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seen.sequences = seen.sequences[:3] + (fresh,) + seen.sequences[4:]
+    assert calls == []
+    assert np.isfinite(target.values).all() and seen.sequences[3].id != "fresh"
+
+
+def test_a_pass_of_describes_computes_no_dataset_hash(monkeypatch):
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    # build_kernelset and train hashed the seen set once; every cross kernel reuses that hash
+    sha256, hashes = hashlib.sha256, []
+
+    def counting(*args, **kwargs):
+        hashes.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    described = describe(seen, ks, result.dictionary, unseen, 2, 0.1)
+    assert [row.id for row in described] == unseen.ids()
+    assert hashes == []
