@@ -20,9 +20,15 @@ from pathlib import Path
 
 from . import FORMAT_VERSION, __version__
 from .errors import DataError, MkdError, UsageError
-from .ioutil import (
-    check_int, is_integer, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text,
+from .evalx import (
+    cluster, describe, load_encodings, render_report, run_report, save_descriptions, score_clustering, synthesize,
 )
+from .inclust import ClusterConfig, flat_clusters_from_dict
+from .ioutil import check_int, is_integer, make_dir, read_json, write_json, write_text
+from .kernels import DEFAULT_BANDWIDTH, build_or_load_kernelset, check_bandwidth, load_kernelset
+from .mkd import TrainConfig, load_model, save_model, train, tune
+from .mtsdata import SynthConfig, load_dataset
+from .zeroshot import DEFAULT_THRESHOLD, check_threshold
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +45,7 @@ def _effective(args: argparse.Namespace, kinds: dict) -> dict:
     "median" or a number, is left to ``check_bandwidth``.
     """
     expected = {int: ("an integer", int), float: ("a number", (int, float)), None: ("a string", str)}
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose", "handler")}
     if args.config:
         loaded = read_json(args.config)
         if not isinstance(loaded, dict):
@@ -98,9 +104,6 @@ def _write_run_info(out_dir: Path, command: str, cfg: dict, config: dict) -> Non
 
 
 def _cmd_synth(cfg: dict) -> int:
-    from .evalx import synthesize
-    from .mtsdata import SynthConfig
-
     lo, hi = SynthConfig.length_range
     synth_cfg = _config(SynthConfig, cfg, _SYNTH_FLAGS, length_range=(
         lo if cfg["length_min"] is None else cfg["length_min"], hi if cfg["length_max"] is None else cfg["length_max"]))
@@ -112,9 +115,6 @@ def _cmd_synth(cfg: dict) -> int:
 
 
 def _cmd_kernels(cfg: dict) -> int:
-    from .kernels import DEFAULT_BANDWIDTH, build_or_load_kernelset, check_bandwidth
-    from .mtsdata import load_dataset
-
     bandwidth = _checked(check_bandwidth, DEFAULT_BANDWIDTH if cfg["bandwidth"] is None else cfg["bandwidth"])
     seen = load_dataset(cfg["manifest"], role="seen")
     ks = build_or_load_kernelset(seen, cfg["out"], bandwidth)
@@ -136,10 +136,6 @@ def _tune_grid(path) -> list[tuple[int, int]]:
 
 
 def _cmd_train(cfg: dict) -> int:
-    from .kernels import load_kernelset
-    from .mkd import TrainConfig, save_model, train, tune
-    from .mtsdata import load_dataset
-
     train_cfg = _config(TrainConfig, cfg, _TRAIN_FLAGS)
     grid = _tune_grid(cfg["tune"]) if cfg["tune"] else None
     seen = load_dataset(cfg["manifest"], role="seen")
@@ -156,12 +152,6 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_encode(cfg: dict) -> int:
-    from .evalx import describe
-    from .kernels import load_kernelset
-    from .mkd import load_model
-    from .mtsdata import load_dataset
-    from .zeroshot import DEFAULT_THRESHOLD, check_threshold
-
     t_x = cfg["tx"] if cfg["tx"] is None else _checked(check_int, "t_x", cfg["tx"], 1)
     threshold = _checked(check_threshold, DEFAULT_THRESHOLD if cfg["threshold"] is None else cfg["threshold"])
     seen = load_dataset(cfg["seen_manifest"], role="seen")
@@ -175,14 +165,8 @@ def _cmd_encode(cfg: dict) -> int:
         t_x = meta["t_x"]
     described = describe(seen, ks, model, unseen, t_x, threshold)
     out = make_dir(cfg["out"])
-    # index.json goes last, so an interrupted rerun leaves no index beside mixed old and new files
-    remove_file(out / "index.json")
-    for r in described:
-        write_json(out / f"{r.id}.code.json", {"id": r.id, "code": [float(v) for v in r.code]})
-        write_matrix(out / f"{r.id}.R.bin", r.encoding.values)
-        write_json(out / f"{r.id}.report.json", r.row() | {"threshold": r.report.threshold})
-    _write_run_info(out, "encode", cfg, {"t_x": t_x, "threshold": threshold})
-    write_json(out / "index.json", {"ids": [r.id for r in described]})
+    _write_run_info(out, "encode", cfg, {"t_x": t_x, "threshold": threshold})  # first: index.json is written last
+    save_descriptions(described, out)
     print(f"encoded {len(described)} sequences into {out}", file=sys.stderr)
     return 0
 
@@ -202,19 +186,9 @@ def _parse_order(spec: str | None) -> int | None:
 
 
 def _cmd_cluster(cfg: dict) -> int:
-    from .evalx import cluster
-    from .inclust import ClusterConfig
-
     cluster_cfg = _config(ClusterConfig, cfg, _CLUSTER_FLAGS)
     order_seed = _parse_order(cfg["order"])
-    enc_dir = Path(cfg["enc"])
-    index = read_json(enc_dir / "index.json")
-    ids = index.get("ids") if isinstance(index, dict) else None
-    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
-        raise DataError(f'{enc_dir / "index.json"}: expected {{"ids": [sequence ids]}}')
-    if not ids:
-        raise DataError(f"{enc_dir / 'index.json'} lists no encoded sequences")
-    tree = cluster([(sid, read_matrix(enc_dir / f"{sid}.R.bin")) for sid in ids], cluster_cfg, order_seed)
+    tree = cluster(load_encodings(cfg["enc"]), cluster_cfg, order_seed)
     out = Path(cfg["out"])
     make_dir(out.parent)
     tree.save(out)
@@ -226,10 +200,6 @@ def _cmd_cluster(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    from .evalx import score_clustering
-    from .inclust import flat_clusters_from_dict
-    from .mtsdata import load_dataset
-
     pred = flat_clusters_from_dict(read_json(cfg["tree"]))
     truth_ds = load_dataset(cfg["truth"], role="unseen")
     truth = dict(zip(truth_ds.ids(), truth_ds.labels().tolist()))
@@ -248,21 +218,8 @@ def _cmd_eval(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
-    from .evalx import render_report, run_report
-
     sys.stdout.write(render_report(run_report(cfg["run"])))
     return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "kernels": _cmd_kernels,
-    "train": _cmd_train,
-    "encode": _cmd_encode,
-    "cluster": _cmd_cluster,
-    "eval": _cmd_eval,
-    "report": _cmd_report,
-}
 
 
 def build_parser() -> _Parser:
@@ -271,9 +228,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("-v", "--verbose", action="store_true")
+        p.set_defaults(handler=handler)  # a dest no flag uses; _effective leaves it out of the flags
 
     def knobs(p, flags):
         for flag, (_, kind) in flags.items():
@@ -284,13 +242,13 @@ def build_parser() -> _Parser:
     p.add_argument("--length-min", type=int, dest="length_min")
     p.add_argument("--length-max", type=int, dest="length_max")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, _cmd_synth)
 
     p = sub.add_parser("kernels", help="build per-dimension DTW kernel matrices")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bandwidth", help="'median' or a fixed positive value")
-    common(p)
+    common(p, _cmd_kernels)
 
     p = sub.add_parser("train", help="train the multiple-kernel dictionary")
     p.add_argument("--manifest", required=True)
@@ -298,7 +256,7 @@ def build_parser() -> _Parser:
     knobs(p, _TRAIN_FLAGS)
     p.add_argument("--tune", help="JSON file with {'grid': [[k, tx], ...]}")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, _cmd_train)
 
     p = sub.add_parser("encode", help="encode unseen sequences against a model")
     p.add_argument("--model", required=True)
@@ -308,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tx", type=int, help="override the model's code sparsity")
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, _cmd_encode)
 
     p = sub.add_parser("cluster", help="incrementally cluster encoded sequences")
     p.add_argument("--enc", required=True)
@@ -316,17 +274,17 @@ def build_parser() -> _Parser:
     knobs(p, _CLUSTER_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--dot")
-    common(p)
+    common(p, _cmd_cluster)
 
     p = sub.add_parser("eval", help="score a tree against ground-truth labels")
     p.add_argument("--tree", required=True)
     p.add_argument("--truth", required=True, help="labeled unseen manifest")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, _cmd_eval)
 
     p = sub.add_parser("report", help="render a run directory as text")
     p.add_argument("--run", required=True)
-    common(p)
+    common(p, _cmd_report)
 
     return parser
 
@@ -339,7 +297,7 @@ def main(argv=None) -> int:
         if args.verbose:
             logging.getLogger().setLevel(logging.INFO)
         kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
-        return _COMMANDS[args.command](_effective(args, kinds))
+        return args.handler(_effective(args, kinds))
     except SystemExit as exc:  # argparse --version / --help
         return int(exc.code or 0)
     except MkdError as exc:

@@ -3,7 +3,9 @@
 The CLI subcommands and ``run_experiment`` share the stages ``synthesize``,
 ``describe`` and ``cluster``, and one run report: ``run_report`` reads
 either pipeline's run directory into one layout and ``render_report``
-prints it.
+prints it.  The encode directory has one writer, ``save_descriptions``,
+and one reader of its ``index.json``, which ``load_encodings`` and
+``run_report`` share.
 
 Clustering error (CE) is one minus the accuracy of the best injective
 cluster-to-class matching on the contingency table, found exactly by the
@@ -26,12 +28,12 @@ import numpy as np
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import check_int, make_dir, read_json, write_json, write_text
+from .ioutil import check_int, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text
 from .kernels import (
     DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
 )
 from .mkd import Dictionary, TrainConfig, train
-from .mtsdata import Dataset, SynthConfig, save_dataset, synth_dataset
+from .mtsdata import Dataset, SynthConfig, check_ids, save_dataset, synth_dataset
 from .zeroshot import (
     DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, check_threshold, encode, encoding_matrix,
     reconstruction_report,
@@ -250,6 +252,41 @@ def describe(seen: Dataset, ks: KernelSet, d: Dictionary, unseen: Dataset, t_x: 
     return out
 
 
+def save_descriptions(described: list[Description], out_dir) -> None:
+    """Write the encode directory: per id ``ID.code.json``, ``ID.R.bin`` and ``ID.report.json``, then ``index.json``.
+
+    The old ``index.json`` is removed first and the new one written last,
+    so an interrupted rewrite leaves no index beside a mix of old and new files.
+    """
+    out = make_dir(out_dir)
+    remove_file(out / "index.json")
+    for r in described:
+        write_json(out / f"{r.id}.code.json", {"id": r.id, "code": [float(v) for v in r.code]})
+        write_matrix(out / f"{r.id}.R.bin", r.encoding.values)
+        write_json(out / f"{r.id}.report.json", r.row() | {"threshold": r.report.threshold})
+    write_json(out / "index.json", {"ids": [r.id for r in described]})
+
+
+def _index_ids(index, path: Path) -> list[str]:
+    """The sequence ids of ``index``, the JSON read from the ``index.json`` at ``path``.
+
+    They must be a non-empty list of ids that pass ``check_ids``; anything else is a DataError.
+    """
+    ids = index.get("ids") if isinstance(index, dict) else None
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise DataError(f'{path}: expected {{"ids": [sequence ids]}}')
+    if not ids:
+        raise DataError(f"{path} lists no encoded sequences")
+    check_ids(ids, f"{path}: ")
+    return ids
+
+
+def load_encodings(enc_dir) -> list[tuple[str, np.ndarray]]:
+    """(id, encoding matrix) of every sequence that the encode directory's ``index.json`` lists, in its order."""
+    path = Path(enc_dir) / "index.json"
+    return [(sid, read_matrix(path.parent / f"{sid}.R.bin")) for sid in _index_ids(read_json(path), path)]
+
+
 def cluster(encodings: list[tuple[str, np.ndarray]], cfg: ClusterConfig, order_seed: int | None) -> Dendrogram:
     """Insert (id, encoding matrix) pairs into a new dendrogram.
 
@@ -404,9 +441,8 @@ def _score_part(score) -> dict:
 
 def _dra_part(enc_dir: Path, index) -> dict:
     """The mean DRA over the sequences that ``encode``'s index lists."""
-    dras = [_part(enc_dir / f"{sid}.report.json", lambda r: {"dra_mean": r["dra"]})["dra_mean"] for sid in index["ids"]]
-    if not dras:
-        raise ValueError("lists no encoded sequences")
+    dras = [_part(enc_dir / f"{sid}.report.json", lambda r: {"dra_mean": r["dra"]})["dra_mean"]
+            for sid in _index_ids(index, enc_dir / "index.json")]
     return {"dra_mean": float(np.mean(dras))}
 
 

@@ -170,6 +170,7 @@ class Dendrogram:
         self.roots: list[DendroNode] = []
         self._ids = itertools.count()
         self._join_dists: list[float] = []
+        self._member_ids: set[str] = set()
         self.records: list[PlacementRecord] = []
 
     # -- bookkeeping -------------------------------------------------
@@ -233,12 +234,15 @@ class Dendrogram:
         return outcome, (halves[0].node_id, halves[1].node_id)
 
     def insert(self, source_id: str, r) -> PlacementRecord:
-        """Place one encoded sequence, given as its N x f encoding array."""
+        """Place one encoded sequence, given as its N x f encoding array; an id already in the tree is a DataError."""
         r = np.asarray(r, dtype=np.float64)
+        if source_id in self._member_ids:
+            raise DataError(f"sequence id {source_id!r} is already in the tree")
         if self.roots and r.shape != self.roots[0].mean.shape:
             raise DataError(
                 f"encoding shape {r.shape} does not match the tree's {self.roots[0].mean.shape}"
             )
+        self._member_ids.add(source_id)
         winner = self._candidates(r) if self.roots else None
         if winner is None:
             target = DendroNode(next(self._ids))

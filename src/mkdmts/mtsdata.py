@@ -62,12 +62,25 @@ class TimeSeries:
         return self.values[l]
 
 
+def check_ids(ids, where: str = "") -> None:
+    """Reject ids that cannot name per-sequence files: empty, "." or "..", with a path separator, or repeated.
+
+    The DataError's message starts with ``where``.
+    """
+    seen = set()
+    for sid in ids:
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+            raise DataError(f"{where}sequence id {sid!r} is not a safe file name")
+        if sid in seen:
+            raise DataError(f"{where}duplicate sequence id {sid!r}")
+        seen.add(sid)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered, immutable tuple of sequences sharing a dimension count.
 
-    Ids name per-sequence files: unique, non-empty, not "." or "..", and
-    without path separators.  For role "seen" every sequence must carry a
+    Ids pass ``check_ids``.  For role "seen" every sequence must carry a
     label.  For role "unseen" labels are optional, used for evaluation only.
     """
 
@@ -82,14 +95,9 @@ class Dataset:
             raise DataError(f"unknown dataset role {self.role!r}")
         if not self.sequences:
             raise DataError("empty dataset")
+        check_ids(self.ids())
         dims = self.sequences[0].dims
-        ids = set()
         for seq in self.sequences:
-            if seq.id in ("", ".", "..") or "/" in seq.id or "\\" in seq.id:
-                raise DataError(f"sequence id {seq.id!r} is not a safe file name")
-            if seq.id in ids:
-                raise DataError(f"duplicate sequence id {seq.id!r}")
-            ids.add(seq.id)
             if seq.dims != dims:
                 raise DataError(
                     f"sequence {seq.id!r} has {seq.dims} dimensions, expected {dims}"
@@ -167,12 +175,15 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
     """Load a dataset from a JSON-lines manifest.
 
     String labels are interned to dense integer ids in first-seen order;
-    the mapping is kept on the returned Dataset (``label_names``).
+    the mapping is kept on the returned Dataset (``label_names``).  A
+    manifest whose labels mix strings and integers is a DataError, since
+    interned and given integers would name the same classes.
     """
     manifest_path = Path(manifest_path)
     lines = read_text(manifest_path).splitlines()
     base = manifest_path.parent
     intern: dict[str, int] = {}
+    label_type = None
     sequences: list[TimeSeries] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -191,6 +202,10 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
             raise DataError(f"{manifest_path}: line {lineno}: 'label' must be a string or an integer")
         if isinstance(label, int) and not _INT64.min <= label <= _INT64.max:
             raise DataError(f"{manifest_path}: line {lineno}: integer 'label' {label} does not fit in int64")
+        if label is not None:
+            label_type = label_type or type(label)
+            if type(label) is not label_type:
+                raise DataError(f"{manifest_path}: line {lineno}: 'label' {label!r} mixes string and integer labels")
         if isinstance(label, str):
             label = intern.setdefault(label, len(intern))
         values = _load_csv(base / rec["path"])

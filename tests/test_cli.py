@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mkdmts.cli import main
-from mkdmts.ioutil import read_json, write_matrix
+from mkdmts.ioutil import read_json, write_json, write_matrix
 
 
 SYNTH_ARGS = [
@@ -302,6 +302,53 @@ def test_cluster_empty_index_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_cluster_index_listing_an_id_twice_is_data_error(tmp_path, capsys):
+    _write_encodings(tmp_path / "enc", ["a", "b", "a"])
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "duplicate sequence id 'a'" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_manifest_mixing_string_and_integer_labels_is_data_error(tmp_path, capsys):
+    for i in range(4):
+        (tmp_path / f"s{i}.csv").write_text("0.0,1.0\n1.0,2.0\n")
+    (tmp_path / "m.jsonl").write_text("".join(
+        json.dumps({"id": f"s{i}", "path": f"s{i}.csv", "label": label}) + "\n"
+        for i, label in enumerate(["walk", 0, "run", 1])))
+    assert _run(["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "k"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "m.jsonl: line 2: 'label' 0 mixes string and integer labels" in err
+    assert not (tmp_path / "k").exists()
+
+
+def _index_escaping_its_directory(run):
+    """An encode directory whose index lists "../enc/x", a path that resolves to its own x."""
+    _write_encodings(run / "enc", ["x", "y"])
+    write_json(run / "enc" / "index.json", {"ids": ["../enc/x", "y"]})
+    for sid in ("x", "y"):
+        write_json(run / "enc" / f"{sid}.report.json", {"id": sid, "dra": 1.0, "per_dim_error": [0.0], "attribution": []})
+
+
+def test_cluster_index_id_that_is_not_a_file_name_is_data_error(tmp_path, capsys):
+    _index_escaping_its_directory(tmp_path)
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "index.json: sequence id '../enc/x' is not a safe file name" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_report_index_id_that_is_not_a_file_name_is_data_error(tmp_path, capsys):
+    _index_escaping_its_directory(tmp_path)
+    assert _run(["report", "--run", tmp_path]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "data error: ")
+    assert "sequence id '../enc/x' is not a safe file name" in captured.err and not captured.out
+
+
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"k": "abc"}))
@@ -594,7 +641,7 @@ def test_interrupted_encode_rerun_leaves_no_index(trained, tmp_path, monkeypatch
         write_matrix(path, m)
 
     with monkeypatch.context() as patch:
-        patch.setattr("mkdmts.cli.write_matrix", fail_second)
+        patch.setattr("mkdmts.evalx.write_matrix", fail_second)
         assert _run(_encode_args(data, kern, model, enc)) == 2
     capsys.readouterr()
     assert _run(["cluster", "--enc", enc, "--out", tmp_path / "t.json"]) == 2

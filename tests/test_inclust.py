@@ -176,6 +176,16 @@ def test_shape_mismatch_rejected(rng):
         tree.insert("b", rng.uniform(size=(2, 3)))
 
 
+def test_duplicate_id_rejected_and_tree_unchanged(rng):
+    tree = Dendrogram()
+    tree.insert("a", rng.uniform(size=(3, 2)))
+    before = json.dumps(tree.to_dict(), sort_keys=True)
+    with pytest.raises(DataError, match="'a' is already in the tree"):
+        tree.insert("a", rng.uniform(size=(3, 2)))
+    assert json.dumps(tree.to_dict(), sort_keys=True) == before
+    assert len(tree.records) == 1
+
+
 def test_serialization_round_trip(rng):
     pts = _two_blob_stream(rng, n_per=8)
     tree = Dendrogram(ClusterConfig())

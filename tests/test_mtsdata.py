@@ -142,6 +142,16 @@ def test_string_labels_interned_first_seen(tmp_path):
     assert ds.label_names == {0: "walk", 1: "run"}
 
 
+@pytest.mark.parametrize("labels,line", [(["walk", 0, "run", 1], 2), ([0, None, "walk"], 3)])
+def test_load_dataset_rejects_mixed_string_and_integer_labels(tmp_path, labels, line):
+    records = []
+    for i, label in enumerate(labels):
+        (tmp_path / f"s{i}.csv").write_text("0.0\n1.0\n")
+        records.append({"id": f"s{i}", "path": f"s{i}.csv"} | ({} if label is None else {"label": label}))
+    with pytest.raises(DataError, match=f"line {line}: 'label' .* mixes string and integer labels"):
+        load_dataset(_write_manifest(tmp_path, records), role="unseen")
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     seqs = [
