@@ -191,10 +191,10 @@ def _cmd_cluster(cfg: dict) -> int:
     tree = cluster(load_encodings(cfg["enc"]), cluster_cfg, order_seed)
     out = Path(cfg["out"])
     make_dir(out.parent)
-    tree.save(out)
     if cfg["dot"]:
         write_text(cfg["dot"], tree.to_dot() + "\n")
     _write_run_info(out.parent, "cluster", cfg, asdict(cluster_cfg) | {"order_seed": order_seed})
+    tree.save(out)  # last: a run that fails leaves no new tree for eval to score
     print(f"tree with {len(tree.roots)} top-level nodes over {tree.size()} sequences", file=sys.stderr)
     return 0
 

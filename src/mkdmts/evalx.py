@@ -28,7 +28,9 @@ import numpy as np
 from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
-from .ioutil import check_int, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix, write_text
+from .ioutil import (
+    check_int, file_op, make_dir, malformed, read_json, read_matrix, remove_file, write_json, write_matrix, write_text,
+)
 from .kernels import (
     DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
 )
@@ -425,12 +427,10 @@ def _part(path: Path, extract) -> dict:
     They are checked by rendering them, so content that cannot be taken or
     rendered is a DataError that names ``path``.
     """
-    try:
+    with malformed(f"{path}: cannot render"):
         part = extract(read_json(path))
         render_report(_REPORT_BASE | part)
         return part
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: cannot render ({type(exc).__name__}: {exc})") from None
 
 
 def _score_part(score) -> dict:
@@ -463,10 +463,8 @@ def run_report(run_dir) -> dict:
     DataError.
     """
     run_dir, report = Path(run_dir), {}
-    try:
+    with file_op(run_dir, "list run directory"):
         dirs = [run_dir, *sorted(p for p in run_dir.iterdir() if p.is_dir())]
-    except OSError as exc:
-        raise DataError(f"{run_dir}: cannot list run directory ({exc.strerror or exc})") from None
     for d in dirs:
         for name, extract in (("score.json", _score_part), ("index.json", lambda index: _dra_part(d, index)),
                               ("meta.json", lambda meta: {"loss_trace": meta["loss_trace"]} if "loss_trace" in meta else {})):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, check_number, write_json
+from .ioutil import check_int, check_number, is_integer, malformed, write_json
 
 _SPLIT_ITERS = 50
 _CACHE_TOL = 1e-10  # largest deviation validate_caches accepts
@@ -340,12 +340,18 @@ class Dendrogram:
 
 
 def flat_clusters_from_dict(tree: dict) -> dict[str, int]:
-    """Top-level assignment from a serialized tree (as written by save); each id must be listed once."""
+    """Top-level assignment from a serialized tree (as written by save).
+
+    Each node id must be an integer (``is_integer``), each node's members a
+    list, and each member listed once.
+    """
     out: dict[str, int] = {}
 
     def collect(node: dict, top: int) -> None:
+        if not is_integer(node["id"]):
+            raise TypeError(f"node id {node['id']!r} is not an integer")
         if not isinstance(node["members"], list):
-            raise DataError(f"malformed serialized tree (members {node['members']!r} is not a list)")
+            raise TypeError(f"members {node['members']!r} is not a list")
         for sid in node["members"]:
             if sid in out:
                 raise DataError(f"serialized tree lists {sid!r} under two nodes")
@@ -353,11 +359,9 @@ def flat_clusters_from_dict(tree: dict) -> dict[str, int]:
         for child in node["children"]:
             collect(child, top)
 
-    try:
+    with malformed("malformed serialized tree"):
         for root in tree["roots"]:
             collect(root, root["id"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed serialized tree ({exc!r})") from None
     if not out:
         raise DataError("serialized tree has no members")
     return out

@@ -1,4 +1,4 @@
-"""Shared on-disk formats and checks: binary matrices, JSON helpers, value checks.
+"""Shared on-disk formats and checks: the failure rules for files, binary matrices, JSON helpers, value checks.
 
 Binary matrix format: two little-endian uint64 (rows, cols) followed by
 row-major little-endian float64 data.  Used by the kernel cache, persisted
@@ -8,6 +8,7 @@ models, and per-sequence encoding matrices.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -19,31 +20,56 @@ _HEADER_DTYPE = np.dtype("<u8")
 _DATA_DTYPE = np.dtype("<f8")
 
 
+@contextmanager
+def file_op(path: str | Path, action: str):
+    """Run a file operation on ``path``; a failure is a one-line DataError ``path: cannot ACTION (reason)``.
+
+    A failure is an OSError, or the ValueError of a path that holds a NUL
+    byte.  Two reads name the cause instead: a missing file read as text
+    (``action`` "read") is "file not found", and text that is not UTF-8 is
+    "not UTF-8 text".  A path that is not printable is shown as its repr.
+    """
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        shown = str(path) if str(path).isprintable() else repr(str(path))
+        if isinstance(exc, UnicodeDecodeError):
+            reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        elif isinstance(exc, FileNotFoundError) and action == "read":
+            reason = "file not found"
+        else:
+            reason = f"cannot {action} ({getattr(exc, 'strerror', None) or exc})"
+        raise DataError(f"{shown}: {reason}") from None
+
+
+@contextmanager
+def malformed(what: str):
+    """Take a persisted document apart; an AttributeError, LookupError, TypeError or ValueError raised in
+    the block (a missing key, a value of the wrong type or out of range) is a DataError ``what (exception)``."""
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{what} ({exc!r})") from None
+
+
 def make_dir(path: str | Path) -> Path:
     """Create ``path`` and its parents; a path that cannot be a directory is a DataError."""
     path = Path(path)
-    try:
+    with file_op(path, "create directory"):
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot create directory ({exc.strerror or exc})") from None
     return path
 
 
 def remove_file(path: str | Path) -> None:
     """Delete ``path`` if it exists; a path that cannot be removed is a DataError."""
-    try:
+    with file_op(path, "remove"):
         Path(path).unlink(missing_ok=True)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot remove ({exc.strerror or exc})") from None
 
 
 def _write_bytes(path: str | Path, *chunks: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+    with file_op(path, "write"), open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -59,10 +85,8 @@ def write_matrix(path: str | Path, m: np.ndarray) -> None:
 
 def read_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
-    try:
+    with file_op(path, "read matrix"):
         raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read matrix ({exc.strerror or exc})") from None
     if len(raw) < 16:
         raise DataError(f"{path}: truncated matrix file")
     rows, cols = np.frombuffer(raw[:16], dtype=_HEADER_DTYPE)
@@ -81,14 +105,8 @@ def write_json(path: str | Path, obj) -> None:
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of ``path``; a file that cannot be read or decoded is a DataError."""
-    try:
+    with file_op(path, "read"):
         return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def is_integer(value) -> bool:
@@ -118,6 +136,6 @@ def check_number(name: str, value, high: float = np.inf, *, positive: bool = Tru
 def read_json(path: str | Path):
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 

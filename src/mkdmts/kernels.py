@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, make_dir, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, remove_file, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
@@ -231,15 +231,16 @@ def psd_repair(m: np.ndarray) -> tuple[np.ndarray, float]:
     return (repaired + repaired.T) / 2.0, shift
 
 
-def check_bandwidth(bandwidth) -> float | str:
+def check_bandwidth(bandwidth, error: type[Exception] = DataError) -> float | str:
     """"median", or the fixed bandwidth as a float, which must be a positive, finite number
-    (``check_number``); a string other than "median", such as the command line's, is parsed first."""
+    (``check_number``); a string other than "median", such as the command line's, is parsed first.
+    Anything else raises ``error``."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return bandwidth
     try:
         return check_number("bandwidth", float(bandwidth) if isinstance(bandwidth, str) else bandwidth)
     except ValueError:
-        raise DataError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}") from None
+        raise error(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}") from None
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
@@ -335,16 +336,14 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != CACHE_FORMAT:
         raise DataError(f"{cache_dir}: unknown kernel cache format {fmt!r}")
-    try:
+    with malformed(f"{cache_dir}: malformed kernel cache metadata"):
         n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
         bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
         if not (bandwidths > 0.0).all():
             raise ValueError("bandwidths must be positive")
         dataset_hash = str(meta["dataset_hash"])
         request = meta.get("bandwidth_request")
-        request = None if request is None else check_bandwidth(request)
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise DataError(f"{cache_dir}: malformed kernel cache metadata ({exc!r})") from None
+        request = None if request is None else check_bandwidth(request, ValueError)
     kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(dims)]
     for l, k in enumerate(kernels):
         if k.shape != (n, n):

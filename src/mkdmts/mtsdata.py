@@ -63,13 +63,14 @@ class TimeSeries:
 
 
 def check_ids(ids, where: str = "") -> None:
-    """Reject ids that cannot name per-sequence files: empty, "." or "..", with a path separator, or repeated.
+    """Reject ids that cannot name per-sequence files: empty, "." or "..", with a path separator or a NUL byte,
+    or repeated.
 
     The DataError's message starts with ``where``.
     """
     seen = set()
     for sid in ids:
-        if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid or "\0" in sid:
             raise DataError(f"{where}sequence id {sid!r} is not a safe file name")
         if sid in seen:
             raise DataError(f"{where}duplicate sequence id {sid!r}")
@@ -191,7 +192,7 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
             raise DataError(f"{manifest_path}: line {lineno}: invalid JSON ({exc})") from None
         if not isinstance(rec, dict) or "id" not in rec or "path" not in rec:
             raise DataError(f"{manifest_path}: line {lineno}: record must be an object with 'id' and 'path'")

@@ -892,3 +892,89 @@ def test_cli_surface_pinned():
         for name, p in sub.choices.items()
     }
     assert surface == _CLI_SURFACE
+
+
+def test_cluster_dot_that_cannot_be_written_leaves_no_tree(tmp_path, capsys):
+    _write_encodings(tmp_path / "enc", ["a", "b", "c"])
+    out = tmp_path / "t" / "tree.json"
+    assert _run(["cluster", "--enc", tmp_path / "enc", "--out", out, "--dot", tmp_path / "nodir" / "tree.dot"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "tree.dot: cannot write" in err
+    assert not out.exists() and not (out.parent / "run_info.json").exists()
+
+
+@pytest.mark.parametrize("root_id,child_id", [([0], 1), ({"a": 0}, 1), (None, 1), (True, 1), (1.0, 1), ("0", 1),
+                                              (0, None)],
+                         ids=["list", "object", "null", "bool", "float", "string", "child_null"])
+def test_eval_node_id_that_is_not_an_integer_is_data_error(trained, tmp_path, capsys, root_id, child_id):
+    from mkdmts.mtsdata import load_dataset
+
+    data, _, _ = trained
+    ids = load_dataset(data / "unseen.jsonl", role="unseen").ids()
+    tree = {"roots": [{"id": root_id, "members": ids[1:], "children": [
+        {"id": child_id, "members": ids[:1], "children": []}]}]}
+    (tmp_path / "t.json").write_text(json.dumps(tree))
+    capsys.readouterr()
+    assert _run(["eval", "--tree", tmp_path / "t.json", "--truth", data / "unseen.jsonl",
+                 "--out", tmp_path / "s.json"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "malformed serialized tree" in err and "is not an integer" in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def _one_printable_data_error(err):
+    """stderr holds one printable ``data error:`` line and nothing else."""
+    _one_error_line(err, "data error: ")
+    assert err.endswith("\n") and len(err.splitlines()) == 1 and err[:-1].isprintable(), repr(err)
+
+
+@pytest.mark.parametrize("command", ["kernels", "train", "cluster", "encode"])
+def test_nul_byte_in_a_path_or_id_is_one_printable_data_error(trained, tmp_path, capsys, command):
+    data, kern, model = trained
+    if command == "kernels":
+        # a manifest record whose sequence path holds a NUL byte
+        (tmp_path / "m.jsonl").write_text(json.dumps({"id": "a", "path": "a\u0000.csv", "label": 0}) + "\n")
+        args = ["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "out"]
+    elif command == "train":
+        # a --config file whose tune grid path holds a NUL byte
+        (tmp_path / "c.json").write_text(json.dumps({"tune": "grid\u0000.json"}))
+        args = ["train", "--config", tmp_path / "c.json", "--manifest", data / "seen.jsonl", "--kernels", kern,
+                "--out", tmp_path / "out"]
+    elif command == "cluster":
+        _write_encodings(tmp_path / "enc", ["a", "b"])
+        write_json(tmp_path / "enc" / "index.json", {"ids": ["a\u0000b", "b"]})
+        args = ["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "out" / "t.json"]
+    else:
+        # an unseen manifest whose sequence id holds a NUL byte
+        first = json.loads((data / "unseen.jsonl").read_text().splitlines()[0])
+        record = {"id": "x\u0000y", "path": str(data / first["path"])}
+        (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
+        args = ["encode", "--model", model, "--kernels", kern, "--seen-manifest", data / "seen.jsonl",
+                "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    _one_printable_data_error(err)
+    if command in ("cluster", "encode"):
+        assert "\\x00" in err and "is not a safe file name" in err
+    else:
+        assert "\\x00" in err and "embedded null byte" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "manifest_line"])
+def test_json_nested_beyond_the_parser_limit_is_one_line_data_error(tmp_path, capsys, where):
+    deep = "[" * 100000 + "]" * 100000
+    if where == "config":
+        (tmp_path / "c.json").write_text(deep)
+        args = ["synth", "--config", tmp_path / "c.json", "--out", tmp_path / "out"]
+    else:
+        (tmp_path / "m.jsonl").write_text(deep + "\n")
+        args = ["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "out"]
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    _one_printable_data_error(err)
+    assert "invalid JSON (maximum recursion depth exceeded" in err
+    assert not (tmp_path / "out").exists()

@@ -256,3 +256,12 @@ def test_config_rejects_non_integer_split_min(value):
     with pytest.raises(ValueError, match="split_min must be an integer"):
         ClusterConfig(split_min=value)
     assert ClusterConfig(split_min=np.int64(6)).split_min == 6
+
+
+@pytest.mark.parametrize("node_id", [[0], {"a": 0}, None, False, 2.0, "2"], ids=["list", "object", "null", "bool",
+                                                                              "float", "string"])
+def test_flat_clusters_from_dict_rejects_a_node_id_that_is_not_an_integer(node_id):
+    tree = {"roots": [{"id": node_id, "members": ["a"], "children": []}]}
+    with pytest.raises(DataError, match="malformed serialized tree .*is not an integer"):
+        flat_clusters_from_dict(tree)
+    assert flat_clusters_from_dict({"roots": [{"id": np.int64(3), "members": ["a"], "children": []}]}) == {"a": 3}

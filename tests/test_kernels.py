@@ -462,3 +462,13 @@ def test_check_bandwidth_rejects_bools(value):
     with pytest.raises(DataError, match="bandwidth must be"):
         check_bandwidth(value)
     assert check_bandwidth(1) == 1.0 and check_bandwidth("median") == "median"
+
+
+@pytest.mark.parametrize("request_value", ["wide", -1.0, True, [5.0]], ids=["string", "negative", "bool", "list"])
+def test_cache_with_a_bad_bandwidth_request_is_malformed_metadata(tmp_path, request_value):
+    seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(10, 14)))
+    cache = tmp_path / "cache"
+    build_or_load_kernelset(seen, cache, 5.0)
+    write_json(cache / "meta.json", read_json(cache / "meta.json") | {"bandwidth_request": request_value})
+    with pytest.raises(DataError, match="malformed kernel cache metadata .*bandwidth must be 'median' or positive"):
+        load_kernelset(cache)

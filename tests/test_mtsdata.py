@@ -285,3 +285,11 @@ def test_synth_config_rejects_a_bool_noise_std():
 def test_synth_config_takes_numpy_integers_and_a_length_list():
     cfg = SynthConfig(num_seen_classes=np.int64(3), samples_per_class=np.int32(2), length_range=[20, np.int64(30)])
     assert cfg.num_seen_classes == 3 and list(cfg.length_range) == [20, 30]
+
+
+def test_id_with_a_nul_byte_is_rejected_at_load(tmp_path):
+    (tmp_path / "a.csv").write_text("0.0,1.0\n")
+    man = _write_manifest(tmp_path, [{"id": "x\u0000y", "path": "a.csv"}])
+    with pytest.raises(DataError) as info:
+        load_dataset(man, role="unseen")
+    assert "sequence id 'x\\x00y' is not a safe file name" in str(info.value) and str(info.value).isprintable()
