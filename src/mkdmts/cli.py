@@ -24,7 +24,7 @@ from .evalx import (
     cluster, describe, load_encodings, render_report, run_report, save_descriptions, score_clustering, synthesize,
 )
 from .inclust import ClusterConfig, flat_clusters_from_dict
-from .ioutil import check_int, is_integer, make_dir, read_json, write_json, write_text
+from .ioutil import check_int, is_integer, make_dir, read_json, show_path, write_json, write_text
 from .kernels import DEFAULT_BANDWIDTH, build_or_load_kernelset, check_bandwidth, load_kernelset
 from .mkd import TrainConfig, load_model, save_model, train, tune
 from .mtsdata import SynthConfig, load_dataset
@@ -49,10 +49,10 @@ def _effective(args: argparse.Namespace, kinds: dict) -> dict:
     if args.config:
         loaded = read_json(args.config)
         if not isinstance(loaded, dict):
-            raise UsageError(f"{args.config}: expected a JSON object")
+            raise UsageError(f"{show_path(args.config)}: expected a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
-            raise UsageError(f"unknown config keys {sorted(unknown)} in {args.config}")
+            raise UsageError(f"unknown config keys {sorted(unknown)} in {show_path(args.config)}")
         for key, value in loaded.items():
             what, types = expected[kinds[key]]
             if value is not None and key != "bandwidth" and (isinstance(value, bool) or not isinstance(value, types)):
@@ -131,7 +131,7 @@ def _tune_grid(path) -> list[tuple[int, int]]:
     except (KeyError, TypeError, ValueError):
         grid = []
     if not grid or not all(is_integer(v) and v >= 1 for pair in grid for v in pair):
-        raise UsageError(f'{path}: expected {{"grid": [[k, tx], ...]}} with at least one pair of integers >= 1')
+        raise UsageError(f'{show_path(path)}: expected {{"grid": [[k, tx], ...]}} with at least one pair of integers >= 1')
     return grid
 
 
@@ -159,8 +159,8 @@ def _cmd_encode(cfg: dict) -> int:
     ks = load_kernelset(cfg["kernels"])
     model, meta = load_model(cfg["model"])
     if meta["bandwidths"] != ks.bandwidths.tolist():
-        raise DataError(f"{cfg['model']} was trained on kernel bandwidths {meta['bandwidths']}, "
-                        f"{cfg['kernels']} holds {ks.bandwidths.tolist()}")
+        raise DataError(f"{show_path(cfg['model'])} was trained on kernel bandwidths {meta['bandwidths']}, "
+                        f"{show_path(cfg['kernels'])} holds {ks.bandwidths.tolist()}")
     if t_x is None:
         t_x = meta["t_x"]
     described = describe(seen, ks, model, unseen, t_x, threshold)

@@ -29,7 +29,8 @@ from . import __version__
 from .errors import DataError, NumericalError
 from .inclust import ClusterConfig, Dendrogram
 from .ioutil import (
-    check_int, file_op, make_dir, malformed, read_json, read_matrix, remove_file, write_json, write_matrix, write_text,
+    check_int, file_op, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix,
+    write_text,
 )
 from .kernels import (
     DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
@@ -275,11 +276,12 @@ def _index_ids(index, path: Path) -> list[str]:
     They must be a non-empty list of ids that pass ``check_ids``; anything else is a DataError.
     """
     ids = index.get("ids") if isinstance(index, dict) else None
+    where = show_path(path)
     if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
-        raise DataError(f'{path}: expected {{"ids": [sequence ids]}}')
+        raise DataError(f'{where}: expected {{"ids": [sequence ids]}}')
     if not ids:
-        raise DataError(f"{path} lists no encoded sequences")
-    check_ids(ids, f"{path}: ")
+        raise DataError(f"{where} lists no encoded sequences")
+    check_ids(ids, f"{where}: ")
     return ids
 
 
@@ -427,7 +429,7 @@ def _part(path: Path, extract) -> dict:
     They are checked by rendering them, so content that cannot be taken or
     rendered is a DataError that names ``path``.
     """
-    with malformed(f"{path}: cannot render"):
+    with malformed(f"{show_path(path)}: cannot render"):
         part = extract(read_json(path))
         render_report(_REPORT_BASE | part)
         return part
@@ -471,5 +473,5 @@ def run_report(run_dir) -> dict:
             if (d / name).is_file():
                 report = _part(d / name, extract) | report
     if not report:
-        raise DataError(f"{run_dir}: holds no run output")
+        raise DataError(f"{show_path(run_dir)}: holds no run output")
     return _REPORT_BASE | report

@@ -20,6 +20,12 @@ _HEADER_DTYPE = np.dtype("<u8")
 _DATA_DTYPE = np.dtype("<f8")
 
 
+def show_path(path: str | Path) -> str:
+    """``path`` as a message names it: as it is, or as its repr when it is not printable (say, it holds a
+    newline), so that every message stays one printable line."""
+    return str(path) if str(path).isprintable() else repr(str(path))
+
+
 @contextmanager
 def file_op(path: str | Path, action: str):
     """Run a file operation on ``path``; a failure is a one-line DataError ``path: cannot ACTION (reason)``.
@@ -27,19 +33,18 @@ def file_op(path: str | Path, action: str):
     A failure is an OSError, or the ValueError of a path that holds a NUL
     byte.  Two reads name the cause instead: a missing file read as text
     (``action`` "read") is "file not found", and text that is not UTF-8 is
-    "not UTF-8 text".  A path that is not printable is shown as its repr.
+    "not UTF-8 text".  The path is shown by ``show_path``.
     """
     try:
         yield
     except (OSError, ValueError) as exc:
-        shown = str(path) if str(path).isprintable() else repr(str(path))
         if isinstance(exc, UnicodeDecodeError):
             reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
         elif isinstance(exc, FileNotFoundError) and action == "read":
             reason = "file not found"
         else:
             reason = f"cannot {action} ({getattr(exc, 'strerror', None) or exc})"
-        raise DataError(f"{shown}: {reason}") from None
+        raise DataError(f"{show_path(path)}: {reason}") from None
 
 
 @contextmanager
@@ -88,14 +93,14 @@ def read_matrix(path: str | Path) -> np.ndarray:
     with file_op(path, "read matrix"):
         raw = path.read_bytes()
     if len(raw) < 16:
-        raise DataError(f"{path}: truncated matrix file")
+        raise DataError(f"{show_path(path)}: truncated matrix file")
     rows, cols = np.frombuffer(raw[:16], dtype=_HEADER_DTYPE)
     expected = 16 + 8 * int(rows) * int(cols)
     if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise DataError(f"{show_path(path)}: expected {expected} bytes, found {len(raw)}")
     data = np.frombuffer(raw[16:], dtype=_DATA_DTYPE)
     if not np.isfinite(data).all():
-        raise DataError(f"{path}: non-finite matrix values")
+        raise DataError(f"{show_path(path)}: non-finite matrix values")
     return data.reshape(int(rows), int(cols)).copy()
 
 
@@ -137,5 +142,5 @@ def read_json(path: str | Path):
     try:
         return json.loads(read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+        raise DataError(f"{show_path(path)}: invalid JSON ({exc})") from None
 

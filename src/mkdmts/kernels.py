@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
@@ -120,10 +120,15 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     zero-bordered reference block: e[s + i, k] = r_k[d - i] for
     s = rows + cols - 2 - d, so diagonal d reads contiguous row slices of
     both.  Cell (i, j) lies on diagonal d = i + j and depends only on
-    diagonals d-1 and d-2, so each diagonal is a few array operations over
-    its band of valid rows, i in [max(0, d - cols + 1), min(d, rows - 1)],
-    for all pairs at once, while every cell keeps the exact rounding
-    D[i,j] = fl(c[i,j] + min(up, left, diag)).  Rounding is monotone, so this
+    diagonals d-1 and d-2, so each diagonal is five array operations over
+    its band of valid rows, i in [lo, hi) with lo = max(0, d - cols + 1) and
+    hi = min(d + 1, rows), for all pairs at once: subtract and square give
+    the local costs, two minimums the best neighbour, and an add the cells,
+    each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around them a diagonal
+    does only two compares for the band and one list lookup for the pairs
+    ending on it: on a describe's band (about 45 rows by 24 pairs) each
+    array call takes under half a microsecond, so any Python work between
+    the calls is a visible share of the diagonal.  Rounding is monotone, so this
     equals the minimum over all monotone alignment paths of their
     left-to-right accumulated costs, bit for bit.  Padded cells
     (i >= n[k] or j >= m[k]) lie past a pair's own end cell, which depends
@@ -136,34 +141,42 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     (j >= cols) may hold a value from three diagonals back, but the band of
     the next two diagonals reads no row below the current band.  No band
     holds row -1 (index 0), so it stays +inf except for the 0.0 seed of
-    D[0,0] on diagonal -2, which is cleared once diagonal 0 is done.  All
-    inputs stay finite, so no NaN arises.
+    D[0,0] on diagonal -2, which only diagonal 0 reads.  The rotation after
+    diagonal 0 turns that buffer into ``cur``, which diagonal 1 writes from
+    index 1 on and diagonal 2 first reads at index 0, so the seed is cleared
+    as ``cur[0]`` right after the rotation.  All inputs stay finite, so no
+    NaN arises.
     """
     rows, pairs = q.shape
     cols = e.shape[0] - 2 * rows + 2
     ends = n + m - 2
-    finishing = {int(d): np.flatnonzero(ends == d) for d in np.unique(ends)}
+    last = int(ends.max())
+    finishing = [None] * (last + 1)
+    for d in np.unique(ends):
+        finishing[d] = np.flatnonzero(ends == d)
     out = np.empty(pairs)
     # D on diagonals d-2, d-1 and d by row i at index i + 1; index 0 is row -1.
     prevprev, prev, cur = (np.full((rows + 1, pairs), np.inf) for _ in range(3))
     prevprev[0] = 0.0
     scratch = np.empty((rows, pairs))
-    for d in range(int(ends.max()) + 1):
-        lo, hi = max(0, d - cols + 1), min(d, rows - 1) + 1
-        s = rows + cols - 2 - d
+    subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
+    skew = rows + cols - 2
+    for d in range(last + 1):
+        lo = d - cols + 1 if d >= cols else 0
+        hi = d + 1 if d < rows else rows
         cost = scratch[: hi - lo]
         band = cur[lo + 1: hi + 1]
-        np.subtract(q[lo:hi], e[s + lo: s + hi], out=cost)
-        np.multiply(cost, cost, out=cost)
-        np.minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=band)
-        np.minimum(band, prevprev[lo:hi], out=band)
-        np.add(cost, band, out=band)
-        done = finishing.get(d)
+        subtract(q[lo:hi], e[skew - d + lo: skew - d + hi], cost)
+        multiply(cost, cost, cost)
+        minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=band)
+        minimum(band, prevprev[lo:hi], out=band)
+        add(cost, band, band)
+        done = finishing[d]
         if done is not None:
             out[done] = cur[n[done], done]
-        if d == 0:
-            prevprev[0] = np.inf
         prevprev, prev, cur = prev, cur, prevprev
+        if d == 0:
+            cur[0] = np.inf
     return out
 
 
@@ -331,12 +344,12 @@ def _finite_list(values, key: str, dims: int) -> np.ndarray:
 
 
 def load_kernelset(cache_dir: str | Path) -> KernelSet:
-    cache_dir = Path(cache_dir)
+    cache_dir, where = Path(cache_dir), show_path(cache_dir)
     meta = read_json(cache_dir / "meta.json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != CACHE_FORMAT:
-        raise DataError(f"{cache_dir}: unknown kernel cache format {fmt!r}")
-    with malformed(f"{cache_dir}: malformed kernel cache metadata"):
+        raise DataError(f"{where}: unknown kernel cache format {fmt!r}")
+    with malformed(f"{where}: malformed kernel cache metadata"):
         n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
         bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
         if not (bandwidths > 0.0).all():
@@ -347,14 +360,14 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(dims)]
     for l, k in enumerate(kernels):
         if k.shape != (n, n):
-            raise DataError(f"{cache_dir}: dimension {l} matrix has shape {k.shape}")
+            raise DataError(f"{where}: dimension {l} matrix has shape {k.shape}")
         # psd_repair returns exactly symmetric Grams, and clipping adds at most
         # repair_shift to a diagonal that is 1 before it
         if not np.array_equal(k, k.T):
-            raise DataError(f"{cache_dir}: dimension {l} Gram is not symmetric")
+            raise DataError(f"{where}: dimension {l} Gram is not symmetric")
         diag = np.diagonal(k)
         if not ((diag >= 1.0 - _DIAG_SLACK) & (diag <= 1.0 + repair_shift[l] + _DIAG_SLACK)).all():
-            raise DataError(f"{cache_dir}: dimension {l} Gram diagonal is outside "
+            raise DataError(f"{where}: dimension {l} Gram diagonal is outside "
                             f"[1, 1 + repair_shift] (range {diag.min():.6g} to {diag.max():.6g})")
     return KernelSet(
         kernels=kernels,
@@ -375,9 +388,9 @@ def build_or_load_kernelset(seen: Dataset, cache_dir: str | Path, bandwidth=DEFA
             ks = load_kernelset(cache_dir)
             if (ks.dataset_hash, ks.bandwidth_request) == (seen.hash(), request):
                 return ks
-            log.info("kernel cache %s is stale (dataset or bandwidth changed)", cache_dir)
+            log.info("kernel cache %s is stale (dataset or bandwidth changed)", show_path(cache_dir))
         except DataError as exc:
-            log.warning("ignoring unreadable kernel cache %s: %s", cache_dir, exc)
+            log.warning("ignoring unreadable kernel cache %s: %s", show_path(cache_dir), exc)
     ks = build_kernelset(seen, bandwidth=bandwidth)
     save_kernelset(ks, cache_dir)
     return ks

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, write_json, write_matrix
+from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, nqp_solve_columns, objective
@@ -452,20 +452,20 @@ def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> 
 
 def load_model(model_dir) -> tuple[Dictionary, dict]:
     """The dictionary and its ``meta.json``; missing or ill-typed metadata is a DataError."""
-    model_dir = Path(model_dir)
+    model_dir, where = Path(model_dir), show_path(model_dir)
     meta = read_json(model_dir / "meta.json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != MODEL_FORMAT:
-        raise DataError(f"{model_dir}: unknown model format {fmt!r}")
-    with malformed(f"{model_dir}: malformed model metadata"):
+        raise DataError(f"{where}: unknown model format {fmt!r}")
+    with malformed(f"{where}: malformed model metadata"):
         for key in ("k", "n", "f", "t_x"):
             if not is_integer(meta[key]) or meta[key] < 1:
                 raise ValueError(f"{key} must be an integer of at least 1, got {meta[key]!r}")
         meta["bandwidths"] = [float(b) for b in meta["bandwidths"]]
         dataset_hash = str(meta["dataset_hash"])
     a, b = read_matrix(model_dir / "sample_weights.bin"), read_matrix(model_dir / "dim_weights.bin")
-    with malformed(f"{model_dir}: malformed model weights"):
+    with malformed(f"{where}: malformed model weights"):
         d = Dictionary(sample_weights=a, dim_weights=b, dataset_hash=dataset_hash)
     if (d.k, d.n, d.dims) != (meta["k"], meta["n"], meta["f"]):
-        raise DataError(f"{model_dir}: matrix shapes disagree with meta.json")
+        raise DataError(f"{where}: matrix shapes disagree with meta.json")
     return d, meta

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, check_number, make_dir, read_text, remove_file, write_json, write_text
+from .ioutil import check_int, check_number, make_dir, read_text, remove_file, show_path, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -156,19 +156,19 @@ def _load_csv(path: Path) -> np.ndarray:
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise DataError(f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
+            raise DataError(f"{show_path(path)}: row {lineno} has {len(cells)} columns, expected {width}")
         row = []
         for col, cell in enumerate(cells, start=1):
             try:
                 val = float(cell)
             except ValueError:
-                raise DataError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}") from None
+                raise DataError(f"{show_path(path)}: row {lineno}, column {col}: not a number: {cell!r}") from None
             if not math.isfinite(val):
-                raise DataError(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
+                raise DataError(f"{show_path(path)}: row {lineno}, column {col}: non-finite value {cell!r}")
             row.append(val)
         rows.append(row)
     if not rows:
-        raise DataError(f"{path}: empty sequence file")
+        raise DataError(f"{show_path(path)}: empty sequence file")
     return np.asarray(rows, dtype=np.float64).T
 
 
@@ -180,7 +180,7 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
     manifest whose labels mix strings and integers is a DataError, since
     interned and given integers would name the same classes.
     """
-    manifest_path = Path(manifest_path)
+    manifest_path, where = Path(manifest_path), show_path(manifest_path)
     lines = read_text(manifest_path).splitlines()
     base = manifest_path.parent
     intern: dict[str, int] = {}
@@ -193,26 +193,26 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
         try:
             rec = json.loads(line)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
-            raise DataError(f"{manifest_path}: line {lineno}: invalid JSON ({exc})") from None
+            raise DataError(f"{where}: line {lineno}: invalid JSON ({exc})") from None
         if not isinstance(rec, dict) or "id" not in rec or "path" not in rec:
-            raise DataError(f"{manifest_path}: line {lineno}: record must be an object with 'id' and 'path'")
+            raise DataError(f"{where}: line {lineno}: record must be an object with 'id' and 'path'")
         if not isinstance(rec["path"], str):
-            raise DataError(f"{manifest_path}: line {lineno}: 'path' must be a string")
+            raise DataError(f"{where}: line {lineno}: 'path' must be a string")
         label = rec.get("label")
         if isinstance(label, bool) or not isinstance(label, (str, int, type(None))):
-            raise DataError(f"{manifest_path}: line {lineno}: 'label' must be a string or an integer")
+            raise DataError(f"{where}: line {lineno}: 'label' must be a string or an integer")
         if isinstance(label, int) and not _INT64.min <= label <= _INT64.max:
-            raise DataError(f"{manifest_path}: line {lineno}: integer 'label' {label} does not fit in int64")
+            raise DataError(f"{where}: line {lineno}: integer 'label' {label} does not fit in int64")
         if label is not None:
             label_type = label_type or type(label)
             if type(label) is not label_type:
-                raise DataError(f"{manifest_path}: line {lineno}: 'label' {label!r} mixes string and integer labels")
+                raise DataError(f"{where}: line {lineno}: 'label' {label!r} mixes string and integer labels")
         if isinstance(label, str):
             label = intern.setdefault(label, len(intern))
         values = _load_csv(base / rec["path"])
         sequences.append(TimeSeries(id=str(rec["id"]), values=values, label=label))
     if not sequences:
-        raise DataError(f"{manifest_path}: manifest lists no sequences")
+        raise DataError(f"{where}: manifest lists no sequences")
     names = {v: k for k, v in intern.items()} if intern else None
     return Dataset(sequences, role=role, label_names=names)
 

@@ -978,3 +978,57 @@ def test_json_nested_beyond_the_parser_limit_is_one_line_data_error(tmp_path, ca
     _one_printable_data_error(err)
     assert "invalid JSON (maximum recursion depth exceeded" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", [
+    "read_json", "read_matrix", "load_csv", "load_dataset", "load_kernelset", "load_model", "index_ids", "report_part",
+    "tune_grid",
+])
+def test_path_holding_a_newline_is_shown_as_its_repr(trained, tmp_path, capsys, reader):
+    data, kern, model = trained
+    odd = tmp_path / "nl" / "a\nb"  # every reader below is given a path through this name
+    odd.parent.mkdir()
+    code, prefix, expected = 2, "data error: ", {
+        "read_json": "invalid JSON", "read_matrix": "truncated matrix file", "load_csv": "not a number",
+        "load_dataset": "line 1: invalid JSON", "load_kernelset": "unknown kernel cache format",
+        "load_model": "unknown model format", "index_ids": "lists no encoded sequences", "report_part": "cannot render",
+    }.get(reader)
+    if reader == "read_json":
+        odd.write_text("not JSON")
+        args = ["synth", "--config", odd, "--out", tmp_path / "out"]
+    elif reader == "read_matrix":
+        _write_encodings(odd, ["a", "b"])
+        (odd / "a.R.bin").write_bytes(b"\0" * 8)
+        args = ["cluster", "--enc", odd, "--out", tmp_path / "out" / "t.json"]
+    elif reader == "load_csv":
+        odd.write_text("x,1\n")
+        (tmp_path / "nl" / "m.jsonl").write_text(json.dumps({"id": "a", "path": "a\nb", "label": 0}) + "\n")
+        args = ["kernels", "--manifest", tmp_path / "nl" / "m.jsonl", "--out", tmp_path / "out"]
+    elif reader == "load_dataset":
+        odd.write_text("not JSON\n")
+        args = ["kernels", "--manifest", odd, "--out", tmp_path / "out"]
+    elif reader in ("load_kernelset", "load_model"):
+        odd.mkdir()
+        write_json(odd / "meta.json", {"format": "other"})
+        if reader == "load_kernelset":
+            args = ["train", "--manifest", data / "seen.jsonl", "--kernels", odd, "--out", tmp_path / "out"]
+        else:
+            args = _encode_args(data, kern, odd, tmp_path / "out")
+    elif reader == "index_ids":
+        _write_encodings(odd, [])
+        args = ["cluster", "--enc", odd, "--out", tmp_path / "out" / "t.json"]
+    elif reader == "report_part":
+        odd.mkdir()
+        write_json(odd / "score.json", {"ce": "low", "nmi": 0.5, "num_clusters": 2})
+        args = ["report", "--run", odd]
+    else:
+        write_json(odd, {"grid": []})
+        args = ["train", "--manifest", data / "seen.jsonl", "--kernels", kern, "--tune", odd, "--out", tmp_path / "out"]
+        code, prefix, expected = 1, "usage error: ", "expected {\"grid\""
+    capsys.readouterr()
+    assert _run(args) == code
+    err = capsys.readouterr().err
+    _one_error_line(err, prefix)
+    message = err.splitlines()[0]
+    assert message.isprintable() and "a\\nb" in message and expected in message, repr(err)
+    assert not (tmp_path / "out").exists()

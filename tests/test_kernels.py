@@ -113,6 +113,29 @@ def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "shapes",
+    [
+        # every pair 1x1: only diagonal 0 runs, so only the D[0,0] seed and its clearing are exercised
+        [(1, 1)] * 7,
+        # rows >> cols: past diagonal cols - 1 the band starts below row 0 (lo > 0) while it ends at the last row
+        [(80, 4), (80, 1), (57, 3), (1, 4), (80, 4), (2, 2), (33, 1)],
+        # cols >> rows: the band spans every row (lo == 0, hi == rows) for most of the block
+        [(4, 80), (1, 80), (3, 57), (4, 1), (4, 80), (2, 2), (1, 33)],
+    ],
+    ids=["all-1x1", "rows-much-longer", "cols-much-longer"],
+)
+@pytest.mark.parametrize("split", [False, True], ids=["default-budget", "split-block"])
+def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, split):
+    queries = [rng.normal(size=n) for n, _ in shapes]
+    refs = [rng.normal(size=m) for _, m in shapes]
+    if split:  # three pairs per chunk, the last chunk holding one
+        rows, cols = max(n for n, _ in shapes), max(m for _, m in shapes)
+        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (2 * rows + cols))
+    got = dtw_many(queries, refs)
+    assert _bits(got) == _bits([dtw_loop(a, b) for a, b in zip(queries, refs)])
+
+
+@pytest.mark.parametrize(
     "queries, refs",
     [
         ([[1.0, 2.0], []], [[1.0], [2.0]]),
