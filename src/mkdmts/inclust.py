@@ -14,6 +14,7 @@ updates; structural changes recompute them from the stored members.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -169,14 +170,19 @@ class Dendrogram:
         self.cfg = cfg or ClusterConfig()
         self.roots: list[DendroNode] = []
         self._ids = itertools.count()
-        self._join_dists: list[float] = []
+        self._join_dists: list[float] = []  # accepted join distances, kept sorted
         self._member_ids: set[str] = set()
         self.records: list[PlacementRecord] = []
 
     # -- bookkeeping -------------------------------------------------
 
     def _typical_join(self) -> float | None:
-        return float(np.median(self._join_dists)) if self._join_dists else None
+        """The median accepted join distance, as ``np.median`` gives it: the middle of the sorted
+        distances, or the mean ``(a + b) / 2`` of the two middle ones; None before the first join."""
+        joins, half = self._join_dists, len(self._join_dists) // 2
+        if len(joins) % 2:
+            return joins[half]
+        return (joins[half - 1] + joins[half]) / 2 if joins else None
 
     def nodes(self) -> list[DendroNode]:
         return [node for root in self.roots for node in root.walk()]
@@ -234,7 +240,12 @@ class Dendrogram:
         return outcome, (halves[0].node_id, halves[1].node_id)
 
     def insert(self, source_id: str, r) -> PlacementRecord:
-        """Place one encoded sequence, given as its N x f encoding array; an id already in the tree is a DataError."""
+        """Place one encoded sequence, given as its N x f encoding array.
+
+        An id already in the tree, an encoding of another shape than the
+        tree's, or one that is not finite is a DataError, raised before
+        anything is recorded.
+        """
         r = np.asarray(r, dtype=np.float64)
         if source_id in self._member_ids:
             raise DataError(f"sequence id {source_id!r} is already in the tree")
@@ -242,13 +253,15 @@ class Dendrogram:
             raise DataError(
                 f"encoding shape {r.shape} does not match the tree's {self.roots[0].mean.shape}"
             )
+        if not np.isfinite(r).all():
+            raise DataError(f"encoding of {source_id!r} is not finite")
         self._member_ids.add(source_id)
         winner = self._candidates(r) if self.roots else None
         if winner is None:
             target = DendroNode(next(self._ids))
             self.roots.append(target)
         else:
-            self._join_dists.append(dist(r, winner))
+            bisect.insort(self._join_dists, dist(r, winner))
             target = winner if winner.is_leaf else DendroNode(next(self._ids), winner)
             if target is not winner:
                 winner.children.append(target)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
+from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries
 
 log = logging.getLogger(__name__)
@@ -27,19 +27,25 @@ DEFAULT_BANDWIDTH = "median"
 _DIAG_SLACK = 1e-9  # rounding allowance on a loaded Gram's diagonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSet:
     """Per-dimension repaired Gram matrices over the seen set.
 
     ``bandwidth_request`` is what they were built with: "median", a fixed
-    bandwidth, or None when unknown.
+    bandwidth, or None when unknown.  ``kernels`` is a tuple of the set's
+    own read-only copies of the given Grams, so one ``KernelSet`` always
+    holds the same values; it compares and hashes by identity, and values
+    computed from it are kept by identity (``mkd.sparse_codes``).
     """
 
-    kernels: list[np.ndarray]
+    kernels: tuple[np.ndarray, ...]
     bandwidths: np.ndarray
     repair_shift: np.ndarray
     dataset_hash: str
     bandwidth_request: float | str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernels", tuple(read_only(np.array(k, dtype=np.float64)) for k in self.kernels))
 
     @property
     def dims(self) -> int:
@@ -151,9 +157,11 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     cols = e.shape[0] - 2 * rows + 2
     ends = n + m - 2
     last = int(ends.max())
-    finishing = [None] * (last + 1)
-    for d in np.unique(ends):
-        finishing[d] = np.flatnonzero(ends == d)
+    finishing, groups = [None] * (last + 1), {}
+    for k, d in enumerate(ends.tolist()):
+        groups.setdefault(d, []).append(k)
+    for d, done in groups.items():
+        finishing[d] = np.array(done)
     out = np.empty(pairs)
     # D on diagonals d-2, d-1 and d by row i at index i + 1; index 0 is row -1.
     prevprev, prev, cur = (np.full((rows + 1, pairs), np.inf) for _ in range(3))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
+from .ioutil import check_int, check_number, is_integer, keep_last, make_dir, malformed, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
 from .nqp import QuadProgram, diagonal_solve, nqp_solve, nqp_solve_columns, objective
@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT = "mkd-model-v1"
 _NORM_FLOOR = 1e-12
 _N_FOLDS = 5  # cross-validation folds in tune
+_GRAM_MEMO: dict = {}  # _checked_gram of the last kernel set and dictionary (keep_last)
 
 
 @dataclass
@@ -163,6 +164,13 @@ def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
     return float(clamp_residual(np.sum(_data_residuals(d, ks, codes)), "loss"))
 
 
+def _checked_gram(d: Dictionary, ks: KernelSet) -> tuple[np.ndarray, bool]:
+    """The atom Gram, read-only, and whether it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = read_only(atom_gram(d, ks))
+    return gram, bool(np.isfinite(gram).all())
+
+
 def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
     """k x M sparse non-negative codes of M embeddings, from one ``nqp_solve_columns`` call.
 
@@ -172,12 +180,18 @@ def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
     optimum over all of them, from one batched inverse of the Gram blocks.
     A column's code does not depend on the other columns or their order.
     Weights so large that the atom Gram or cross terms overflow are a
-    NumericalError.
+    NumericalError, at every call.
+
+    The atom Gram and its finiteness verdict are kept for the last
+    (kernel set, A, B): the kernel set by identity, its Grams being
+    read-only, and A and B by content, since training updates them in
+    place.  The describes of one dictionary compute them once.
     """
+    a, b = d.sample_weights, d.dim_weights
+    gram, finite = keep_last(_GRAM_MEMO, (ks, a.tobytes(), b.tobytes()), lambda: _checked_gram(d, ks))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = atom_gram(d, ks)
         cvec = atom_data_cross(d, cross)
-    if not (np.isfinite(gram).all() and np.isfinite(cvec).all()):
+    if not (finite and np.isfinite(cvec).all()):
         raise NumericalError("atom Gram or atom-data cross values are not finite: dictionary weights too large")
     return nqp_solve_columns(gram, -cvec, min(t_x, d.k))
 

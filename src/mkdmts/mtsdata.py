@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, check_number, make_dir, read_text, remove_file, show_path, write_json, write_text
+from .ioutil import check_int, check_number, make_dir, read_only, read_text, remove_file, show_path, write_json, write_text
 
 ROLE_SEEN = "seen"
 ROLE_UNSEEN = "unseen"
@@ -47,8 +47,7 @@ class TimeSeries:
             raise DataError(
                 f"sequence {self.id!r}: non-finite value at dimension {bad[0]}, step {bad[1]}"
             )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", read_only(v))
 
     @property
     def dims(self) -> int:

@@ -43,6 +43,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .ioutil import keep_last, read_only
+
 _CD_TOL = 1e-10
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per candidate row; _pick reads it at each call
 _MIN_DECREASE = 1e-12
@@ -54,6 +56,7 @@ _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
 _ROUND_MARGIN = 1e-9  # relative slack on objectives and bounds, far above their rounding
 
 log = logging.getLogger(__name__)
+_PROGRAM_MEMO: dict = {}  # _program of the last H and limit, keyed on their content (keep_last)
 
 
 @dataclass(frozen=True)
@@ -318,9 +321,21 @@ def _supports(n: int, limit: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
         lo = len(rows)
         rows += [(*s, *range(n + size, n + limit)) for s in combinations(range(n), size)]
         ranges.append((lo, len(rows)))
-    sets = np.array(rows, dtype=np.intp).reshape(-1, limit)
-    sets.flags.writeable = False
-    return sets, ranges
+    return read_only(np.array(rows, dtype=np.intp).reshape(-1, limit)), ranges
+
+
+def _program(h: np.ndarray, limit: int):
+    """The H side of ``nqp_solve_columns``: the usable indices, the padded supports and their size ranges,
+    and the blocks H_SS and their inverses, read-only; None above ``_EXACT_SUPPORTS`` supports."""
+    usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
+    u = usable.size
+    if sum(math.comb(u, s) for s in range(1, limit + 1)) > _EXACT_SUPPORTS:
+        return None
+    sets, ranges = _supports(u, limit)
+    h_pad = np.eye(u + limit)
+    h_pad[:u, :u] = h[usable][:, usable]
+    h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
+    return usable, sets, ranges, read_only(h_ss), read_only(_blockwise(np.linalg.inv, h_ss))
 
 
 def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
@@ -339,25 +354,25 @@ def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     Past the inverse, a column's arithmetic is elementwise, so its result
     does not depend on the other columns.  Above ``_EXACT_SUPPORTS`` each
     column runs ``nqp_solve``.
+
+    The H side (``_program``) depends on H and ``limit`` alone, so it is
+    kept for the last H by content: calls that share H, such as the
+    describes of one dictionary, build it once.
     """
     h, c = np.asarray(h, dtype=np.float64), np.asarray(c, dtype=np.float64)
     n, m = c.shape
     if h.shape != (n, n) or not 1 <= limit <= n:
         raise ValueError(f"need an {n} x {n} H and a sparsity limit from 1 to {n}")
-    usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
-    u = usable.size
+    program = keep_last(_PROGRAM_MEMO, (h.tobytes(), limit), lambda: _program(h, limit))
     y = np.zeros((n, m))
-    if sum(math.comb(u, s) for s in range(1, limit + 1)) > _EXACT_SUPPORTS:
+    if program is None:
         for j in range(m):
             y[:, j] = nqp_solve(QuadProgram(h, c[:, j], limit))
         return y
+    usable, sets, ranges, h_ss, inv = program
+    u = usable.size
     if u == 0:
         return y
-    sets, ranges = _supports(u, limit)
-    h_pad = np.eye(u + limit)
-    h_pad[:u, :u] = h[usable][:, usable]
-    h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
-    inv = _blockwise(np.linalg.inv, h_ss)
     slots = range(limit)
     step = max(1, _EXACT_ELEMENTS // (len(sets) * limit))
     for lo in range(0, m, step):

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_number
+from .ioutil import check_number, keep_last, read_only
 from .kernels import CrossKernel, KernelSet
 from .mkd import Dictionary, clamp_residual, residuals, sparse_codes
 
 DEFAULT_THRESHOLD = 0.1
+_NEED_MEMO: dict = {}  # the need mask of _columns for the last A and B (keep_last)
+_CLASS_MEMO: dict = {}  # _partition of the last label vector, keyed on its values (keep_last)
 
 
 def check_threshold(threshold) -> float:
@@ -61,8 +63,10 @@ def _columns(d: Dictionary, ck: CrossKernel) -> list[np.ndarray]:
     Dimension l is read only at the samples that some atom with B[l,t] > 0
     draws on; every other entry is 0, and the code, residuals and encoding
     multiply it by an exact zero, so they equal the full kernel's bit for bit.
+    That ``need`` mask is kept for the last A and B, by content.
     """
-    need = (d.dim_weights > 0) @ (d.sample_weights > 0).T
+    a, b = d.sample_weights, d.dim_weights
+    need = keep_last(_NEED_MEMO, (a.shape, a.tobytes(), b.tobytes()), lambda: read_only((b > 0) @ (a > 0).T))
     return [c[:, None] for c in ck.values(need)]
 
 
@@ -106,6 +110,12 @@ def encoding_matrix(d: Dictionary, x: np.ndarray, source_id: str = "") -> Encodi
     return EncodingMatrix(values=values, source_id=source_id)
 
 
+def _partition(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The classes of ``labels`` in increasing order, and the indices of each class's samples."""
+    classes = np.unique(labels)
+    return classes, [np.flatnonzero(labels == cls) for cls in classes]
+
+
 def reconstruction_report(
     d: Dictionary,
     ks: KernelSet,
@@ -127,11 +137,11 @@ def reconstruction_report(
         raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")
     errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
-    classes = np.unique(seen_labels)
+    classes, rows = keep_last(_CLASS_MEMO, seen_labels.tolist(), lambda: _partition(seen_labels))
     attribution: list[int | None] = []
     for l in range(d.dims):
         if errors[l] <= threshold:
-            totals = np.array([r[seen_labels == cls, l].sum() for cls in classes])
+            totals = np.array([r[idx, l].sum() for idx in rows])
             attribution.append(int(classes[int(np.argmax(totals))]))
         else:
             attribution.append(None)

@@ -186,6 +186,39 @@ def test_duplicate_id_rejected_and_tree_unchanged(rng):
     assert len(tree.records) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_encoding_rejected_and_tree_unchanged(bad):
+    tree = Dendrogram()
+    tree.insert("a", np.ones((3, 2)))
+    tree.insert("b", 1.01 * np.ones((3, 2)))
+    before = json.dumps(tree.to_dict(), sort_keys=True)
+    for r in (np.full((3, 2), bad), np.where(np.eye(3, 2) > 0, bad, 1.0)):
+        with pytest.raises(DataError, match="encoding of 'c' is not finite"):
+            tree.insert("c", r)
+    assert json.dumps(tree.to_dict(), sort_keys=True) == before
+    assert len(tree.records) == 2 and tree.flat_clusters() == {"a": 0, "b": 0}
+    tree.insert("c", np.ones((3, 2)))  # the id was not taken by the rejected inserts
+    tree.validate_caches()
+
+
+def test_typical_join_is_np_median_after_every_insert():
+    gen = np.random.default_rng(3)
+    tree, counts = Dendrogram(ClusterConfig()), set()
+    centers = [gen.normal(size=(4, 2)) for _ in range(3)]
+    for i in range(90):
+        c = centers[int(gen.integers(3))]
+        tree.insert(f"s{i}", c + gen.normal(0, 0.04 * gen.uniform(0.5, 2.0), size=c.shape))
+        typical, joins = tree._typical_join(), tree.to_dict()["join_count"]
+        if joins == 0:
+            assert typical is None
+            continue
+        expected = float(np.median(tree._join_dists))
+        assert typical == expected and np.float64(typical).tobytes() == np.float64(expected).tobytes()
+        assert tree._join_dists == sorted(tree._join_dists) and len(tree._join_dists) == joins
+        counts.add(joins % 2)
+    assert counts == {0, 1}
+
+
 def test_serialization_round_trip(rng):
     pts = _two_blob_stream(rng, n_per=8)
     tree = Dendrogram(ClusterConfig())

@@ -320,6 +320,31 @@ def test_cache_round_trip_and_invalidation(tmp_path, rng):
     assert rebuilt.dataset_hash == other.hash() != ks.dataset_hash
 
 
+def test_kernelset_grams_are_read_only_copies(tmp_path):
+    """One KernelSet always holds the same values: built, loaded or cut out, its Grams cannot be written."""
+    seen, _, _ = synth_dataset(SynthConfig(seed=3, samples_per_class=2, length_range=(16, 20)))
+    built = build_kernelset(seen)
+    save_kernelset(built, tmp_path / "cache")
+    loaded = load_kernelset(tmp_path / "cache")
+    cut = built.subset([0, 2, 3], "cut")
+    for ks in (built, loaded, cut):
+        assert isinstance(ks.kernels, tuple)
+        for l in range(ks.dims):
+            before = ks.kernels[l].copy()
+            with pytest.raises(ValueError, match="read-only"):
+                ks.kernels[l][0, 1] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                ks.kernels[l] += 1.0
+            with pytest.raises(TypeError):
+                ks.kernels[l] = before
+            assert ks.kernels[l].tobytes() == before.tobytes()
+    given = [np.eye(3), np.ones((3, 3))]
+    ks = KernelSet(kernels=given, bandwidths=np.ones(2), repair_shift=np.zeros(2), dataset_hash="x")
+    given[0][0, 1] = 7.0  # the set keeps its own copies
+    assert ks.kernels[0][0, 1] == 0.0 and given[0].flags.writeable
+    assert ks == ks and ks != KernelSet(kernels=given, bandwidths=np.ones(2), repair_shift=np.zeros(2), dataset_hash="x")
+
+
 def test_pairwise_dtw_symmetric(rng):
     series = [rng.normal(size=rng.integers(3, 7)) for _ in range(4)]
     d = pairwise_dtw(series)

@@ -541,6 +541,21 @@ def test_columns_solved_together_equal_columns_solved_one_by_one(rng, monkeypatc
             assert y[:, j].tobytes() == nqp_solve_columns(h, c[:, j:j + 1], limit)[:, 0].tobytes()
 
 
+def test_columns_equal_columns_from_an_empty_memo(rng):
+    """The H side is kept for the last H and limit, by content: a run of programs that share H or not, in
+    either order, gives the bytes of solving each one with the memo cleared."""
+    calls = []
+    for h, c, limit in column_programs(rng, count=20):
+        calls += [(h, c, limit), (h.copy(), -c, limit), (h, c, max(1, limit - 1))]
+    cold = []
+    for h, c, limit in calls:
+        nqp._PROGRAM_MEMO.clear()
+        cold.append(nqp_solve_columns(h, c, limit).tobytes())
+    for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+        for i in order:
+            assert nqp_solve_columns(*calls[i]).tobytes() == cold[i]
+
+
 @pytest.mark.parametrize("h,c,limit,expected", [
     # equal objectives: the first support wins
     (np.eye(3), [-1.0, -1.0, -1.0], 1, [1.0, 0.0, 0.0]),

@@ -13,7 +13,7 @@ from conftest import (
 from oracles import ExplicitCrossKernel, explicit_unseen
 
 from mkdmts.errors import DataError
-from mkdmts import kernels
+from mkdmts import kernels, mkd, nqp, zeroshot
 from mkdmts.evalx import describe
 from mkdmts.kernels import build_kernelset, cross_kernel, dtw_many
 from mkdmts.mkd import Dictionary, TrainConfig, train
@@ -312,3 +312,98 @@ def test_a_pass_of_describes_computes_no_dataset_hash(monkeypatch):
     described = describe(seen, ks, result.dictionary, unseen, 2, 0.1)
     assert [row.id for row in described] == unseen.ids()
     assert hashes == []
+
+
+def _clear_memos():
+    for memo in (mkd._GRAM_MEMO, nqp._PROGRAM_MEMO, zeroshot._NEED_MEMO, zeroshot._CLASS_MEMO):
+        memo.clear()
+
+
+def _described(d, ks, seen, z, labels, clear):
+    """Every output byte of one describe, optionally from empty memos."""
+    if clear:
+        _clear_memos()
+    ck = cross_kernel(seen, z, ks.bandwidths)
+    x = encode(d, ks, ck, 2)
+    rep = reconstruction_report(d, ks, ck, x, labels)
+    r = encoding_matrix(d, x, z.id).values
+    return x.tobytes(), r.tobytes(), rep.per_dim_error.tobytes(), rep.dra, rep.attribution
+
+
+def test_describes_equal_describes_with_the_memos_cleared(monkeypatch):
+    """A pass of describes builds the dictionary-side terms once, and every output byte equals a describe
+    from empty memos, whatever the order of the queries."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels, n = result.dictionary, seen.labels(), len(unseen)
+    cleared = [_described(d, ks, seen, z, labels, clear=True) for z in unseen.sequences]
+    assert any(attr is not None for row in cleared for attr in row[4])  # the class partition is read
+    builds = []
+
+    def counted(name, original):
+        def counting(*args):
+            builds.append(name)
+            return original(*args)
+        return counting
+
+    for module, name in ((mkd, "atom_gram"), (nqp, "_program"), (zeroshot, "_partition")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for order in (range(n), range(n - 1, -1, -1)):
+        _clear_memos()
+        builds.clear()
+        for i in order:
+            assert _described(d, ks, seen, unseen.sequences[i], labels, clear=False) == cleared[i]
+        assert sorted(builds) == ["_partition", "_program", "atom_gram"]
+
+
+def test_need_mask_follows_in_place_weight_updates(monkeypatch):
+    """Training updates A and B in place; a describe after either reads exactly the new dictionary's support."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels, z = result.dictionary, seen.labels(), unseen.sequences[0]
+    calls = _count_dtw_pairs(monkeypatch)
+
+    def grow_a():  # dimension l now reads a sample that no atom using it drew on
+        l, t = np.argwhere(d.dim_weights > 0)[0]
+        d.sample_weights[int(np.flatnonzero(~_support(d)[l])[0]), t] = 0.01
+
+    def grow_b():  # an atom starts using a dimension that does not read all of its samples yet
+        for l, t in np.argwhere(d.dim_weights == 0):
+            if not _support(d)[l][d.sample_weights[:, t] > 0].all():
+                d.dim_weights[l, t] = 0.01
+                return
+
+    for grow in (grow_a, grow_b):
+        _described(d, ks, seen, z, labels, clear=False)
+        before = sum(int(s.sum()) for s in _support(d))
+        grow()
+        after = sum(int(s.sum()) for s in _support(d))
+        assert after > before
+        calls.clear()
+        described = _described(d, ks, seen, z, labels, clear=False)
+        assert calls == [after]
+        assert described == _described(d, ks, seen, z, labels, clear=True)
+
+
+def test_need_mask_is_kept_by_shape_and_content(rng):
+    """Two dictionaries whose weights share their bytes but not their shapes have their own need masks."""
+    ks1, vs1 = make_explicit_kernelset(rng, 4, 2)
+    ks2, vs2 = make_explicit_kernelset(rng, 2, 1)
+    d1 = random_dictionary(rng, ks1, 2, t_a=2, t_beta=2)
+    d2 = Dictionary(d1.sample_weights.reshape(2, 4), d1.dim_weights.reshape(1, 4), ks2.dataset_hash)
+    ck1, ck2 = explicit_unseen(rng, vs1)[0], explicit_unseen(rng, vs2)[0]
+    warm = [encode(d, ks, ck, 2).tobytes() for d, ks, ck in ((d1, ks1, ck1), (d2, ks2, ck2))]
+    _clear_memos()
+    assert encode(d2, ks2, ck2, 2).tobytes() == warm[1]
+
+
+def test_report_follows_the_label_vector():
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, z = result.dictionary, unseen.sequences[0]
+    ck = cross_kernel(seen, z, ks.bandwidths)
+    x = encode(d, ks, ck, 2)
+    cases = []
+    for labels in (seen.labels(), 10 - seen.labels()):  # the same partition, its classes in the reverse order
+        _clear_memos()
+        cases.append((labels, reconstruction_report(d, ks, ck, x, labels).attribution))
+    assert cases[0][1] != cases[1][1]
+    for labels, expected in cases + cases:
+        assert reconstruction_report(d, ks, ck, x, labels).attribution == expected
