@@ -1,5 +1,4 @@
-"""Shared on-disk formats and checks: the failure rules for files, binary matrices, JSON helpers, value checks,
-and the one-entry memo of per-dictionary values.
+"""Shared on-disk formats and checks: the failure rules for files, binary matrices, JSON helpers and value checks.
 
 Binary matrix format: two little-endian uint64 (rows, cols) followed by
 row-major little-endian float64 data.  Used by the kernel cache, persisted
@@ -151,16 +150,3 @@ def read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
-
-def keep_last(memo: dict, key, make):
-    """``make()``, or the value ``memo`` holds while ``key`` equals the key it was made for.
-
-    ``memo`` holds one entry, the last key and its value, so a value that
-    every query of one dictionary shares is computed once per dictionary.
-    A key holds the inputs' content (``tobytes()``) or objects compared by
-    identity, such as a ``KernelSet``, whose Grams are read-only.
-    """
-    entry = memo.get("last")
-    if entry is None or entry[0] != key:
-        entry = memo["last"] = (key, make())
-    return entry[1]

@@ -35,7 +35,7 @@ class KernelSet:
     bandwidth, or None when unknown.  ``kernels`` is a tuple of the set's
     own read-only copies of the given Grams, so one ``KernelSet`` always
     holds the same values; it compares and hashes by identity, and values
-    computed from it are kept by identity (``mkd.sparse_codes``).
+    computed from it are kept by identity (``zeroshot``'s describe memo).
     """
 
     kernels: tuple[np.ndarray, ...]

@@ -23,17 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, is_integer, keep_last, make_dir, malformed, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
+from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
 from .kernels import KernelSet
 from .mtsdata import Dataset
-from .nqp import QuadProgram, diagonal_solve, nqp_solve, nqp_solve_columns, objective
+from .nqp import QuadProgram, column_solver, diagonal_solve, nqp_solve, objective
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "mkd-model-v1"
 _NORM_FLOOR = 1e-12
 _N_FOLDS = 5  # cross-validation folds in tune
-_GRAM_MEMO: dict = {}  # _checked_gram of the last kernel set and dictionary (keep_last)
 
 
 @dataclass
@@ -164,41 +163,40 @@ def compute_loss(d: Dictionary, ks: KernelSet, codes: np.ndarray) -> float:
     return float(clamp_residual(np.sum(_data_residuals(d, ks, codes)), "loss"))
 
 
-def _checked_gram(d: Dictionary, ks: KernelSet) -> tuple[np.ndarray, bool]:
-    """The atom Gram, read-only, and whether it is finite."""
+def _finite(make, *args) -> np.ndarray:
+    """``make(*args)``, computed with overflow ignored; a NumericalError unless every value is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = read_only(atom_gram(d, ks))
-    return gram, bool(np.isfinite(gram).all())
-
-
-def sparse_codes(d: Dictionary, ks: KernelSet, cross, t_x: int) -> np.ndarray:
-    """k x M sparse non-negative codes of M embeddings, from one ``nqp_solve_columns`` call.
-
-    ``cross`` is as in ``atom_data_cross`` and ``ks`` holds the training
-    Grams the dictionary lives on.  All columns share the atom Gram, so
-    while the supports of at most t_x atoms are few, each code is the exact
-    optimum over all of them, from one batched inverse of the Gram blocks.
-    A column's code does not depend on the other columns or their order.
-    Weights so large that the atom Gram or cross terms overflow are a
-    NumericalError, at every call.
-
-    The atom Gram and its finiteness verdict are kept for the last
-    (kernel set, A, B): the kernel set by identity, its Grams being
-    read-only, and A and B by content, since training updates them in
-    place.  The describes of one dictionary compute them once.
-    """
-    a, b = d.sample_weights, d.dim_weights
-    gram, finite = keep_last(_GRAM_MEMO, (ks, a.tobytes(), b.tobytes()), lambda: _checked_gram(d, ks))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cvec = atom_data_cross(d, cross)
-    if not (finite and np.isfinite(cvec).all()):
+        values = make(*args)
+    if not np.isfinite(values).all():
         raise NumericalError("atom Gram or atom-data cross values are not finite: dictionary weights too large")
-    return nqp_solve_columns(gram, -cvec, min(t_x, d.k))
+    return values
+
+
+def code_solver(d: Dictionary, ks: KernelSet, t_x: int):
+    """The solver of codes of at most t_x atoms against ``d`` on the Grams of ``ks``: ``column_solver``
+    of the atom Gram, which ``sparse_codes`` runs.
+
+    While the supports of at most t_x atoms are few, each code is the exact
+    optimum over all of them, from one batched inverse of the Gram blocks
+    built here.  Weights so large that the atom Gram overflows are a
+    NumericalError.
+    """
+    return column_solver(_finite(atom_gram, d, ks), min(t_x, d.k))
+
+
+def sparse_codes(d: Dictionary, solve, cross) -> np.ndarray:
+    """k x M sparse non-negative codes of M embeddings, from ``solve`` (``code_solver``) on their cross terms.
+
+    ``cross`` is as in ``atom_data_cross``.  A column's code does not
+    depend on the other columns or their order.  Cross terms that overflow
+    are a NumericalError.
+    """
+    return solve(-_finite(atom_data_cross, d, cross))
 
 
 def update_codes(d: Dictionary, ks: KernelSet, t_x: int) -> np.ndarray:
     """Re-solve every sample's sparse code against the current dictionary."""
-    return sparse_codes(d, ks, ks.kernels, t_x)
+    return sparse_codes(d, code_solver(d, ks, t_x), ks.kernels)
 
 
 def _weighted_gram(d: Dictionary, ks: KernelSet, i: int) -> np.ndarray:
@@ -405,7 +403,7 @@ def _holdout_error(d: Dictionary, sub_ks: KernelSet, full_ks: KernelSet, train_i
     cols = np.ix_(np.asarray(train_idx), np.asarray(held_idx))
     cross = [kl[cols] for kl in full_ks.kernels]
     self_k = np.stack([np.diag(kl)[held_idx] for kl in full_ks.kernels])
-    codes = sparse_codes(d, sub_ks, cross, t_x)
+    codes = sparse_codes(d, code_solver(d, sub_ks, t_x), cross)
     resid = clamp_residual(residuals(d, sub_ks.kernels, cross, self_k, codes).sum(axis=0), "held-out error")
     return float(np.mean(resid / np.maximum(self_k.sum(axis=0), _NORM_FLOOR)))
 

@@ -2,8 +2,8 @@
 
 Minimizes 0.5 * y'Hy + c'y over y >= 0 with at most ``limit`` nonzeros,
 for symmetric PSD H.  Many programs that share H and have few supports
-(codes: t_x of k atoms) are solved exactly, all columns at once, by
-``nqp_solve_columns``; the rest by greedy pursuit.
+(codes: t_x of k atoms) are solved exactly, all columns at once, by the
+solver ``column_solver`` builds for H; the rest by greedy pursuit.
 
 In greedy pursuit (``nqp_solve``), support indices are admitted
 greedily; a round picks the candidate whose restricted problem, re-solved
@@ -43,20 +43,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .ioutil import keep_last, read_only
+from .ioutil import read_only
 
 _CD_TOL = 1e-10
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per candidate row; _pick reads it at each call
 _MIN_DECREASE = 1e-12
 _DIAG_FLOOR = 1e-14
 _SWAP_ROUNDS = 20
-_EXACT_SUPPORTS = 1200  # most supports nqp_solve_columns enumerates: the one-column break-even with nqp_solve
-_EXACT_ELEMENTS = 1 << 18  # most values per supports x slots x columns array in nqp_solve_columns
+_EXACT_SUPPORTS = 1200  # most supports column_solver enumerates: the one-column break-even with nqp_solve
+_EXACT_ELEMENTS = 1 << 18  # most values per supports x slots x columns array in column_solver
 _CERT_SHIFT = 1e-9  # tau in _dual_bounds, relative to the row's largest |c|
 _ROUND_MARGIN = 1e-9  # relative slack on objectives and bounds, far above their rounding
 
 log = logging.getLogger(__name__)
-_PROGRAM_MEMO: dict = {}  # _program of the last H and limit, keyed on their content (keep_last)
 
 
 @dataclass(frozen=True)
@@ -324,26 +323,14 @@ def _supports(n: int, limit: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return read_only(np.array(rows, dtype=np.intp).reshape(-1, limit)), ranges
 
 
-def _program(h: np.ndarray, limit: int):
-    """The H side of ``nqp_solve_columns``: the usable indices, the padded supports and their size ranges,
-    and the blocks H_SS and their inverses, read-only; None above ``_EXACT_SUPPORTS`` supports."""
-    usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
-    u = usable.size
-    if sum(math.comb(u, s) for s in range(1, limit + 1)) > _EXACT_SUPPORTS:
-        return None
-    sets, ranges = _supports(u, limit)
-    h_pad = np.eye(u + limit)
-    h_pad[:u, :u] = h[usable][:, usable]
-    h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
-    return usable, sets, ranges, read_only(h_ss), read_only(_blockwise(np.linalg.inv, h_ss))
+def column_solver(h: np.ndarray, limit: int):
+    """The solver of the programs (H, c, limit) that share H: ``solve(c)`` takes C (n x M) and returns
+    the M solutions, n x M.
 
-
-def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
-    """Solutions of the M programs (H, c[:, m], limit) that share H; n x M.
-
-    While the supports of at most ``limit`` indices number at most
-    ``_EXACT_SUPPORTS``, every program gets its exact optimum: one batched
-    inverse of the blocks H_SS of all supports S serves every column, each
+    The H side is built here, once: the usable indices, the padded supports
+    and, while the supports of at most ``limit`` indices number at most
+    ``_EXACT_SUPPORTS``, the blocks H_SS of all supports S and their batched
+    inverse.  ``solve`` then gives every column its exact optimum: each
     column solves H_SS y = -c_S on every support, and it keeps its lowest
     objective with y_S >= 0.  Ties go to the first support, in order of
     size and then lexicographically, and a larger support wins only if it
@@ -352,51 +339,60 @@ def nqp_solve_columns(h: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     optimum on it is also reached on a smaller support.
     Coordinates with a vanishing diagonal never enter, as in ``nqp_solve``.
     Past the inverse, a column's arithmetic is elementwise, so its result
-    does not depend on the other columns.  Above ``_EXACT_SUPPORTS`` each
-    column runs ``nqp_solve``.
-
-    The H side (``_program``) depends on H and ``limit`` alone, so it is
-    kept for the last H by content: calls that share H, such as the
-    describes of one dictionary, build it once.
+    does not depend on the other columns or on earlier calls.  Above
+    ``_EXACT_SUPPORTS`` each column runs ``nqp_solve``.
     """
-    h, c = np.asarray(h, dtype=np.float64), np.asarray(c, dtype=np.float64)
-    n, m = c.shape
+    h = np.array(h, dtype=np.float64)  # the solver's own copy: later writes to the caller's H do not reach it
+    n = h.shape[0] if h.ndim == 2 else -1
     if h.shape != (n, n) or not 1 <= limit <= n:
-        raise ValueError(f"need an {n} x {n} H and a sparsity limit from 1 to {n}")
-    program = keep_last(_PROGRAM_MEMO, (h.tobytes(), limit), lambda: _program(h, limit))
-    y = np.zeros((n, m))
-    if program is None:
-        for j in range(m):
-            y[:, j] = nqp_solve(QuadProgram(h, c[:, j], limit))
+        raise ValueError(f"need a square H and a sparsity limit from 1 to its size, got {h.shape} and {limit}")
+    usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
+    u, slots = usable.size, range(limit)
+    exact = sum(math.comb(u, s) for s in range(1, limit + 1)) <= _EXACT_SUPPORTS
+    if exact:
+        sets, ranges = _supports(u, limit)
+        h_pad = np.eye(u + limit)
+        h_pad[:u, :u] = h[usable][:, usable]
+        h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
+        inv = _blockwise(np.linalg.inv, h_ss)
+        step = max(1, _EXACT_ELEMENTS // (len(sets) * limit))
+
+    def solve(c: np.ndarray) -> np.ndarray:
+        c = np.asarray(c, dtype=np.float64)
+        if c.ndim != 2 or c.shape[0] != n:
+            raise ValueError(f"C has shape {c.shape}, expected ({n}, M)")
+        m = c.shape[1]
+        y = np.zeros((n, m))
+        if not exact:
+            for j in range(m):
+                y[:, j] = nqp_solve(QuadProgram(h, c[:, j], limit))
+            return y
+        if u == 0:
+            return y
+        for lo in range(0, m, step):
+            c_pad = np.zeros((u + limit, min(step, m - lo)))
+            c_pad[:u] = c[usable, lo:lo + step]
+            c_s = c_pad[sets]
+            vals = -sum(inv[:, :, j, None] * c_s[:, None, j] for j in slots)
+            h_vals = sum(h_ss[:, :, j, None] * vals[:, None, j] for j in slots)
+            terms = vals * (0.5 * h_vals + c_s)
+            obj = sum(terms[:, j] for j in slots)
+            obj[~(vals >= 0.0).all(axis=1)] = np.inf  # infeasible, or NaN from a singular block
+            cols = np.arange(c_pad.shape[1])
+            best, pick = np.zeros(cols.size), np.full(cols.size, -1)
+            for first, end in ranges:
+                r = first + np.argmin(obj[first:end], axis=0)
+                low = obj[r, cols]
+                win = low < best - _MIN_DECREASE
+                best[win], pick[win] = low[win], r[win]
+            won = np.flatnonzero(pick >= 0)
+            y_pad = np.zeros(c_pad.shape)
+            y_pad[sets[pick[won]], won[:, None]] = vals[pick[won], :, won]
+            y[usable, lo:lo + step] = y_pad[:u]
+        y[np.abs(y) < 1e-15] = 0.0
         return y
-    usable, sets, ranges, h_ss, inv = program
-    u = usable.size
-    if u == 0:
-        return y
-    slots = range(limit)
-    step = max(1, _EXACT_ELEMENTS // (len(sets) * limit))
-    for lo in range(0, m, step):
-        c_pad = np.zeros((u + limit, min(step, m - lo)))
-        c_pad[:u] = c[usable, lo:lo + step]
-        c_s = c_pad[sets]
-        vals = -sum(inv[:, :, j, None] * c_s[:, None, j] for j in slots)
-        h_vals = sum(h_ss[:, :, j, None] * vals[:, None, j] for j in slots)
-        terms = vals * (0.5 * h_vals + c_s)
-        obj = sum(terms[:, j] for j in slots)
-        obj[~(vals >= 0.0).all(axis=1)] = np.inf  # infeasible, or NaN from a singular block
-        cols = np.arange(c_pad.shape[1])
-        best, pick = np.zeros(cols.size), np.full(cols.size, -1)
-        for first, end in ranges:
-            r = first + np.argmin(obj[first:end], axis=0)
-            low = obj[r, cols]
-            win = low < best - _MIN_DECREASE
-            best[win], pick[win] = low[win], r[win]
-        won = np.flatnonzero(pick >= 0)
-        y_pad = np.zeros(c_pad.shape)
-        y_pad[sets[pick[won]], won[:, None]] = vals[pick[won], :, won]
-        y[usable, lo:lo + step] = y_pad[:u]
-    y[np.abs(y) < 1e-15] = 0.0
-    return y
+
+    return solve
 
 
 def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_number, keep_last, read_only
+from .ioutil import check_number, is_integer, read_only
 from .kernels import CrossKernel, KernelSet
-from .mkd import Dictionary, clamp_residual, residuals, sparse_codes
+from .mkd import Dictionary, clamp_residual, code_solver, residuals, sparse_codes
 
 DEFAULT_THRESHOLD = 0.1
-_NEED_MEMO: dict = {}  # the need mask of _columns for the last A and B (keep_last)
-_CLASS_MEMO: dict = {}  # _partition of the last label vector, keyed on its values (keep_last)
+_DICTIONARY_SIDE: dict = {}  # the describe memo: its one entry, under "last" (_dictionary_side)
 
 
 def check_threshold(threshold) -> float:
@@ -57,32 +56,58 @@ def _check_provenance(d: Dictionary, ck: CrossKernel) -> None:
         raise DataError("cross-kernel and dictionary come from different seen datasets")
 
 
-def _columns(d: Dictionary, ck: CrossKernel) -> list[np.ndarray]:
-    """The cross-kernel as one N x 1 column per dimension, on the rows the dictionary reads.
+def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
+    """The describe memo's entry for (``ks``, A, B): the ``need`` mask and the ``solver``, (t_x, code solver).
 
-    Dimension l is read only at the samples that some atom with B[l,t] > 0
-    draws on; every other entry is 0, and the code, residuals and encoding
-    multiply it by an exact zero, so they equal the full kernel's bit for bit.
-    That ``need`` mask is kept for the last A and B, by content.
+    Dimension l of a cross-kernel is read only at the samples that some
+    atom with B[l,t] > 0 draws on (``need``); every other entry is 0, and
+    the code, residuals and encoding multiply it by an exact zero, so they
+    equal the full kernel's bit for bit.  Every query of one dictionary
+    shares the mask and the solver, so a pass of describes builds them
+    once.  The memo holds one entry, replaced when the key changes: the
+    kernel set by identity, its Grams being read-only, and A and B by shape
+    and bytes, since training updates them in place.  A caller that holds
+    an entry keeps a consistent one, whatever another thread stores.
+    Training codes with ``mkd.code_solver`` directly and never reads the memo.
     """
     a, b = d.sample_weights, d.dim_weights
-    need = keep_last(_NEED_MEMO, (a.shape, a.tobytes(), b.tobytes()), lambda: read_only((b > 0) @ (a > 0).T))
-    return [c[:, None] for c in ck.values(need)]
+    key = (ks, a.shape, a.tobytes(), b.tobytes())
+    entry = _DICTIONARY_SIDE.get("last")
+    if entry is None or entry["key"] != key:
+        entry = _DICTIONARY_SIDE["last"] = {"key": key, "need": read_only((b > 0) @ (a > 0).T)}
+    return entry
 
 
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
-    """Sparse non-negative code of one unseen sequence."""
+    """Sparse non-negative code of one unseen sequence.
+
+    The code solver is kept in the describe memo for the last t_x; one that
+    raises is not kept, so a non-finite atom Gram raises at every call.
+    """
     _check_provenance(d, ck)
     if ck.dims != d.dims:
         raise DataError("cross-kernel dimension count does not match the dictionary")
-    return sparse_codes(d, ks, _columns(d, ck), t_x)[:, 0]
+    entry = _dictionary_side(d, ks)
+    kept = entry.get("solver")
+    if kept is None or kept[0] != t_x:
+        kept = entry["solver"] = (t_x, code_solver(d, ks, t_x))
+    return sparse_codes(d, kept[1], [c[:, None] for c in ck.values(entry["need"])])[:, 0]
 
 
-def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray) -> np.ndarray:
+def _code(d: Dictionary, x) -> np.ndarray:
+    """``x`` as a float array; a ValueError unless it is a code of the k atoms."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d.k,):
+        raise ValueError(f"code has shape {x.shape}, expected ({d.k},)")
+    return x
+
+
+def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x) -> np.ndarray:
     """Per-dimension residuals (length f) of one coded unseen sequence, unclamped."""
+    codes = _code(d, x)[:, None]
     _check_provenance(d, ck)
-    codes = np.asarray(x, dtype=np.float64)[:, None]
-    return residuals(d, ks.kernels, _columns(d, ck), ck.self_k[:, None], codes)[:, 0]
+    cross = [c[:, None] for c in ck.values(_dictionary_side(d, ks)["need"])]
+    return residuals(d, ks.kernels, cross, ck.self_k[:, None], codes)[:, 0]
 
 
 def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, dims) -> float:
@@ -92,28 +117,21 @@ def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, 
     subset, clamped at zero against round-off, and divided by the subset's
     self-kernel mass (1 per dimension).
     """
-    dims = sorted(set(int(l) for l in dims))
+    dims = list(dims)
     if not dims:
         raise ValueError("dimension subset must be non-empty")
-    if dims[0] < 0 or dims[-1] >= d.dims:
-        raise ValueError(f"dimension subset out of range 0..{d.dims - 1}")
+    if not all(is_integer(l) and 0 <= l < d.dims for l in dims):
+        raise ValueError(f"dimension subset must hold integers in 0..{d.dims - 1}, got {dims!r}")
+    dims = sorted(set(dims))
     numer = clamp_residual(np.sum(_dim_residuals(d, ks, ck, x)[dims]), "partial error")
     return float(numer) / float(np.sum(ck.self_k[dims]))
 
 
 def encoding_matrix(d: Dictionary, x: np.ndarray, source_id: str = "") -> EncodingMatrix:
     """R = A diag(x) B', the sample-by-dimension contribution weights."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d.k,):
-        raise ValueError(f"code has shape {x.shape}, expected ({d.k},)")
+    x = _code(d, x)
     values = (d.sample_weights * x[None, :]) @ d.dim_weights.T
     return EncodingMatrix(values=values, source_id=source_id)
-
-
-def _partition(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The classes of ``labels`` in increasing order, and the indices of each class's samples."""
-    classes = np.unique(labels)
-    return classes, [np.flatnonzero(labels == cls) for cls in classes]
 
 
 def reconstruction_report(
@@ -137,15 +155,14 @@ def reconstruction_report(
         raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")
     errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
-    classes, rows = keep_last(_CLASS_MEMO, seen_labels.tolist(), lambda: _partition(seen_labels))
-    attribution: list[int | None] = []
-    for l in range(d.dims):
-        if errors[l] <= threshold:
-            totals = np.array([r[idx, l].sum() for idx in rows])
-            attribution.append(int(classes[int(np.argmax(totals))]))
-        else:
-            attribution.append(None)
-    dra = float(np.mean(errors <= threshold))
-    return ReconstructionReport(
-        per_dim_error=errors, dra=dra, attribution=attribution, threshold=threshold
-    )
+    members: dict = {}
+    for i, label in enumerate(seen_labels.tolist()):
+        members.setdefault(label, []).append(i)
+    classes = sorted(members)  # one pass, where np.unique and a mask per class take twice as long
+    rows = [np.array(members[cls]) for cls in classes]
+    passed = errors <= threshold
+    attribution: list[int | None] = [None] * d.dims
+    for l in np.flatnonzero(passed):
+        col = r[:, l]
+        attribution[l] = int(classes[int(np.argmax([col[idx].sum() for idx in rows]))])
+    return ReconstructionReport(per_dim_error=errors, dra=float(np.mean(passed)), attribution=attribution, threshold=threshold)

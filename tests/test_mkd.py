@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import explicit_atoms, explicit_data, make_explicit_kernelset, random_dictionary
+from oracles import explicit_unseen
 
-from mkdmts import mkd, nqp
 from mkdmts.errors import DataError, NumericalError
 from mkdmts.ioutil import write_matrix
 from mkdmts.kernels import build_kernelset
@@ -23,7 +23,6 @@ from mkdmts.mkd import (
     load_model,
     residuals,
     save_model,
-    sparse_codes,
     train,
     tune,
     update_atom_dims,
@@ -32,6 +31,7 @@ from mkdmts.mkd import (
 )
 from mkdmts.mtsdata import SynthConfig, synth_dataset
 from mkdmts.nqp import QuadProgram, nqp_solve
+from mkdmts.zeroshot import encode
 
 
 # ---------------------------------------------------------------- oracle
@@ -166,55 +166,19 @@ def test_update_codes_respects_sparsity(rng):
     assert compute_loss(d, ks, codes) <= compute_loss(d, ks, np.zeros_like(codes)) + 1e-12
 
 
-def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng):
-    """The atom Gram is kept for the last (kernel set, A, B): an in-place update of A or B, as training
-    makes, and another kernel set each give the atom Gram and codes computed from empty memos."""
-    ks, _ = make_explicit_kernelset(rng, 8, 3)
-    other, _ = make_explicit_kernelset(rng, 8, 3)
-    d = random_dictionary(rng, ks, 5, t_a=3, t_beta=2)
-
-    def coded(kset, clear):
-        """The atom Gram that sparse_codes hands to nqp_solve_columns, and the codes."""
-        if clear:
-            mkd._GRAM_MEMO.clear()
-            nqp._PROGRAM_MEMO.clear()
-        grams = []
-
-        def capturing(h, c, limit):
-            grams.append(h)
-            return nqp.nqp_solve_columns(h, c, limit)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mkd, "nqp_solve_columns", capturing)
-            codes = sparse_codes(d, kset, ks.kernels, 2)
-        return grams[0].tobytes(), codes.tobytes()
-
-    def update_a():
-        d.sample_weights[tuple(np.argwhere(d.sample_weights > 0)[0])] *= 1.5
-
-    def update_b():
-        d.dim_weights[tuple(np.argwhere(d.dim_weights > 0)[-1])] *= 0.5
-
-    previous = coded(ks, clear=False)
-    for kset, update in ((ks, update_a), (ks, update_b), (other, None), (ks, update_a), (ks, update_b)):
-        if update is not None:
-            update()
-        warm = coded(kset, clear=False)
-        assert warm == coded(kset, clear=True)
-        assert warm[0] == atom_gram(d, kset).tobytes()
-        assert warm[0] != previous[0] and warm[1] != previous[1]
-        previous = warm
-
-
 def test_non_finite_atom_gram_raises_at_every_call(rng):
-    ks, _ = make_explicit_kernelset(rng, 6, 2)
+    """In training and in describes, whose memo keeps no solver that failed to build."""
+    ks, vs = make_explicit_kernelset(rng, 6, 2)
     d = random_dictionary(rng, ks, 3)
+    ck, _ = explicit_unseen(rng, vs)
     d.sample_weights *= 1e160  # the atom Gram overflows; the cross values stay finite
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(atom_gram(d, ks)).all() and np.isfinite(atom_data_cross(d, ks.kernels)).all()
     for _ in range(3):
         with pytest.raises(NumericalError, match="not finite"):
             update_codes(d, ks, 2)
+        with pytest.raises(NumericalError, match="not finite"):
+            encode(d, ks, ck, 2)
 
 
 # ---------------------------------------------------------------- updates

@@ -18,9 +18,9 @@ from mkdmts.nqp import (
     _MIN_DECREASE,
     _pick,
     _ROUND_MARGIN,
+    column_solver,
     diagonal_solve,
     nqp_solve,
-    nqp_solve_columns,
     objective,
 )
 from oracles import coordinate_descent, nqp_oracle
@@ -492,7 +492,7 @@ def column_programs(rng, count=60):
 
 def test_columns_reach_the_oracle_optimum(rng):
     for h, c, limit in column_programs(rng):
-        y = nqp_solve_columns(h, c, limit)
+        y = column_solver(h, limit)(c)
         for j in range(c.shape[1]):
             p = QuadProgram(h, c[:, j], limit)
             best = objective(h, p.c, nqp_oracle(p))
@@ -511,7 +511,7 @@ def test_columns_with_duplicate_atoms_pick_the_lowest_support(rng):
     c[0] -= 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = nqp_solve_columns(h, c, 2)
+        y = column_solver(h, 2)(c)
     assert (y[0] > 0).all() and not y[4].any()
     for j in range(c.shape[1]):
         p = QuadProgram(h, c[:, j], 2)
@@ -525,7 +525,7 @@ def test_columns_above_the_support_count_run_nqp_solve(rng):
     w = rng.normal(size=(n, n + 2))
     h = w @ w.T / (n + 2)
     c = rng.normal(size=(n, 3))
-    y = nqp_solve_columns(h, c, limit)
+    y = column_solver(h, limit)(c)
     for j in range(3):
         expected = nqp_solve(QuadProgram(h, c[:, j], limit))
         assert y[:, j].tobytes() == expected.tobytes()
@@ -536,24 +536,25 @@ def test_columns_solved_together_equal_columns_solved_one_by_one(rng, monkeypatc
     monkeypatch.setattr("mkdmts.nqp._EXACT_ELEMENTS", 64)
     for h, c, limit in column_programs(rng, count=30):
         c = np.concatenate([c, rng.normal(size=(h.shape[0], 5))], axis=1)
-        y = nqp_solve_columns(h, c, limit)
+        solve = column_solver(h, limit)
+        y = solve(c)
         for j in range(c.shape[1]):
-            assert y[:, j].tobytes() == nqp_solve_columns(h, c[:, j:j + 1], limit)[:, 0].tobytes()
+            assert y[:, j].tobytes() == solve(c[:, j:j + 1])[:, 0].tobytes()
 
 
-def test_columns_equal_columns_from_an_empty_memo(rng):
-    """The H side is kept for the last H and limit, by content: a run of programs that share H or not, in
-    either order, gives the bytes of solving each one with the memo cleared."""
-    calls = []
-    for h, c, limit in column_programs(rng, count=20):
-        calls += [(h, c, limit), (h.copy(), -c, limit), (h, c, max(1, limit - 1))]
-    cold = []
-    for h, c, limit in calls:
-        nqp._PROGRAM_MEMO.clear()
-        cold.append(nqp_solve_columns(h, c, limit).tobytes())
-    for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
-        for i in order:
-            assert nqp_solve_columns(*calls[i]).tobytes() == cold[i]
+def test_one_column_solver_equals_a_fresh_solver_per_call(rng):
+    """A solver builds its H side once: its calls, in either order, give the bytes of a fresh solver per
+    call, and a write to the caller's H after the build does not reach it (below and above the support count)."""
+    w = rng.normal(size=(16, 18))
+    programs = column_programs(rng, count=20) + [(w @ w.T / 18, rng.normal(size=(16, 2)), 4)]
+    for h, c, limit in programs:
+        calls = [c, -c, c[:, :1], rng.normal(size=c.shape)]
+        fresh = [column_solver(h, limit)(ci).tobytes() for ci in calls]
+        solve = column_solver(h, limit)
+        h[...] = 0.0
+        for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+            for i in order:
+                assert solve(calls[i]).tobytes() == fresh[i]
 
 
 @pytest.mark.parametrize("h,c,limit,expected", [
@@ -568,5 +569,5 @@ def test_columns_equal_columns_from_an_empty_memo(rng):
 ], ids=["tie", "bar", "vanishing", "tiny"])
 def test_columns_keep_nqp_solves_conventions(h, c, limit, expected):
     c = np.array(c)
-    assert nqp_solve_columns(h, c[:, None], limit)[:, 0].tolist() == expected
+    assert column_solver(h, limit)(c[:, None])[:, 0].tolist() == expected
     assert nqp_solve(QuadProgram(h, c, limit)).tolist() == expected

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from conftest import (
 from oracles import ExplicitCrossKernel, explicit_unseen
 
 from mkdmts.errors import DataError
-from mkdmts import kernels, mkd, nqp, zeroshot
+from mkdmts import ioutil, kernels, mkd, nqp, zeroshot
 from mkdmts.evalx import describe
 from mkdmts.kernels import build_kernelset, cross_kernel, dtw_many
 from mkdmts.mkd import Dictionary, TrainConfig, train
@@ -82,6 +85,32 @@ def test_partial_error_rejects_empty_subset(rng):
     ck, _ = explicit_unseen(rng, vs)
     with pytest.raises(ValueError, match="non-empty"):
         partial_error(d, ks, ck, np.zeros(2), [])
+
+
+@pytest.mark.parametrize("dims", [[0.9], [True], [2.5], [0, 1.0]])
+def test_partial_error_rejects_non_integer_dimensions(rng, dims):
+    ks, vs = make_explicit_kernelset(rng, 5, 3)
+    d = random_dictionary(rng, ks, 2)
+    ck, _ = explicit_unseen(rng, vs)
+    with pytest.raises(ValueError, match="dimension subset must hold integers in 0..2"):
+        partial_error(d, ks, ck, np.zeros(2), dims)
+
+
+def test_a_code_of_the_wrong_length_fails_before_any_residual(rng, monkeypatch):
+    ks, vs = make_explicit_kernelset(rng, 5, 2)
+    d = random_dictionary(rng, ks, 3)
+    ck, _ = explicit_unseen(rng, vs)
+
+    def no_residuals(*args):
+        raise AssertionError("residuals of a code of the wrong length")
+
+    monkeypatch.setattr(zeroshot, "residuals", no_residuals)
+    for x in (np.array([0.5]), np.zeros(4), np.zeros((3, 1))):
+        expected = re.escape(f"code has shape {x.shape}, expected (3,)")
+        with pytest.raises(ValueError, match=expected):
+            partial_error(d, ks, ck, x, [0, 1])
+        with pytest.raises(ValueError, match=expected):
+            reconstruction_report(d, ks, ck, x, np.zeros(5, dtype=int))
 
 
 def test_encoding_matrix_matches_triple_sum(rng):
@@ -314,15 +343,10 @@ def test_a_pass_of_describes_computes_no_dataset_hash(monkeypatch):
     assert hashes == []
 
 
-def _clear_memos():
-    for memo in (mkd._GRAM_MEMO, nqp._PROGRAM_MEMO, zeroshot._NEED_MEMO, zeroshot._CLASS_MEMO):
-        memo.clear()
-
-
-def _described(d, ks, seen, z, labels, clear):
-    """Every output byte of one describe, optionally from empty memos."""
-    if clear:
-        _clear_memos()
+def _described(d, ks, seen, z, labels, fresh):
+    """Every output byte of one describe, optionally from an empty describe memo."""
+    if fresh:
+        zeroshot._DICTIONARY_SIDE.clear()
     ck = cross_kernel(seen, z, ks.bandwidths)
     x = encode(d, ks, ck, 2)
     rep = reconstruction_report(d, ks, ck, x, labels)
@@ -330,29 +354,69 @@ def _described(d, ks, seen, z, labels, clear):
     return x.tobytes(), r.tobytes(), rep.per_dim_error.tobytes(), rep.dra, rep.attribution
 
 
-def test_describes_equal_describes_with_the_memos_cleared(monkeypatch):
-    """A pass of describes builds the dictionary-side terms once, and every output byte equals a describe
-    from empty memos, whatever the order of the queries."""
+def test_describes_equal_describes_from_a_fresh_memo(monkeypatch):
+    """A pass of describes builds the atom Gram once, and every output byte equals a describe from an
+    empty memo, whatever the order of the queries."""
     seen, unseen, _, ks, result = _trained_synth(noise=0.1)
     d, labels, n = result.dictionary, seen.labels(), len(unseen)
-    cleared = [_described(d, ks, seen, z, labels, clear=True) for z in unseen.sequences]
-    assert any(attr is not None for row in cleared for attr in row[4])  # the class partition is read
+    fresh = [_described(d, ks, seen, z, labels, fresh=True) for z in unseen.sequences]
+    assert any(attr is not None for row in fresh for attr in row[4])  # the class partition is read
     builds = []
+    atom_gram = mkd.atom_gram
 
-    def counted(name, original):
-        def counting(*args):
-            builds.append(name)
-            return original(*args)
-        return counting
+    def counting(*args):
+        builds.append(args)
+        return atom_gram(*args)
 
-    for module, name in ((mkd, "atom_gram"), (nqp, "_program"), (zeroshot, "_partition")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(mkd, "atom_gram", counting)
     for order in (range(n), range(n - 1, -1, -1)):
-        _clear_memos()
+        zeroshot._DICTIONARY_SIDE.clear()
         builds.clear()
         for i in order:
-            assert _described(d, ks, seen, unseen.sequences[i], labels, clear=False) == cleared[i]
-        assert sorted(builds) == ["_partition", "_program", "atom_gram"]
+            assert _described(d, ks, seen, unseen.sequences[i], labels, fresh=False) == fresh[i]
+        assert len(builds) == 1
+
+
+def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng, monkeypatch):
+    """An in-place update of A or B, as training makes, and another kernel set each replace the memo's
+    entry, need mask and code solver, once; the codes, at this t_x and another, equal those from an empty memo."""
+    ks, vs = make_explicit_kernelset(rng, 8, 3)
+    other, _ = make_explicit_kernelset(rng, 8, 3)
+    d = random_dictionary(rng, ks, 5, t_a=3, t_beta=2)
+    cks = [explicit_unseen(rng, vs)[0] for _ in range(16)]
+    grams = []
+
+    def solver(d, kset, t_x):
+        grams.append(mkd.atom_gram(d, kset).tobytes())
+        return mkd.code_solver(d, kset, t_x)
+
+    monkeypatch.setattr(zeroshot, "code_solver", solver)
+
+    def update_a():
+        d.sample_weights[tuple(np.argwhere(d.sample_weights > 0)[0])] *= 1.5
+
+    def update_b():
+        d.dim_weights[tuple(np.argwhere(d.dim_weights > 0)[-1])] *= 0.5
+
+    def codes(kset, t_x=2):
+        return b"".join(encode(d, kset, ck, t_x).tobytes() for ck in cks)
+
+    previous = (codes(ks), grams[-1], zeroshot._DICTIONARY_SIDE["last"])
+    for kset, update in ((ks, update_a), (ks, update_b), (other, None), (ks, update_a), (ks, update_b)):
+        if update is not None:
+            update()
+        grams.clear()
+        warm = [codes(kset) for _ in range(2)]
+        entry = zeroshot._DICTIONARY_SIDE["last"]
+        assert grams == [mkd.atom_gram(d, kset).tobytes()] and entry is not previous[2]
+        assert (entry["need"] == ((d.dim_weights > 0) @ (d.sample_weights > 0).T)).all()
+        zeroshot._DICTIONARY_SIDE.clear()
+        assert warm == [codes(kset)] * 2
+        assert warm[0] != previous[0] and grams[0] != previous[1]
+        previous = (warm[0], grams[0], zeroshot._DICTIONARY_SIDE["last"])
+    fewer = codes(ks, 1)  # the memo held the solver of t_x 2
+    zeroshot._DICTIONARY_SIDE.clear()
+    assert fewer == codes(ks, 1) != codes(ks, 2)
 
 
 def test_need_mask_follows_in_place_weight_updates(monkeypatch):
@@ -372,15 +436,15 @@ def test_need_mask_follows_in_place_weight_updates(monkeypatch):
                 return
 
     for grow in (grow_a, grow_b):
-        _described(d, ks, seen, z, labels, clear=False)
+        _described(d, ks, seen, z, labels, fresh=False)
         before = sum(int(s.sum()) for s in _support(d))
         grow()
         after = sum(int(s.sum()) for s in _support(d))
         assert after > before
         calls.clear()
-        described = _described(d, ks, seen, z, labels, clear=False)
+        described = _described(d, ks, seen, z, labels, fresh=False)
         assert calls == [after]
-        assert described == _described(d, ks, seen, z, labels, clear=True)
+        assert described == _described(d, ks, seen, z, labels, fresh=True)
 
 
 def test_need_mask_is_kept_by_shape_and_content(rng):
@@ -391,7 +455,7 @@ def test_need_mask_is_kept_by_shape_and_content(rng):
     d2 = Dictionary(d1.sample_weights.reshape(2, 4), d1.dim_weights.reshape(1, 4), ks2.dataset_hash)
     ck1, ck2 = explicit_unseen(rng, vs1)[0], explicit_unseen(rng, vs2)[0]
     warm = [encode(d, ks, ck, 2).tobytes() for d, ks, ck in ((d1, ks1, ck1), (d2, ks2, ck2))]
-    _clear_memos()
+    zeroshot._DICTIONARY_SIDE.clear()
     assert encode(d2, ks2, ck2, 2).tobytes() == warm[1]
 
 
@@ -402,8 +466,50 @@ def test_report_follows_the_label_vector():
     x = encode(d, ks, ck, 2)
     cases = []
     for labels in (seen.labels(), 10 - seen.labels()):  # the same partition, its classes in the reverse order
-        _clear_memos()
         cases.append((labels, reconstruction_report(d, ks, ck, x, labels).attribution))
     assert cases[0][1] != cases[1][1]
     for labels, expected in cases + cases:
         assert reconstruction_report(d, ks, ck, x, labels).attribution == expected
+
+
+def test_attribution_ties_go_to_the_lowest_class(rng):
+    ks, vs = make_explicit_kernelset(rng, 4, 1)
+    d = Dictionary(np.array([[1.0], [0.0], [1.0], [0.0]]), np.ones((1, 1)), ks.dataset_hash)
+    ck, _ = explicit_unseen(rng, vs)
+    # classes 5 and 3 each carry one of the atom's two equal samples; 5 comes first in the labels
+    report = reconstruction_report(d, ks, ck, np.array([0.5]), np.array([5, 5, 3, 3]), threshold=1e6)
+    assert report.attribution == [3]
+
+
+def test_training_never_reads_the_describe_memo(monkeypatch):
+    """Training builds its own code solvers: with the describe memo unreadable it gives the same bytes."""
+    seen, _, _, ks, result = _trained_synth(noise=0.1)
+
+    class Unreadable(dict):
+        def fail(self, *args):
+            raise AssertionError("training read the describe memo")
+
+        get = __getitem__ = __setitem__ = __contains__ = fail
+
+    monkeypatch.setattr(zeroshot, "_DICTIONARY_SIDE", Unreadable())
+    again = train(seen, ks, TrainConfig(k=6, t_x=2, t_a=2, t_beta=1, max_iters=10, tol=1e-7, seed=7))
+    d = again.dictionary
+    assert (d.sample_weights.tobytes(), d.dim_weights.tobytes(), again.codes.tobytes()) == (
+        result.dictionary.sample_weights.tobytes(), result.dictionary.dim_weights.tobytes(), result.codes.tobytes())
+
+
+def test_only_zeroshot_binds_a_module_level_container():
+    """nqp, mkd and ioutil bind no module-level dict, list or set; zeroshot binds one, its describe memo."""
+
+    def containers(module):
+        literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        names = []
+        for node in ast.parse(inspect.getsource(module)).body:
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                    isinstance(value, literals)
+                    or isinstance(value, ast.Call) and ast.unparse(value.func) in ("dict", "list", "set")):
+                names += [ast.unparse(t) for t in getattr(node, "targets", [node.target])]
+        return names
+
+    assert [containers(m) for m in (nqp, mkd, ioutil, zeroshot)] == [[], [], [], ["_DICTIONARY_SIDE"]]
