@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
-from .mtsdata import Dataset, TimeSeries
+from .mtsdata import Dataset, TimeSeries, pack
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,8 @@ class CrossKernel:
 
     ``values(need)`` runs DTW only on the (dimension, row) pairs that the
     f x N mask ``need`` asks for and that are not known yet, all in one
-    ``dtw_many`` call, and keeps them.  Every value is the one the full
+    wavefront run on the query's rows and the seen set's packed block
+    (``Dataset.packed``), and keeps them.  Every value is the one the full
     computation gives, bit for bit.  The unseen sequence's self-kernel is
     1 in every dimension, since its DTW cost against itself is 0.
     """
@@ -82,53 +83,38 @@ class CrossKernel:
         return len(self._values)
 
     def values(self, need: np.ndarray) -> np.ndarray:
-        """f x N values at the entries where ``need`` is True, and 0 elsewhere."""
-        missing = np.asarray(need, dtype=bool) & ~self._known
+        """f x N values at the entries where the f x N mask ``need`` is True, and 0 elsewhere."""
+        need = np.asarray(need, dtype=bool)
+        if need.shape != self._values.shape:
+            raise ValueError(f"need mask has shape {need.shape}, expected {self._values.shape}")
+        missing = need & ~self._known
         if missing.any():
             seen, z, bandwidths = self._pairs
             dims, rows = missing.nonzero()
-            dists = dtw_many([z.dim(l) for l in dims], [seen.sequences[i].dim(l) for l, i in zip(dims, rows)])
+            dists = _dtw_columns(z.values.T, np.full(z.dims, z.length), dims, *seen.packed(), dims * len(seen) + rows)
             self._values[dims, rows] = np.exp(-dists / bandwidths[dims])
             self._known |= missing
         return np.where(need, self._values, 0.0)
 
 
-# Pairs per dtw_many wavefront are capped so that the reversed, zero-bordered
-# reference block holds at most this many float64 values (512 KiB); larger
-# pair sets run in consecutive chunks, each padded on its own, with
-# identical per-pair results.
+# Pairs per wavefront are capped so that the gathered query and reference
+# blocks together hold at most this many float64 values (512 KiB); larger
+# pair sets run in consecutive chunks, with identical per-pair results.
 _WAVEFRONT_ELEMENTS = 1 << 16
-
-
-def _padded(series: list[np.ndarray], height: int, end: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Zero ``height x len(series)`` block with series k in column k, and the lengths.
-
-    With ``end`` 0 each series starts at row 0; otherwise it is reversed and
-    its first value sits at row ``end - 1``.
-    """
-    block = np.zeros((height, len(series)))
-    lengths = np.empty(len(series), dtype=np.intp)
-    for k, s in enumerate(series):
-        if end:
-            block[end - s.size: end, k] = s[::-1]
-        else:
-            block[: s.size, k] = s
-        lengths[k] = s.size
-    if not np.isfinite(block).all():
-        raise ValueError("dtw: non-finite input")
-    return block, lengths
 
 
 def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
     """DTW end cells of every column pair (q[:n[k], k], r_k[:m[k]]).
 
-    ``q`` is the ``rows x pairs`` query block and ``e`` the reversed,
-    zero-bordered reference block: e[s + i, k] = r_k[d - i] for
-    s = rows + cols - 2 - d, so diagonal d reads contiguous row slices of
-    both.  Cell (i, j) lies on diagonal d = i + j and depends only on
+    ``q`` is the ``rows x pairs`` query block and ``e`` the ``cols x pairs``
+    reference block read flipped, each series reversed with its zero
+    padding on top: e[cols - 1 - j, k] = r_k[j], so diagonal d reads the
+    contiguous row slices q[lo:hi] and e[cols - 1 - d + lo: cols - 1 - d + hi].
+    Cell (i, j) lies on diagonal d = i + j and depends only on
     diagonals d-1 and d-2, so each diagonal is five array operations over
     its band of valid rows, i in [lo, hi) with lo = max(0, d - cols + 1) and
-    hi = min(d + 1, rows), for all pairs at once: subtract and square give
+    hi = min(d + 1, rows), which keeps j = d - i in [0, cols), for all
+    pairs at once: subtract and square give
     the local costs, two minimums the best neighbour, and an add the cells,
     each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around them a diagonal
     does only two compares for the band and one list lookup for the pairs
@@ -154,7 +140,7 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     NaN arises.
     """
     rows, pairs = q.shape
-    cols = e.shape[0] - 2 * rows + 2
+    cols = e.shape[0]
     ends = n + m - 2
     last = int(ends.max())
     finishing, groups = [None] * (last + 1), {}
@@ -168,7 +154,7 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     prevprev[0] = 0.0
     scratch = np.empty((rows, pairs))
     subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
-    skew = rows + cols - 2
+    skew = cols - 1
     for d in range(last + 1):
         lo = d - cols + 1 if d >= cols else 0
         hi = d + 1 if d < rows else rows
@@ -188,6 +174,38 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     return out
 
 
+def _packed(series) -> tuple[np.ndarray, np.ndarray]:
+    """``pack`` of 1-d float series; a ValueError if one is empty or not finite."""
+    block, lengths = pack([np.asarray(s, dtype=np.float64).ravel() for s in series])
+    if not lengths.all():
+        raise ValueError("dtw: empty input sequence")
+    if not np.isfinite(block).all():
+        raise ValueError("dtw: non-finite input")
+    return block, lengths
+
+
+def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) -> np.ndarray:
+    """DTW cost of each pair (column qi[k] of ``queries``, column ri[k] of ``references``).
+
+    Both blocks are zero-padded ``steps x series`` blocks with their
+    series' lengths, as ``pack`` builds them.  Each chunk of pairs gathers
+    its query columns from the rows up to the longest query and its
+    reference columns from the rows up to the longest reference, read
+    flipped, and runs one ``_wavefront`` on them.
+    """
+    n, m = query_lengths[qi], reference_lengths[ri]
+    if not n.size:
+        return np.empty(0)
+    rows, cols = int(n.max()), int(m.max())
+    queries, flipped = queries[:rows], references[cols - 1::-1]
+    step = max(1, _WAVEFRONT_ELEMENTS // (rows + cols))
+    return np.concatenate([
+        _wavefront(queries.take(qi[lo: lo + step], axis=1), n[lo: lo + step],
+                   flipped.take(ri[lo: lo + step], axis=1), m[lo: lo + step])
+        for lo in range(0, n.size, step)
+    ])
+
+
 def dtw_many(queries, references) -> np.ndarray:
     """DTW cost of each pair (queries[k], references[k]) of 1-d series.
 
@@ -195,27 +213,16 @@ def dtw_many(queries, references) -> np.ndarray:
     entry k is the accumulated cost of the optimal monotone alignment (no
     square root).  Every entry is bit-identical to a scalar double-loop DP
     with D[i,j] = fl((a_i - b_j)^2 + min(neighbours)) and does not depend
-    on the other pairs, their order, or how they are chunked.  This is the
-    package's only DTW dynamic program.
+    on the other pairs, their order, or how they are chunked.  Each list is
+    packed once (``pack``); ``_wavefront`` is the package's only DTW
+    dynamic program.
     """
-    queries = [np.asarray(a, dtype=np.float64).ravel() for a in queries]
-    references = [np.asarray(b, dtype=np.float64).ravel() for b in references]
-    if len(queries) != len(references):
+    queries, n = _packed(queries)
+    references, m = _packed(references)
+    if n.size != m.size:
         raise ValueError("dtw: query and reference counts differ")
-    if not queries:
-        return np.empty(0)
-    if any(s.size == 0 for s in queries) or any(s.size == 0 for s in references):
-        raise ValueError("dtw: empty input sequence")
-    rows = max(s.size for s in queries)
-    cols = max(s.size for s in references)
-    step = max(1, _WAVEFRONT_ELEMENTS // (2 * rows + cols))
-    return np.concatenate([
-        _wavefront(
-            *_padded(queries[lo: lo + step], rows),
-            *_padded(references[lo: lo + step], 2 * rows + cols - 2, end=rows + cols - 1),
-        )
-        for lo in range(0, len(queries), step)
-    ])
+    pairs = np.arange(n.size)
+    return _dtw_columns(queries, n, pairs, references, m, pairs)
 
 
 def dtw(a, b) -> float:
@@ -224,11 +231,12 @@ def dtw(a, b) -> float:
 
 
 def pairwise_dtw(series: list[np.ndarray]) -> np.ndarray:
-    """Symmetric matrix of DTW costs between all pairs of 1-d series."""
-    n = len(series)
+    """Symmetric matrix of DTW costs between all pairs of 1-d series, packed once; see ``dtw_many``."""
+    block, lengths = _packed(series)
+    n = lengths.size
     iu, ju = np.triu_indices(n, k=1)
     d = np.zeros((n, n))
-    d[iu, ju] = dtw_many([series[i] for i in iu], [series[j] for j in ju])
+    d[iu, ju] = _dtw_columns(block, lengths, iu, block, lengths, ju)
     d[ju, iu] = d[iu, ju]
     return d
 
@@ -262,6 +270,13 @@ def check_bandwidth(bandwidth, error: type[Exception] = DataError) -> float | st
         return check_number("bandwidth", float(bandwidth) if isinstance(bandwidth, str) else bandwidth)
     except ValueError:
         raise error(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}") from None
+
+
+def _check_bandwidths(bandwidths: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """``bandwidths`` if each is positive and finite, as a fixed bandwidth must be; else ``error``."""
+    if not all(0.0 < b < np.inf for b in bandwidths.tolist()):
+        raise error(f"bandwidths must be positive and finite, got {bandwidths.tolist()}")
+    return bandwidths
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
@@ -308,10 +323,11 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
 def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     """Kernel values of one unseen sequence against every seen sequence, computed on demand.
 
-    The dimension count and the bandwidths are checked here, but DTW runs
-    only for the values a caller asks for (``CrossKernel.values``).  Every
-    sequence is finite and read-only from its construction on, and the
-    seen set hashes itself once, so no per-query scan or hash is needed.
+    The dimension count and the bandwidths (one per dimension, each
+    positive and finite) are checked here, but DTW runs only for the values
+    a caller asks for (``CrossKernel.values``).  Every sequence is finite
+    and read-only from its construction on, and the seen set hashes and
+    packs itself once, so no per-query scan, hash or padding is needed.
     """
     if z.dims != seen.dims:
         raise DataError(
@@ -320,7 +336,7 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
     bandwidths = np.asarray(bandwidths, dtype=np.float64)
     if bandwidths.shape != (seen.dims,):
         raise DataError("bandwidth vector does not match the dimension count")
-    return CrossKernel(seen, z, bandwidths)
+    return CrossKernel(seen, z, _check_bandwidths(bandwidths, DataError))
 
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
@@ -360,8 +376,7 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     with malformed(f"{where}: malformed kernel cache metadata"):
         n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
         bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
-        if not (bandwidths > 0.0).all():
-            raise ValueError("bandwidths must be positive")
+        _check_bandwidths(bandwidths, ValueError)
         dataset_hash = str(meta["dataset_hash"])
         request = meta.get("bandwidth_request")
         request = None if request is None else check_bandwidth(request, ValueError)

@@ -88,6 +88,7 @@ class Dataset:
     role: str = ROLE_SEEN
     label_names: dict[int, str] | None = None
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", tuple(self.sequences))
@@ -140,6 +141,24 @@ class Dataset:
                 h.update(s.values.tobytes())
             object.__setattr__(self, "_hash", h.hexdigest())
         return self._hash
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``pack`` of every dimension of every sequence, dimension l of sequence i in column
+        ``l * len(self) + i``, built on the first call only and read-only."""
+        if self._packed is None:
+            block, lengths = pack([s.dim(l) for l in range(self.dims) for s in self.sequences])
+            object.__setattr__(self, "_packed", (read_only(block), read_only(lengths)))
+        return self._packed
+
+
+def pack(series) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded ``steps x len(series)`` block with 1-d series k in column k, and the lengths;
+    ``steps`` is the longest length."""
+    lengths = np.array([s.size for s in series], dtype=np.intp)
+    block = np.zeros((int(lengths.max(initial=0)), len(series)))
+    for k, s in enumerate(series):
+        block[: s.size, k] = s
+    return block, lengths
 
 
 def _load_csv(path: Path) -> np.ndarray:

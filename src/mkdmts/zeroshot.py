@@ -51,9 +51,16 @@ class ReconstructionReport:
     threshold: float
 
 
-def _check_provenance(d: Dictionary, ck: CrossKernel) -> None:
+def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
+    """A DataError unless the cross kernel comes from the dictionary's seen set and all three share its
+    dimension count, and the kernel set its sample count."""
     if d.dataset_hash != ck.dataset_hash:
         raise DataError("cross-kernel and dictionary come from different seen datasets")
+    if ck.dims != d.dims:
+        raise DataError("cross-kernel dimension count does not match the dictionary")
+    if (ks.dims, ks.n) != (d.dims, d.n):
+        raise DataError(f"kernel set of {ks.dims} dimensions x {ks.n} samples does not match "
+                        f"the dictionary's {d.dims} x {d.n}")
 
 
 def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
@@ -65,13 +72,15 @@ def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
     equal the full kernel's bit for bit.  Every query of one dictionary
     shares the mask and the solver, so a pass of describes builds them
     once.  The memo holds one entry, replaced when the key changes: the
-    kernel set by identity, its Grams being read-only, and A and B by shape
-    and bytes, since training updates them in place.  A caller that holds
+    kernel set by identity, its Grams being read-only, and A's and B's
+    bytes, since training updates them in place.  Callers pass
+    ``_check_provenance`` first, so the kernel set fixes N and f, and with
+    them the byte counts fix A's and B's shapes.  A caller that holds
     an entry keeps a consistent one, whatever another thread stores.
     Training codes with ``mkd.code_solver`` directly and never reads the memo.
     """
     a, b = d.sample_weights, d.dim_weights
-    key = (ks, a.shape, a.tobytes(), b.tobytes())
+    key = (ks, a.tobytes(), b.tobytes())
     entry = _DICTIONARY_SIDE.get("last")
     if entry is None or entry["key"] != key:
         entry = _DICTIONARY_SIDE["last"] = {"key": key, "need": read_only((b > 0) @ (a > 0).T)}
@@ -84,9 +93,7 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     The code solver is kept in the describe memo for the last t_x; one that
     raises is not kept, so a non-finite atom Gram raises at every call.
     """
-    _check_provenance(d, ck)
-    if ck.dims != d.dims:
-        raise DataError("cross-kernel dimension count does not match the dictionary")
+    _check_provenance(d, ks, ck)
     entry = _dictionary_side(d, ks)
     kept = entry.get("solver")
     if kept is None or kept[0] != t_x:
@@ -105,7 +112,7 @@ def _code(d: Dictionary, x) -> np.ndarray:
 def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x) -> np.ndarray:
     """Per-dimension residuals (length f) of one coded unseen sequence, unclamped."""
     codes = _code(d, x)[:, None]
-    _check_provenance(d, ck)
+    _check_provenance(d, ks, ck)
     cross = [c[:, None] for c in ck.values(_dictionary_side(d, ks)["need"])]
     return residuals(d, ks.kernels, cross, ck.self_k[:, None], codes)[:, 0]
 

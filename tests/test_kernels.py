@@ -130,7 +130,7 @@ def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, spli
     refs = [rng.normal(size=m) for _, m in shapes]
     if split:  # three pairs per chunk, the last chunk holding one
         rows, cols = max(n for n, _ in shapes), max(m for _, m in shapes)
-        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (2 * rows + cols))
+        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (rows + cols))
     got = dtw_many(queries, refs)
     assert _bits(got) == _bits([dtw_loop(a, b) for a, b in zip(queries, refs)])
 
@@ -273,6 +273,22 @@ def test_cross_kernel_dimension_mismatch(rng):
     z = TimeSeries(id="z", values=rng.normal(size=(3, 5)))
     with pytest.raises(DataError, match="dimensions"):
         cross_kernel(ds, z, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [-40.0, np.nan, 0.0, np.inf], ids=["negative", "nan", "zero", "inf"])
+def test_cross_kernel_rejects_a_bandwidth_that_is_not_positive_and_finite(bad):
+    seen, unseen, _ = synth_dataset(SynthConfig(num_seen_classes=3, samples_per_class=3, length_range=(10, 14), seed=7))
+    with pytest.raises(DataError, match=r"^bandwidths must be positive and finite, got \[40\.0, "):
+        cross_kernel(seen, unseen.sequences[0], np.array([40.0, bad]))
+
+
+def test_cross_kernel_values_reject_a_mask_that_is_not_f_by_n(rng):
+    ds = _dataset([rng.normal(size=(2, 5)) for _ in range(3)])
+    ck = cross_kernel(ds, TimeSeries(id="z", values=rng.normal(size=(2, 4))), np.ones(2))
+    for shape in [(3,), (1, 3), (2, 1), (3, 3), (2, 3, 1)]:
+        with pytest.raises(ValueError, match=rf"need mask has shape \({shape[0]},"):
+            ck.values(np.ones(shape, dtype=bool))
+    assert not ck.values(np.zeros((2, 3), dtype=bool)).any()
 
 
 def test_psd_repair_two_by_two_by_hand():

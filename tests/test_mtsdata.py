@@ -49,6 +49,24 @@ def test_dataset_hash_is_computed_once(monkeypatch):
     assert ds.hash() == first
     assert isinstance(ds.sequences, tuple)
 
+
+def test_dataset_packs_its_sequences_once(monkeypatch):
+    """Dimension l of sequence i sits zero-padded in column l * N + i of one read-only block, built on the first call."""
+    lengths = [3, 5, 2]
+    ds = Dataset([TimeSeries(id=f"s{i}", values=np.arange(2.0 * n).reshape(2, n) + i, label=0)
+                  for i, n in enumerate(lengths)])
+    block, steps = ds.packed()
+    assert block.shape == (5, 6) and steps.tolist() == lengths * 2
+    for l in range(2):
+        for i, s in enumerate(ds.sequences):
+            col = block[:, l * 3 + i]
+            assert col[: s.length].tobytes() == s.dim(l).tobytes() and not col[s.length:].any()
+    assert not (block.flags.writeable or steps.flags.writeable)
+    monkeypatch.setattr("mkdmts.mtsdata.pack", None)
+    assert ds.packed()[0] is block
+    assert Dataset(ds.sequences) == ds  # the kept block takes no part in comparisons
+
+
 def test_dataset_requires_consistent_dims():
     a = TimeSeries(id="a", values=np.zeros((2, 5)), label=0)
     b = TimeSeries(id="b", values=np.zeros((3, 5)), label=0)

@@ -16,7 +16,7 @@ from conftest import (
 from oracles import ExplicitCrossKernel, explicit_unseen
 
 from mkdmts.errors import DataError
-from mkdmts import ioutil, kernels, mkd, nqp, zeroshot
+from mkdmts import ioutil, kernels, mkd, mtsdata, nqp, zeroshot
 from mkdmts.evalx import describe
 from mkdmts.kernels import build_kernelset, cross_kernel, dtw_many
 from mkdmts.mkd import Dictionary, TrainConfig, train
@@ -248,13 +248,15 @@ def _support(d):
 
 
 def _count_dtw_pairs(monkeypatch):
+    """The pair count of every DTW run a cross kernel makes (``kernels._dtw_columns``, one list entry per call)."""
     calls = []
+    dtw_columns = kernels._dtw_columns
 
-    def counting(queries, references):
-        calls.append(len(queries))
-        return dtw_many(queries, references)
+    def counting(queries, query_lengths, qi, *references):
+        calls.append(len(qi))
+        return dtw_columns(queries, query_lengths, qi, *references)
 
-    monkeypatch.setattr(kernels, "dtw_many", counting)
+    monkeypatch.setattr(kernels, "_dtw_columns", counting)
     return calls
 
 
@@ -291,7 +293,7 @@ def test_describe_runs_dtw_once_on_the_support_only(monkeypatch):
         x = encode(d, ks, ck, 2)
         encoding_matrix(d, x, z.id)
         reconstruction_report(d, ks, ck, x, labels)
-        assert calls == [expected]  # one dtw_many call; the report reuses the encode's values
+        assert calls == [expected]  # one DTW run; the report reuses the encode's values
         ck.values(np.ones((d.dims, d.n), dtype=bool))
         assert calls == [expected, d.dims * d.n - expected]
 
@@ -447,8 +449,9 @@ def test_need_mask_follows_in_place_weight_updates(monkeypatch):
         assert described == _described(d, ks, seen, z, labels, fresh=True)
 
 
-def test_need_mask_is_kept_by_shape_and_content(rng):
-    """Two dictionaries whose weights share their bytes but not their shapes have their own need masks."""
+def test_need_mask_is_kept_by_kernel_set_and_content(rng):
+    """Two dictionaries whose weights share their bytes but not their shapes, each coded against its own
+    kernel set, have their own need masks."""
     ks1, vs1 = make_explicit_kernelset(rng, 4, 2)
     ks2, vs2 = make_explicit_kernelset(rng, 2, 1)
     d1 = random_dictionary(rng, ks1, 2, t_a=2, t_beta=2)
@@ -457,6 +460,37 @@ def test_need_mask_is_kept_by_shape_and_content(rng):
     warm = [encode(d, ks, ck, 2).tobytes() for d, ks, ck in ((d1, ks1, ck1), (d2, ks2, ck2))]
     zeroshot._DICTIONARY_SIDE.clear()
     assert encode(d2, ks2, ck2, 2).tobytes() == warm[1]
+
+
+def test_a_kernel_set_of_another_shape_fails_before_the_memo(rng):
+    """A dictionary whose sample or dimension count differs from the kernel set's is a DataError, and leaves
+    the describe memo as it was, so the kernel set and the weight bytes fix A's and B's shapes."""
+    ks, vs = make_explicit_kernelset(rng, 4, 2)
+    d = random_dictionary(rng, ks, 2, t_a=2, t_beta=2)
+    ck = explicit_unseen(rng, vs)[0]
+    flat = ExplicitCrossKernel(ck.cross.reshape(1, 8), np.ones(1), ks.dataset_hash)
+    reshaped = Dictionary(d.sample_weights.reshape(2, 4), d.dim_weights.reshape(1, 4), ks.dataset_hash)
+    zeroshot._DICTIONARY_SIDE.clear()
+    with pytest.raises(DataError, match=r"kernel set of 2 dimensions x 4 samples does not match the dictionary's 1 x 2"):
+        encode(reshaped, ks, flat, 2)
+    assert zeroshot._DICTIONARY_SIDE == {}
+
+
+@pytest.mark.parametrize("call", ["encode", "partial_error", "reconstruction_report"])
+def test_a_cross_kernel_of_another_dimension_count_is_a_data_error(rng, call):
+    ks, vs = make_explicit_kernelset(rng, 6, 3)
+    d = random_dictionary(rng, ks, 3)
+    ck = explicit_unseen(rng, vs)[0]
+    x = encode(d, ks, ck, 2)
+    run = {
+        "encode": lambda other: encode(d, ks, other, 2),
+        "partial_error": lambda other: partial_error(d, ks, other, x, range(d.dims)),
+        "reconstruction_report": lambda other: reconstruction_report(d, ks, other, x, np.arange(d.n)),
+    }[call]
+    for dims in (2, 4):  # fewer dimensions than the dictionary, and more
+        other = ExplicitCrossKernel(np.resize(ck.cross, (dims, d.n)), np.ones(dims), ck.dataset_hash)
+        with pytest.raises(DataError, match="^cross-kernel dimension count does not match the dictionary$"):
+            run(other)
 
 
 def test_report_follows_the_label_vector():
@@ -499,7 +533,8 @@ def test_training_never_reads_the_describe_memo(monkeypatch):
 
 
 def test_only_zeroshot_binds_a_module_level_container():
-    """nqp, mkd and ioutil bind no module-level dict, list or set; zeroshot binds one, its describe memo."""
+    """nqp, mkd, ioutil, kernels and mtsdata bind no module-level dict, list or set; zeroshot binds one, its
+    describe memo.  A seen set's packed block lives on its ``Dataset``, freed with it."""
 
     def containers(module):
         literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -512,4 +547,5 @@ def test_only_zeroshot_binds_a_module_level_container():
                 names += [ast.unparse(t) for t in getattr(node, "targets", [node.target])]
         return names
 
-    assert [containers(m) for m in (nqp, mkd, ioutil, zeroshot)] == [[], [], [], ["_DICTIONARY_SIDE"]]
+    modules = (nqp, mkd, ioutil, kernels, mtsdata, zeroshot)
+    assert [containers(m) for m in modules] == [[], [], [], [], [], ["_DICTIONARY_SIDE"]]
