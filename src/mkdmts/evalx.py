@@ -33,7 +33,7 @@ from .ioutil import (
     write_text,
 )
 from .kernels import (
-    DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, cross_kernel, pairwise_dtw,
+    DEFAULT_BANDWIDTH, KernelSet, build_or_load_kernelset, check_bandwidth, check_bandwidths, cross_kernel, pairwise_dtw,
 )
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, check_ids, save_dataset, synth_dataset
@@ -189,14 +189,11 @@ def spectral_baseline(unseen: Dataset, bandwidths, num_clusters: int, seed: int 
     """
     if num_clusters < 2:
         raise ValueError("spectral baseline needs at least 2 clusters")
-    bandwidths = np.asarray(bandwidths, dtype=np.float64)
-    if bandwidths.shape != (unseen.dims,):
-        raise DataError("bandwidth vector does not match the dimension count")
+    bandwidths = check_bandwidths(bandwidths, unseen.dims)
     n = len(unseen)
     sim = np.zeros((n, n))
-    for l in range(unseen.dims):
-        d = pairwise_dtw([s.dim(l) for s in unseen.sequences])
-        sim += np.exp(-d / bandwidths[l])
+    for d, delta in zip(pairwise_dtw(unseen), bandwidths):
+        sim += np.exp(-d / delta)
     sim /= unseen.dims
 
     deg = sim.sum(axis=1)

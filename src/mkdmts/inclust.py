@@ -243,8 +243,8 @@ class Dendrogram:
         """Place one encoded sequence, given as its N x f encoding array.
 
         An id already in the tree, an encoding of another shape than the
-        tree's, or one that is not finite is a DataError, raised before
-        anything is recorded.
+        tree's, one that is not a non-empty 2-d matrix, or one that is not
+        finite is a DataError, raised before anything is recorded.
         """
         r = np.asarray(r, dtype=np.float64)
         if source_id in self._member_ids:
@@ -253,6 +253,8 @@ class Dendrogram:
             raise DataError(
                 f"encoding shape {r.shape} does not match the tree's {self.roots[0].mean.shape}"
             )
+        if r.ndim != 2 or not r.size:
+            raise DataError(f"encoding of {source_id!r} has shape {r.shape}, expected a non-empty N x f matrix")
         if not np.isfinite(r).all():
             raise DataError(f"encoding of {source_id!r} is not finite")
         self._member_ids.add(source_id)

@@ -4,7 +4,9 @@ For each dimension l the seen-vs-seen Gram is K_l(i, j) =
 exp(-dtw(dim l of Y_i, dim l of Y_j) / delta_l).  DTW of warped curves is
 not a metric, so the exponentiated matrix can be indefinite; it is
 repaired by clipping negative eigenvalues to zero.  Cross-kernel vectors
-against single unseen sequences are left unrepaired.
+against single unseen sequences are left unrepaired.  ``pairwise_dtw``
+and ``CrossKernel`` read a ``Dataset``'s packed block, and every
+bandwidth vector passes ``check_bandwidths``.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
 
 
 def _packed(series) -> tuple[np.ndarray, np.ndarray]:
-    """``pack`` of 1-d float series; a ValueError if one is empty or not finite."""
+    """``pack`` of ``dtw_many``'s 1-d float series; a ValueError if one is empty or not finite."""
     block, lengths = pack([np.asarray(s, dtype=np.float64).ravel() for s in series])
     if not lengths.all():
         raise ValueError("dtw: empty input sequence")
@@ -230,14 +232,17 @@ def dtw(a, b) -> float:
     return float(dtw_many([a], [b])[0])
 
 
-def pairwise_dtw(series: list[np.ndarray]) -> np.ndarray:
-    """Symmetric matrix of DTW costs between all pairs of 1-d series, packed once; see ``dtw_many``."""
-    block, lengths = _packed(series)
-    n = lengths.size
+def pairwise_dtw(data: Dataset) -> np.ndarray:
+    """f x N x N DTW costs between every two sequences of ``data`` in each dimension, symmetric with a zero
+    diagonal: the upper-triangle pairs of every dimension, gathered from ``data.packed()``, run in one
+    ``_dtw_columns`` call; see ``dtw_many``."""
+    block, lengths = data.packed()
+    n = len(data)
     iu, ju = np.triu_indices(n, k=1)
-    d = np.zeros((n, n))
-    d[iu, ju] = _dtw_columns(block, lengths, iu, block, lengths, ju)
-    d[ju, iu] = d[iu, ju]
+    starts = n * np.arange(data.dims)[:, None]
+    upper = _dtw_columns(block, lengths, (starts + iu).ravel(), block, lengths, (starts + ju).ravel())
+    d = np.zeros((data.dims, n, n))
+    d[:, iu, ju] = d[:, ju, iu] = upper.reshape(data.dims, -1)
     return d
 
 
@@ -272,8 +277,12 @@ def check_bandwidth(bandwidth, error: type[Exception] = DataError) -> float | st
         raise error(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}") from None
 
 
-def _check_bandwidths(bandwidths: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """``bandwidths`` if each is positive and finite, as a fixed bandwidth must be; else ``error``."""
+def check_bandwidths(bandwidths, dims: int, error: type[Exception] = DataError) -> np.ndarray:
+    """``bandwidths`` as a float vector of ``dims`` entries, each positive and finite as a fixed bandwidth
+    must be; else ``error``."""
+    bandwidths = np.asarray(bandwidths, dtype=np.float64)
+    if bandwidths.shape != (dims,):
+        raise error("bandwidth vector does not match the dimension count")
     if not all(0.0 < b < np.inf for b in bandwidths.tolist()):
         raise error(f"bandwidths must be positive and finite, got {bandwidths.tolist()}")
     return bandwidths
@@ -301,8 +310,7 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     if len(seen) < 2:
         raise DataError("kernel construction needs at least 2 sequences")
     kernels, deltas, shifts = [], [], []
-    for l in range(seen.dims):
-        d = pairwise_dtw([s.dim(l) for s in seen.sequences])
+    for l, d in enumerate(pairwise_dtw(seen)):
         delta = request if isinstance(request, float) else _median_bandwidth(d, l)
         k = np.exp(-d / delta)
         k, shift = psd_repair(k)
@@ -333,10 +341,7 @@ def cross_kernel(seen: Dataset, z: TimeSeries, bandwidths) -> CrossKernel:
         raise DataError(
             f"sequence {z.id!r} has {z.dims} dimensions, seen set has {seen.dims}"
         )
-    bandwidths = np.asarray(bandwidths, dtype=np.float64)
-    if bandwidths.shape != (seen.dims,):
-        raise DataError("bandwidth vector does not match the dimension count")
-    return CrossKernel(seen, z, _check_bandwidths(bandwidths, DataError))
+    return CrossKernel(seen, z, check_bandwidths(bandwidths, seen.dims))
 
 
 def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
@@ -376,7 +381,7 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
     with malformed(f"{where}: malformed kernel cache metadata"):
         n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
         bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
-        _check_bandwidths(bandwidths, ValueError)
+        check_bandwidths(bandwidths, dims, ValueError)
         dataset_hash = str(meta["dataset_hash"])
         request = meta.get("bandwidth_request")
         request = None if request is None else check_bandwidth(request, ValueError)

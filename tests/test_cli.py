@@ -302,6 +302,18 @@ def test_cluster_empty_index_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_cluster_on_empty_encodings_is_data_error(tmp_path, capsys):
+    enc = tmp_path / "enc"
+    _write_encodings(enc, ["a", "b"])
+    for sid in ("a", "b"):
+        (enc / f"{sid}.R.bin").write_bytes(b"\0" * 16)  # a header of 0 rows and 0 columns
+    assert _run(["cluster", "--enc", enc, "--out", tmp_path / "t.json"]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "data error: ")
+    assert "encoding of 'a' has shape (0, 0), expected a non-empty N x f matrix" in err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_cluster_index_listing_an_id_twice_is_data_error(tmp_path, capsys):
     _write_encodings(tmp_path / "enc", ["a", "b", "a"])
     assert _run(["cluster", "--enc", tmp_path / "enc", "--out", tmp_path / "t.json"]) == 2

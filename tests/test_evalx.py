@@ -204,6 +204,10 @@ def test_spectral_validates_inputs(rng):
         spectral_baseline(ds, np.ones(2), 1)
     with pytest.raises(DataError, match="bandwidth"):
         spectral_baseline(ds, np.ones(3), 2)
+    _, unseen, _ = synth_dataset(SynthConfig(seed=5))
+    for bad in (-1.0, np.inf, 0.0, np.nan):
+        with pytest.raises(DataError, match=r"^bandwidths must be positive and finite, got \["):
+            spectral_baseline(unseen, np.array([bad, 1.0]), 2)
 
 
 def test_score_clustering_bundle(rng):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ def test_duplicate_id_rejected_and_tree_unchanged(rng):
         tree.insert("a", rng.uniform(size=(3, 2)))
     assert json.dumps(tree.to_dict(), sort_keys=True) == before
     assert len(tree.records) == 1
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (3,)], ids=["0x0", "Nx0", "1-d"])
+def test_encoding_that_is_not_a_non_empty_matrix_rejected_and_tree_unchanged(shape):
+    tree = Dendrogram()
+    with pytest.raises(DataError, match=rf"^encoding of 'a' has shape {re.escape(str(shape))}, expected a non-empty"):
+        tree.insert("a", np.ones(shape))
+    assert tree.roots == [] and tree.records == []
+    tree.insert("a", np.ones((3, 2)))  # the id was not taken by the rejected insert
+    assert tree.flat_clusters() == {"a": 0}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

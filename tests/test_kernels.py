@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mkdmts import kernels
 from mkdmts.errors import DataError
 from mkdmts.ioutil import read_json, write_json, write_matrix
 from mkdmts.kernels import (
@@ -362,10 +363,10 @@ def test_kernelset_grams_are_read_only_copies(tmp_path):
 
 
 def test_pairwise_dtw_symmetric(rng):
-    series = [rng.normal(size=rng.integers(3, 7)) for _ in range(4)]
-    d = pairwise_dtw(series)
-    np.testing.assert_array_equal(d, d.T)
-    assert (np.diag(d) == 0).all()
+    d = pairwise_dtw(_dataset([rng.normal(size=(2, rng.integers(3, 7))) for _ in range(4)]))
+    assert d.shape == (2, 4, 4)
+    np.testing.assert_array_equal(d, d.transpose(0, 2, 1))
+    assert (np.diagonal(d, axis1=1, axis2=2) == 0).all()
 
 
 def _reference_pairwise(series):
@@ -380,9 +381,9 @@ def _reference_pairwise(series):
 def test_pairwise_and_cross_kernel_equal_per_pair_reference(rng):
     seqs = [rng.normal(size=(3, int(rng.integers(5, 30)))) for _ in range(7)]
     ds = _dataset(seqs)
+    d = pairwise_dtw(ds)
     for l in range(3):
-        series = [s[l] for s in seqs]
-        assert _bits(pairwise_dtw(series)) == _bits(_reference_pairwise(series))
+        assert _bits(d[l]) == _bits(_reference_pairwise([s[l] for s in seqs]))
     bandwidths = np.array([0.7, 3.0, 11.0])
     z = TimeSeries(id="z", values=rng.normal(size=(3, 12)))
     cross = _all_values(cross_kernel(ds, z, bandwidths), ds)
@@ -391,22 +392,38 @@ def test_pairwise_and_cross_kernel_equal_per_pair_reference(rng):
         assert _bits(cross[l]) == _bits(np.exp(-dists / bandwidths[l]))
 
 
+@pytest.mark.parametrize("step", [4, 13])
+def test_pairwise_dtw_chunks_across_dimensions_equal_per_pair_reference(rng, monkeypatch, step):
+    # 21 pairs per dimension, 63 in all: chunks of 4 or 13 pairs hold pairs of two dimensions
+    seqs = [rng.normal(size=(3, int(rng.integers(5, 30)))) for _ in range(7)]
+    rows, cols = max(s.shape[1] for s in seqs[:-1]), max(s.shape[1] for s in seqs[1:])
+    monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", step * (rows + cols))
+    chunks = []
+    wavefront = kernels._wavefront
+    monkeypatch.setattr(kernels, "_wavefront", lambda q, *rest: chunks.append(q.shape[1]) or wavefront(q, *rest))
+    d = pairwise_dtw(_dataset(seqs))
+    assert chunks == [step] * (63 // step) + [63 % step]
+    for l in range(3):
+        assert _bits(d[l]) == _bits(_reference_pairwise([s[l] for s in seqs]))
+
+
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):
     from mkdmts import evalx
 
     _, unseen, _ = synth_dataset(SynthConfig(seed=5, samples_per_class=3, length_range=(8, 14)))
-    seen_matrices = []
+    calls = []
 
-    def spy(series):
-        d = pairwise_dtw(series)
-        seen_matrices.append((series, d))
+    def spy(data):
+        d = pairwise_dtw(data)
+        calls.append((data, d))
         return d
 
     monkeypatch.setattr(evalx, "pairwise_dtw", spy)
     evalx.spectral_baseline(unseen, np.ones(unseen.dims), num_clusters=2)
-    assert len(seen_matrices) == unseen.dims
-    for series, d in seen_matrices:
-        assert _bits(d) == _bits(_reference_pairwise(series))
+    [(data, d)] = calls
+    assert data is unseen and d.shape == (unseen.dims, len(unseen), len(unseen))
+    for l in range(unseen.dims):
+        assert _bits(d[l]) == _bits(_reference_pairwise([s.dim(l) for s in unseen.sequences]))
 
 
 _META_DAMAGE = {
