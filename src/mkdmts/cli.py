@@ -116,7 +116,7 @@ def _cmd_synth(cfg: dict) -> int:
 
 def _cmd_kernels(cfg: dict) -> int:
     bandwidth = _checked(check_bandwidth, DEFAULT_BANDWIDTH if cfg["bandwidth"] is None else cfg["bandwidth"])
-    seen = load_dataset(cfg["manifest"], role="seen")
+    seen = load_dataset(cfg["manifest"])
     ks = build_or_load_kernelset(seen, cfg["out"], bandwidth)
     _write_run_info(Path(cfg["out"]), "kernels", cfg, {"bandwidths": [float(b) for b in ks.bandwidths]})
     print(f"kernels for {ks.n} sequences x {ks.dims} dimensions in {cfg['out']}", file=sys.stderr)
@@ -138,7 +138,7 @@ def _tune_grid(path) -> list[tuple[int, int]]:
 def _cmd_train(cfg: dict) -> int:
     train_cfg = _config(TrainConfig, cfg, _TRAIN_FLAGS)
     grid = _tune_grid(cfg["tune"]) if cfg["tune"] else None
-    seen = load_dataset(cfg["manifest"], role="seen")
+    seen = load_dataset(cfg["manifest"])
     ks = load_kernelset(cfg["kernels"])
     if grid:
         train_cfg = tune(seen, ks, grid, train_cfg)
@@ -154,8 +154,8 @@ def _cmd_train(cfg: dict) -> int:
 def _cmd_encode(cfg: dict) -> int:
     t_x = cfg["tx"] if cfg["tx"] is None else _checked(check_int, "t_x", cfg["tx"], 1)
     threshold = _checked(check_threshold, DEFAULT_THRESHOLD if cfg["threshold"] is None else cfg["threshold"])
-    seen = load_dataset(cfg["seen_manifest"], role="seen")
-    unseen = load_dataset(cfg["manifest"], role="unseen")
+    seen = load_dataset(cfg["seen_manifest"])
+    unseen = load_dataset(cfg["manifest"])
     ks = load_kernelset(cfg["kernels"])
     model, meta = load_model(cfg["model"])
     if meta["bandwidths"] != ks.bandwidths.tolist():
@@ -201,7 +201,7 @@ def _cmd_cluster(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     pred = flat_clusters_from_dict(read_json(cfg["tree"]))
-    truth_ds = load_dataset(cfg["truth"], role="unseen")
+    truth_ds = load_dataset(cfg["truth"])
     truth = dict(zip(truth_ds.ids(), truth_ds.labels().tolist()))
     score = score_clustering(pred, truth)
     write_json(cfg["out"], {

@@ -102,6 +102,10 @@ class CrossKernel:
 # Pairs per wavefront are capped so that the gathered query and reference
 # blocks together hold at most this many float64 values (512 KiB); larger
 # pair sets run in consecutive chunks, with identical per-pair results.
+# The cap counts only the gathered blocks: the three diagonal buffers and the
+# cost scratch add about 4 * rows + 3 values per pair, about three times the
+# cap in all when queries and references are of one length.  Counting them
+# would cut the chunks to a third, which made the Gram slower.
 _WAVEFRONT_ELEMENTS = 1 << 16
 
 
@@ -304,11 +308,14 @@ def build_kernelset(seen: Dataset, bandwidth=DEFAULT_BANDWIDTH) -> KernelSet:
     """Compute per-dimension Gaussian-of-DTW Grams over the seen set.
 
     ``bandwidth`` is either "median" (median off-diagonal DTW distance per
-    dimension) or a fixed positive number applied to every dimension.
+    dimension) or a fixed positive number applied to every dimension.  The
+    seen set must be labeled, as training will read its labels; that is
+    checked before any DTW runs.
     """
     request = check_bandwidth(bandwidth)
     if len(seen) < 2:
         raise DataError("kernel construction needs at least 2 sequences")
+    seen.labels()
     kernels, deltas, shifts = [], [], []
     for l, d in enumerate(pairwise_dtw(seen)):
         delta = request if isinstance(request, float) else _median_bandwidth(d, l)
@@ -373,6 +380,12 @@ def _finite_list(values, key: str, dims: int) -> np.ndarray:
 
 
 def load_kernelset(cache_dir: str | Path) -> KernelSet:
+    """The kernel set that ``save_kernelset`` wrote to ``cache_dir``; a DataError unless it is whole.
+
+    Every metadata key must be present, and each entry passes one check: the
+    bandwidths ``check_bandwidths``, the repair shifts ``_finite_list``, and
+    the bandwidth request is None (a set built in memory) or passes ``check_bandwidth``.
+    """
     cache_dir, where = Path(cache_dir), show_path(cache_dir)
     meta = read_json(cache_dir / "meta.json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
@@ -380,10 +393,10 @@ def load_kernelset(cache_dir: str | Path) -> KernelSet:
         raise DataError(f"{where}: unknown kernel cache format {fmt!r}")
     with malformed(f"{where}: malformed kernel cache metadata"):
         n, dims = (check_int(key, meta[key], 1) for key in ("n", "f"))
-        bandwidths, repair_shift = (_finite_list(meta[key], key, dims) for key in ("bandwidths", "repair_shift"))
-        check_bandwidths(bandwidths, dims, ValueError)
+        bandwidths = check_bandwidths(meta["bandwidths"], dims, ValueError)
+        repair_shift = _finite_list(meta["repair_shift"], "repair_shift", dims)
         dataset_hash = str(meta["dataset_hash"])
-        request = meta.get("bandwidth_request")
+        request = meta["bandwidth_request"]
         request = None if request is None else check_bandwidth(request, ValueError)
     kernels = [read_matrix(cache_dir / f"dim{l:03d}.bin") for l in range(dims)]
     for l, k in enumerate(kernels):

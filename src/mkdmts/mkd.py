@@ -179,9 +179,10 @@ def code_solver(d: Dictionary, ks: KernelSet, t_x: int):
     While the supports of at most t_x atoms are few, each code is the exact
     optimum over all of them, from one batched inverse of the Gram blocks
     built here.  Weights so large that the atom Gram overflows are a
-    NumericalError.
+    NumericalError.  Every path that codes reads t_x here, and it must
+    pass ``check_int`` (at least 1), else a ValueError.
     """
-    return column_solver(_finite(atom_gram, d, ks), min(t_x, d.k))
+    return column_solver(_finite(atom_gram, d, ks), min(check_int("t_x", t_x, 1), d.k))
 
 
 def sparse_codes(d: Dictionary, solve, cross) -> np.ndarray:
@@ -363,10 +364,11 @@ def train(seen: Dataset, ks: KernelSet, cfg: TrainConfig) -> TrainResult:
     dictionary and appends one value per outer iteration; training stops
     at ``max_iters`` or when the relative loss change drops below ``tol``.
     """
+    labels = seen.labels()
     if ks.dataset_hash != seen.hash():
         raise DataError("kernel set was built on a different dataset")
     cfg = cfg.resolve(ks.n, ks.dims)
-    d = init_dictionary(ks, cfg, labels=seen.labels())
+    d = init_dictionary(ks, cfg, labels=labels)
     codes = np.zeros((cfg.k, ks.n))
     trace = [compute_loss(d, ks, codes)]
     for it in range(cfg.max_iters):

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import DataError
 from .ioutil import check_int, check_number, make_dir, read_only, read_text, remove_file, show_path, write_json, write_text
 
-ROLE_SEEN = "seen"
-ROLE_UNSEEN = "unseen"
 _INT64 = np.iinfo(np.int64)
 
 
@@ -80,20 +78,17 @@ def check_ids(ids, where: str = "") -> None:
 class Dataset:
     """An ordered, immutable tuple of sequences sharing a dimension count.
 
-    Ids pass ``check_ids``.  For role "seen" every sequence must carry a
-    label.  For role "unseen" labels are optional, used for evaluation only.
+    Ids pass ``check_ids``.  Labels are optional here; whatever needs them
+    reads them through ``labels``, which rejects an unlabeled sequence.
     """
 
     sequences: tuple[TimeSeries, ...]
-    role: str = ROLE_SEEN
     label_names: dict[int, str] | None = None
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
     _packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", tuple(self.sequences))
-        if self.role not in (ROLE_SEEN, ROLE_UNSEEN):
-            raise DataError(f"unknown dataset role {self.role!r}")
         if not self.sequences:
             raise DataError("empty dataset")
         check_ids(self.ids())
@@ -103,8 +98,6 @@ class Dataset:
                 raise DataError(
                     f"sequence {seq.id!r} has {seq.dims} dimensions, expected {dims}"
                 )
-        if self.role == ROLE_SEEN:
-            self.labels()
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -125,7 +118,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         seqs = [self.sequences[i] for i in indices]
-        return Dataset(seqs, role=self.role, label_names=self.label_names)
+        return Dataset(seqs, label_names=self.label_names)
 
     def hash(self) -> str:
         """sha256 hex digest of the sequences, computed on the first call only.
@@ -190,13 +183,14 @@ def _load_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).T
 
 
-def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
+def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset from a JSON-lines manifest.
 
     String labels are interned to dense integer ids in first-seen order;
     the mapping is kept on the returned Dataset (``label_names``).  A
     manifest whose labels mix strings and integers is a DataError, since
-    interned and given integers would name the same classes.
+    interned and given integers would name the same classes.  Records
+    may leave the label out (see ``Dataset``).
     """
     manifest_path, where = Path(manifest_path), show_path(manifest_path)
     lines = read_text(manifest_path).splitlines()
@@ -232,7 +226,7 @@ def load_dataset(manifest_path: str | Path, role: str = ROLE_SEEN) -> Dataset:
     if not sequences:
         raise DataError(f"{where}: manifest lists no sequences")
     names = {v: k for k, v in intern.items()} if intern else None
-    return Dataset(sequences, role=role, label_names=names)
+    return Dataset(sequences, label_names=names)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path, name: str = "manifest") -> Path:
@@ -383,6 +377,4 @@ def synth_dataset(cfg: SynthConfig):
             values = _emit_sample(rng, templates, cfg)
             unseen_seqs.append(TimeSeries(id=f"unseen-{label}-{i:03d}", values=values, label=label))
 
-    seen = Dataset(seen_seqs, role=ROLE_SEEN)
-    unseen = Dataset(unseen_seqs, role=ROLE_UNSEEN)
-    return seen, unseen, provenance
+    return Dataset(seen_seqs), Dataset(unseen_seqs), provenance

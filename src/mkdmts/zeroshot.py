@@ -52,8 +52,13 @@ class ReconstructionReport:
 
 
 def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
-    """A DataError unless the cross kernel comes from the dictionary's seen set and all three share its
-    dimension count, and the kernel set its sample count."""
+    """A DataError unless the kernel set and the cross kernel come from the seen set that trained the
+    dictionary, and all three share its dimension count, and the kernel set its sample count.
+
+    Every describe passes this rule, first, before the describe memo is read.
+    """
+    if d.dataset_hash != ks.dataset_hash:
+        raise DataError("model and kernel cache were built on different datasets")
     if d.dataset_hash != ck.dataset_hash:
         raise DataError("cross-kernel and dictionary come from different seen datasets")
     if ck.dims != d.dims:
@@ -64,7 +69,8 @@ def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
 
 
 def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
-    """The describe memo's entry for (``ks``, A, B): the ``need`` mask and the ``solver``, (t_x, code solver).
+    """The describe memo's entry for (``ks``, A, B): the ``need`` mask and the ``solver``, ((type of t_x, t_x),
+    code solver).
 
     Dimension l of a cross-kernel is read only at the samples that some
     atom with B[l,t] > 0 draws on (``need``); every other entry is 0, and
@@ -91,13 +97,16 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     """Sparse non-negative code of one unseen sequence.
 
     The code solver is kept in the describe memo for the last t_x; one that
-    raises is not kept, so a non-finite atom Gram raises at every call.
+    raises is not kept, so a non-finite atom Gram or a t_x that ``code_solver``
+    rejects raises at every call.  The key holds t_x's type, as True and 2.0
+    equal the valid 1 and 2.
     """
     _check_provenance(d, ks, ck)
     entry = _dictionary_side(d, ks)
+    key = (type(t_x), t_x)
     kept = entry.get("solver")
-    if kept is None or kept[0] != t_x:
-        kept = entry["solver"] = (t_x, code_solver(d, ks, t_x))
+    if kept is None or kept[0] != key:
+        kept = entry["solver"] = (key, code_solver(d, ks, t_x))
     return sparse_codes(d, kept[1], [c[:, None] for c in ck.values(entry["need"])])[:, 0]
 
 

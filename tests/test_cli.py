@@ -450,6 +450,32 @@ def _one_error_line(err, prefix):
     assert all(line.startswith(("usage:", " ")) for line in lines[1:]), err
 
 
+def test_unlabeled_seen_manifest_is_data_error(trained, tmp_path, capsys):
+    data, kern, _ = trained
+    records = [json.loads(line) for line in (data / "seen.jsonl").read_text().splitlines()]
+    (tmp_path / "m.jsonl").write_text("".join(
+        json.dumps({"id": r["id"], "path": str(data / r["path"])}) + "\n" for r in records))
+    for args in (["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "k", "--bandwidth", 5],
+                 ["train", "--manifest", tmp_path / "m.jsonl", "--kernels", kern, "--k", 2, "--out", tmp_path / "model"]):
+        capsys.readouterr()
+        assert _run(args) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: sequence 'seen-0-000' has no label\n"
+    assert not (tmp_path / "k" / "meta.json").exists() and not (tmp_path / "model").exists()
+
+
+def test_encode_with_a_kernel_cache_of_another_seen_set_is_data_error(trained, tmp_path, capsys):
+    data, _, model = trained
+    other = tmp_path / "other"
+    assert _run(["synth", "--seed", 4, "--seen-classes", 2, "--unseen-classes", 1,
+                 "--samples", 5, "--length-min", 8, "--length-max", 10, "--out", other]) == 0
+    assert _run(["kernels", "--manifest", other / "seen.jsonl", "--out", tmp_path / "kern", "--bandwidth", 5]) == 0
+    capsys.readouterr()
+    assert _run(_encode_args(data, tmp_path / "kern", model, tmp_path / "enc")) == 2
+    assert capsys.readouterr().err == "data error: model and kernel cache were built on different datasets\n"
+    assert not (tmp_path / "enc" / "index.json").exists()
+
+
 def test_synth_defaults_come_from_synth_config(tmp_path):
     from dataclasses import asdict
 
@@ -458,7 +484,7 @@ def test_synth_defaults_come_from_synth_config(tmp_path):
     assert _run(["synth", "--out", tmp_path]) == 0
     seen, unseen, _ = synth_dataset(SynthConfig())
     assert load_dataset(tmp_path / "seen.jsonl").hash() == seen.hash()
-    assert load_dataset(tmp_path / "unseen.jsonl", role="unseen").hash() == unseen.hash()
+    assert load_dataset(tmp_path / "unseen.jsonl").hash() == unseen.hash()
     config = read_json(tmp_path / "run_info.json")["config"]
     assert config == json.loads(json.dumps(asdict(SynthConfig())))
 
@@ -567,7 +593,7 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
         # every unseen id under node 0 and the first again under node 1's child, or a string of members
         from mkdmts.mtsdata import load_dataset
 
-        ids = load_dataset(data / "unseen.jsonl", role="unseen").ids()
+        ids = load_dataset(data / "unseen.jsonl").ids()
         roots = ([{"id": 0, "members": ids, "children": []}, {"id": 1, "members": [], "children": [
             {"id": 2, "members": ids[:1], "children": []}]}] if fault == "tree_member_listed_twice"
                  else [{"id": 0, "members": "ab", "children": []}])
@@ -923,7 +949,7 @@ def test_eval_node_id_that_is_not_an_integer_is_data_error(trained, tmp_path, ca
     from mkdmts.mtsdata import load_dataset
 
     data, _, _ = trained
-    ids = load_dataset(data / "unseen.jsonl", role="unseen").ids()
+    ids = load_dataset(data / "unseen.jsonl").ids()
     tree = {"roots": [{"id": root_id, "members": ids[1:], "children": [
         {"id": child_id, "members": ids[:1], "children": []}]}]}
     (tmp_path / "t.json").write_text(json.dumps(tree))

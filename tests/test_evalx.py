@@ -191,7 +191,7 @@ def test_spectral_order_invariant_up_to_relabeling():
     ))
     bw = np.array([10.0, 10.0])
     a = spectral_baseline(unseen, bw, 2, seed=3)
-    flipped = Dataset(list(reversed(unseen.sequences)), role="unseen")
+    flipped = Dataset(list(reversed(unseen.sequences)))
     b = spectral_baseline(flipped, bw, 2, seed=3)
     truth = {s.id: int(s.label) for s in unseen.sequences}
     assert clustering_error(a, truth) == pytest.approx(clustering_error(b, truth))
@@ -199,7 +199,7 @@ def test_spectral_order_invariant_up_to_relabeling():
 
 def test_spectral_validates_inputs(rng):
     seqs = [TimeSeries(id=f"s{i}", values=rng.normal(size=(2, 6))) for i in range(3)]
-    ds = Dataset(seqs, role="unseen")
+    ds = Dataset(seqs)
     with pytest.raises(ValueError, match="at least 2"):
         spectral_baseline(ds, np.ones(2), 1)
     with pytest.raises(DataError, match="bandwidth"):
@@ -390,7 +390,7 @@ def test_spectral_partitions_pinned():
 
 def test_spectral_on_identical_sequences_labels_every_id(rng):
     values = rng.normal(size=(2, 12))
-    unseen = Dataset([TimeSeries(id=f"s{i}", values=values) for i in range(5)], role="unseen")
+    unseen = Dataset([TimeSeries(id=f"s{i}", values=values) for i in range(5)])
     pred = spectral_baseline(unseen, np.ones(2), num_clusters=3, seed=0)
     assert sorted(pred) == unseen.ids()
     assert all(0 <= label < 3 for label in pred.values())

@@ -187,7 +187,7 @@ def _dataset(values_list, labels=None):
     for i, vals in enumerate(values_list):
         label = labels[i] if labels else 0
         seqs.append(TimeSeries(id=f"s{i}", values=np.asarray(vals, dtype=float), label=label))
-    return Dataset(seqs, role="seen")
+    return Dataset(seqs)
 
 
 def test_kernelset_identical_sequences_all_ones():
@@ -522,7 +522,8 @@ def test_cache_without_bandwidth_record_is_rebuilt(tmp_path, monkeypatch):
     meta = read_json(cache / "meta.json")
     del meta["bandwidth_request"]
     write_json(cache / "meta.json", meta)
-    assert load_kernelset(cache).bandwidth_request is None
+    with pytest.raises(DataError, match="malformed kernel cache metadata"):
+        load_kernelset(cache)
     builds = []
 
     def counted_build(*args, **kwargs):

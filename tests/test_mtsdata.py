@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mkdmts.errors import DataError
-from mkdmts.kernels import dtw
+from mkdmts.kernels import KernelSet, build_kernelset, dtw
+from mkdmts.mkd import TrainConfig, train
 from mkdmts.mtsdata import (
     Dataset,
     SynthConfig,
@@ -74,24 +75,27 @@ def test_dataset_requires_consistent_dims():
         Dataset([a, b])
 
 
-def test_seen_dataset_requires_labels():
-    a = TimeSeries(id="a", values=np.zeros((2, 5)))
-    with pytest.raises(DataError, match="label"):
-        Dataset([a], role="seen")
-    Dataset([a], role="unseen")  # fine without labels
+def test_seen_dataset_requires_labels(monkeypatch):
+    # labels are optional in a Dataset and checked where they are read: kernels, before any DTW, and training
+    ds = Dataset([TimeSeries(id=f"s{i}", values=np.full((2, 5), float(i))) for i in range(3)])
+    monkeypatch.setattr("mkdmts.kernels.pairwise_dtw", lambda data: pytest.fail("DTW ran on an unlabeled seen set"))
+    ks = KernelSet(kernels=[np.eye(3)] * 2, bandwidths=np.ones(2), repair_shift=np.zeros(2), dataset_hash=ds.hash())
+    for read in (ds.labels, lambda: build_kernelset(ds, 1.0), lambda: train(ds, ks, TrainConfig(k=2))):
+        with pytest.raises(DataError, match="^sequence 's0' has no label$"):
+            read()
 
 
 @pytest.mark.parametrize("bad", ["", ".", "..", "../x", "a/b", "a\\b"])
 def test_dataset_rejects_unsafe_ids(bad):
     with pytest.raises(DataError, match="not a safe file name"):
-        Dataset([TimeSeries(id=bad, values=np.zeros((1, 3)))], role="unseen")
+        Dataset([TimeSeries(id=bad, values=np.zeros((1, 3)))])
 
 
 def test_dataset_rejects_duplicate_ids():
     seqs = [TimeSeries(id="a", values=np.zeros((1, 3)), label=0),
             TimeSeries(id="a", values=np.ones((1, 3)), label=0)]
     with pytest.raises(DataError, match="duplicate sequence id 'a'"):
-        Dataset(seqs, role="seen")
+        Dataset(seqs)
 
 
 def _write_manifest(tmp_path, records):
@@ -111,7 +115,7 @@ def test_load_dataset_basic(tmp_path):
         tmp_path,
         [{"id": n, "path": f"{n}.csv", "label": i} for i, n in enumerate(["s0", "s1", "s2"])],
     )
-    ds = load_dataset(man, role="seen")
+    ds = load_dataset(man)
     assert len(ds) == 3 and ds.dims == 2
     assert ds.sequences[1].values.shape == (2, 4)
     assert ds.labels().tolist() == [0, 1, 2]
@@ -121,7 +125,7 @@ def test_load_dataset_nan_cell_names_position(tmp_path):
     (tmp_path / "bad.csv").write_text("0.0,1.0\n2.0,nan\n")
     man = _write_manifest(tmp_path, [{"id": "bad", "path": "bad.csv"}])
     with pytest.raises(DataError, match=r"bad\.csv.*row 2, column 2"):
-        load_dataset(man, role="unseen")
+        load_dataset(man)
 
 
 def test_load_dataset_ragged_dims(tmp_path):
@@ -129,19 +133,19 @@ def test_load_dataset_ragged_dims(tmp_path):
     (tmp_path / "b.csv").write_text("0.0,1.0,2.0\n1.0,2.0,3.0\n")
     man = _write_manifest(tmp_path, [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}])
     with pytest.raises(DataError, match="dimensions"):
-        load_dataset(man, role="unseen")
+        load_dataset(man)
 
 
 def test_load_dataset_missing_file(tmp_path):
     man = _write_manifest(tmp_path, [{"id": "a", "path": "gone.csv"}])
     with pytest.raises(DataError, match="gone.csv"):
-        load_dataset(man, role="unseen")
+        load_dataset(man)
 
 
 def test_load_dataset_empty_manifest(tmp_path):
     man = _write_manifest(tmp_path, [])
     with pytest.raises(DataError, match="no sequences"):
-        load_dataset(man, role="unseen")
+        load_dataset(man)
 
 
 def test_string_labels_interned_first_seen(tmp_path):
@@ -155,7 +159,7 @@ def test_string_labels_interned_first_seen(tmp_path):
             {"id": "c", "path": "c.csv", "label": "walk"},
         ],
     )
-    ds = load_dataset(man, role="seen")
+    ds = load_dataset(man)
     assert [s.label for s in ds.sequences] == [0, 1, 0]
     assert ds.label_names == {0: "walk", 1: "run"}
 
@@ -167,7 +171,7 @@ def test_load_dataset_rejects_mixed_string_and_integer_labels(tmp_path, labels, 
         (tmp_path / f"s{i}.csv").write_text("0.0\n1.0\n")
         records.append({"id": f"s{i}", "path": f"s{i}.csv"} | ({} if label is None else {"label": label}))
     with pytest.raises(DataError, match=f"line {line}: 'label' .* mixes string and integer labels"):
-        load_dataset(_write_manifest(tmp_path, records), role="unseen")
+        load_dataset(_write_manifest(tmp_path, records))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -176,9 +180,9 @@ def test_save_load_round_trip(tmp_path):
         TimeSeries(id=f"s{i}", values=rng.normal(size=(3, 5 + i)), label=i % 2)
         for i in range(4)
     ]
-    ds = Dataset(seqs, role="seen")
+    ds = Dataset(seqs)
     man = save_dataset(ds, tmp_path, "roundtrip")
-    back = load_dataset(man, role="seen")
+    back = load_dataset(man)
     assert back.ids() == ds.ids()
     for orig, loaded in zip(ds.sequences, back.sequences):
         np.testing.assert_array_equal(orig.values, loaded.values)
@@ -188,11 +192,11 @@ def test_save_load_round_trip(tmp_path):
 def test_saved_csv_text_pinned(tmp_path):
     # one line per time step, one shortest round-trip repr per dimension
     values = np.array([[0.1, -0.0, 1e-300, 2.0**53 + 1.0], [1.0, -2.5, 5e-324, 1.7976931348623157e308]])
-    save_dataset(Dataset([TimeSeries(id="a", values=values, label=0)], role="seen"), tmp_path, "pinned")
+    save_dataset(Dataset([TimeSeries(id="a", values=values, label=0)]), tmp_path, "pinned")
     assert (tmp_path / "pinned" / "a.csv").read_text() == (
         "0.1,1.0\n-0.0,-2.5\n1e-300,5e-324\n9007199254740992.0,1.7976931348623157e+308\n"
     )
-    back = load_dataset(tmp_path / "pinned.jsonl", role="seen").sequences[0].values
+    back = load_dataset(tmp_path / "pinned.jsonl").sequences[0].values
     assert back.tobytes() == values.tobytes()
 
 
@@ -309,5 +313,5 @@ def test_id_with_a_nul_byte_is_rejected_at_load(tmp_path):
     (tmp_path / "a.csv").write_text("0.0,1.0\n")
     man = _write_manifest(tmp_path, [{"id": "x\u0000y", "path": "a.csv"}])
     with pytest.raises(DataError) as info:
-        load_dataset(man, role="unseen")
+        load_dataset(man)
     assert "sequence id 'x\\x00y' is not a safe file name" in str(info.value) and str(info.value).isprintable()

@@ -37,6 +37,49 @@ def test_encode_rejects_hash_mismatch(rng):
         encode(d, ks, ck, 2)
 
 
+@pytest.fixture(scope="module")
+def seed_7_and_8():
+    """A model trained on synth seed 7 (4 x 6 seen, 2 dims, bandwidth 40), its kernel set, unseen sequence 0's
+    cross kernel and code, and the kernel set of synth seed 8 of the same shape."""
+    shape = dict(num_seen_classes=4, num_unseen_classes=2, dims=2, samples_per_class=6)
+    seen, unseen, _ = synth_dataset(SynthConfig(**shape, seed=7))
+    ks = build_kernelset(seen, bandwidth=40.0)
+    d = train(seen, ks, TrainConfig(k=8, t_x=2, t_a=4, t_beta=1, seed=7)).dictionary
+    ck = cross_kernel(seen, unseen.sequences[0], ks.bandwidths)
+    other = build_kernelset(synth_dataset(SynthConfig(**shape, seed=8))[0], bandwidth=40.0)
+    return seen, unseen, d, ks, ck, encode(d, ks, ck, 2), other
+
+
+@pytest.mark.parametrize("call", ["encode", "partial_error", "reconstruction_report"])
+def test_a_kernel_set_of_another_seen_set_fails_before_the_memo(seed_7_and_8, call):
+    """Same shape, so only the provenance rule tells: a describe against it gave plausible codes and errors."""
+    seen, _, d, _, ck, x, other = seed_7_and_8
+    run = {
+        "encode": lambda: encode(d, other, ck, 2),
+        "partial_error": lambda: partial_error(d, other, ck, x, [0, 1]),
+        "reconstruction_report": lambda: reconstruction_report(d, other, ck, x, seen.labels()),
+    }[call]
+    zeroshot._DICTIONARY_SIDE.clear()
+    with pytest.raises(DataError, match="^model and kernel cache were built on different datasets$"):
+        run()
+    assert zeroshot._DICTIONARY_SIDE == {}
+
+
+@pytest.mark.parametrize("t_x", [2.5, True, 0, 2.0], ids=["float", "bool", "zero", "integral_float"])
+def test_encode_and_describe_check_t_x(seed_7_and_8, t_x):
+    seen, unseen, d, ks, ck, _, _ = seed_7_and_8
+    zeroshot._DICTIONARY_SIDE.clear()
+    message = "^t_x must be at least 1$" if t_x == 0 else f"^t_x must be an integer, got {t_x!r}$"
+    with pytest.raises(ValueError, match=message):
+        encode(d, ks, ck, t_x)
+    with pytest.raises(ValueError, match=message):
+        describe(seen, ks, d, unseen, t_x, 0.1)
+    if t_x >= 1:  # a solver kept for the equal integer is not reused
+        encode(d, ks, ck, int(t_x))
+        with pytest.raises(ValueError, match=message):
+            encode(d, ks, ck, t_x)
+
+
 def test_encode_residual_matches_explicit_embedding(rng):
     for _ in range(25):
         n, f, k = int(rng.integers(4, 10)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
