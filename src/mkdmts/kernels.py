@@ -5,8 +5,8 @@ exp(-dtw(dim l of Y_i, dim l of Y_j) / delta_l).  DTW of warped curves is
 not a metric, so the exponentiated matrix can be indefinite; it is
 repaired by clipping negative eigenvalues to zero.  Cross-kernel vectors
 against single unseen sequences are left unrepaired.  ``pairwise_dtw``
-and ``CrossKernel`` read a ``Dataset``'s packed block, and every
-bandwidth vector passes ``check_bandwidths``.
+and ``CrossKernel`` read a ``Dataset``'s packed block, ``dtw`` packs its
+pair, and every bandwidth vector passes ``check_bandwidths``.
 """
 
 from __future__ import annotations
@@ -180,24 +180,18 @@ def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np
     return out
 
 
-def _packed(series) -> tuple[np.ndarray, np.ndarray]:
-    """``pack`` of ``dtw_many``'s 1-d float series; a ValueError if one is empty or not finite."""
-    block, lengths = pack([np.asarray(s, dtype=np.float64).ravel() for s in series])
-    if not lengths.all():
-        raise ValueError("dtw: empty input sequence")
-    if not np.isfinite(block).all():
-        raise ValueError("dtw: non-finite input")
-    return block, lengths
-
-
 def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) -> np.ndarray:
-    """DTW cost of each pair (column qi[k] of ``queries``, column ri[k] of ``references``).
+    """DTW cost of each pair (column qi[k] of ``queries``, column ri[k] of ``references``), as ``dtw`` defines it.
 
     Both blocks are zero-padded ``steps x series`` blocks with their
-    series' lengths, as ``pack`` builds them.  Each chunk of pairs gathers
-    its query columns from the rows up to the longest query and its
-    reference columns from the rows up to the longest reference, read
-    flipped, and runs one ``_wavefront`` on them.
+    series' lengths, as ``pack`` builds them.  Every DTW of the package
+    runs here: ``pairwise_dtw``'s pairs within a dataset's block,
+    ``CrossKernel.values``' query rows against the seen block, and
+    ``dtw``'s one pair.  Each chunk of pairs gathers its query columns
+    from the rows up to the longest query and its reference columns from
+    the rows up to the longest reference, read flipped, and runs one
+    ``_wavefront`` on them.  Entry k does not depend on the other pairs,
+    their order, or how they are chunked.
     """
     n, m = query_lengths[qi], reference_lengths[ri]
     if not n.size:
@@ -212,34 +206,31 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) 
     ])
 
 
-def dtw_many(queries, references) -> np.ndarray:
-    """DTW cost of each pair (queries[k], references[k]) of 1-d series.
-
-    Squared-difference local cost, full window, steps (1,0), (0,1), (1,1);
-    entry k is the accumulated cost of the optimal monotone alignment (no
-    square root).  Every entry is bit-identical to a scalar double-loop DP
-    with D[i,j] = fl((a_i - b_j)^2 + min(neighbours)) and does not depend
-    on the other pairs, their order, or how they are chunked.  Each list is
-    packed once (``pack``); ``_wavefront`` is the package's only DTW
-    dynamic program.
-    """
-    queries, n = _packed(queries)
-    references, m = _packed(references)
-    if n.size != m.size:
-        raise ValueError("dtw: query and reference counts differ")
-    pairs = np.arange(n.size)
-    return _dtw_columns(queries, n, pairs, references, m, pairs)
-
-
 def dtw(a, b) -> float:
-    """DTW cost of one pair of 1-d series; see ``dtw_many``."""
-    return float(dtw_many([a], [b])[0])
+    """DTW cost of the 1-d series ``a`` and ``b``; a ValueError unless both are non-empty, finite and 1-d.
+
+    Squared-difference local cost, full window, steps (1,0), (0,1), (1,1):
+    the accumulated cost of the optimal monotone alignment (no square
+    root).  It is bit-identical to a scalar double-loop DP with
+    D[i,j] = fl((a_i - b_j)^2 + min(neighbours)), and so is every cost
+    ``_dtw_columns`` returns, however its pairs are chunked: the pair is
+    packed into one block (``pack``) and run there, and ``_wavefront`` is
+    the package's only DTW dynamic program.
+    """
+    series = [np.asarray(s, dtype=np.float64) for s in (a, b)]
+    for s in series:
+        if s.ndim != 1 or not s.size:
+            raise ValueError(f"dtw: need a non-empty 1-d series, got shape {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("dtw: non-finite input")
+    block, lengths = pack(series)
+    return float(_dtw_columns(block, lengths, np.array([0]), block, lengths, np.array([1]))[0])
 
 
 def pairwise_dtw(data: Dataset) -> np.ndarray:
     """f x N x N DTW costs between every two sequences of ``data`` in each dimension, symmetric with a zero
     diagonal: the upper-triangle pairs of every dimension, gathered from ``data.packed()``, run in one
-    ``_dtw_columns`` call; see ``dtw_many``."""
+    ``_dtw_columns`` call; see ``dtw``."""
     block, lengths = data.packed()
     n = len(data)
     iu, ju = np.triu_indices(n, k=1)

@@ -146,7 +146,9 @@ class Dataset:
 
 def pack(series) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded ``steps x len(series)`` block with 1-d series k in column k, and the lengths;
-    ``steps`` is the longest length."""
+    ``steps`` is the longest length.  It is the one packer of DTW input: a dataset's block
+    (``Dataset.packed``) and ``kernels.dtw``'s pair; a cross kernel's query, whose dimensions share one
+    length, is already such a block transposed."""
     lengths = np.array([s.size for s in series], dtype=np.intp)
     block = np.zeros((int(lengths.max(initial=0)), len(series)))
     for k, s in enumerate(series):

@@ -43,7 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ioutil import read_only
+from .ioutil import check_int, read_only
 
 _CD_TOL = 1e-10
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per candidate row; _pick reads it at each call
@@ -74,8 +74,7 @@ class QuadProgram:
         _check_symmetric(h)
         if c.shape != (h.shape[0],):
             raise ValueError(f"c has shape {c.shape}, expected ({h.shape[0]},)")
-        if self.limit < 1:
-            raise ValueError("sparsity limit must be at least 1")
+        check_int("sparsity limit", self.limit, 1)
         if self.limit > h.shape[0]:
             raise ValueError("sparsity limit exceeds problem size")
         object.__setattr__(self, "h", h)
@@ -344,6 +343,7 @@ def column_solver(h: np.ndarray, limit: int):
     """
     h = np.array(h, dtype=np.float64)  # the solver's own copy: later writes to the caller's H do not reach it
     n = h.shape[0] if h.ndim == 2 else -1
+    check_int("sparsity limit", limit, -math.inf)  # its range is checked with H's shape, below
     if h.shape != (n, n) or not 1 <= limit <= n:
         raise ValueError(f"need a square H and a sparsity limit from 1 to its size, got {h.shape} and {limit}")
     usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
@@ -404,6 +404,7 @@ def diagonal_solve(h_diag: np.ndarray, c: np.ndarray, limit: int) -> np.ndarray:
     a coordinate enters only when it decreases the objective by more than
     1e-12, and vanishing diagonal entries are skipped.
     """
+    check_int("sparsity limit", limit, 1)
     gain = np.zeros(c.shape[0])
     ok = (c < 0.0) & (h_diag > _DIAG_FLOOR)
     gain[ok] = c[ok] ** 2 / (2.0 * h_diag[ok])

@@ -163,12 +163,14 @@ def reconstruction_report(
     A dimension passing the error threshold is attributed to the seen
     class whose samples carry the largest total weight in that dimension's
     encoding column; ties go to the lowest class id.  The threshold must
-    pass ``check_threshold``.
+    pass ``check_threshold``, and ``seen_labels`` must hold one integer
+    label per training sample, as ``Dataset.labels()`` returns them.
     """
     threshold = check_threshold(threshold)
     seen_labels = np.asarray(seen_labels)
-    if seen_labels.shape != (d.n,):
-        raise DataError(f"need one label per training sample ({d.n}), got {seen_labels.shape}")
+    if seen_labels.shape != (d.n,) or not np.issubdtype(seen_labels.dtype, np.integer):
+        raise DataError(f"need one integer label per training sample ({d.n}), "
+                        f"got {seen_labels.dtype} labels of shape {seen_labels.shape}")
     errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
     members: dict = {}

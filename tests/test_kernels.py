@@ -12,13 +12,12 @@ from mkdmts.kernels import (
     build_or_load_kernelset,
     cross_kernel,
     dtw,
-    dtw_many,
     load_kernelset,
     pairwise_dtw,
     psd_repair,
     save_kernelset,
 )
-from mkdmts.mtsdata import Dataset, SynthConfig, TimeSeries, synth_dataset
+from mkdmts.mtsdata import Dataset, SynthConfig, TimeSeries, pack, synth_dataset
 
 
 def dtw_enumerate(a, b):
@@ -72,6 +71,15 @@ def _all_values(ck, seen):
 
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def dtw_many(queries, refs):
+    """DTW cost of each pair (queries[k], refs[k]) of 1-d arrays: ``kernels._dtw_columns`` on one ``pack``
+    block per list, as the package runs its own pairs."""
+    q, n = pack(queries)
+    r, m = pack(refs)
+    pairs = np.arange(len(queries))
+    return kernels._dtw_columns(q, n, pairs, r, m, pairs)
 
 
 def _ragged_pairs(rng, count, max_len=40):
@@ -136,22 +144,6 @@ def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, spli
     assert _bits(got) == _bits([dtw_loop(a, b) for a, b in zip(queries, refs)])
 
 
-@pytest.mark.parametrize(
-    "queries, refs",
-    [
-        ([[1.0, 2.0], []], [[1.0], [2.0]]),
-        ([[1.0]], [[]]),
-        ([[1.0, np.nan]], [[1.0]]),
-        ([[1.0]], [[np.inf, 0.0]]),
-        ([[-np.inf]], [[1.0]]),
-        ([[1.0], [2.0]], [[1.0]]),
-    ],
-)
-def test_dtw_many_rejects_empty_nonfinite_and_unpaired(queries, refs):
-    with pytest.raises(ValueError):
-        dtw_many(queries, refs)
-
-
 def test_dtw_many_of_no_pairs_is_empty():
     assert dtw_many([], []).shape == (0,)
 
@@ -178,8 +170,26 @@ def test_dtw_matches_exhaustive_enumeration(rng):
 
 
 def test_dtw_rejects_empty():
-    with pytest.raises(ValueError):
-        dtw([], [1.0])
+    for a, b in (([], [1.0]), ([1.0, 2.0], [])):
+        with pytest.raises(ValueError, match=r"non-empty 1-d series, got shape \(0,\)"):
+            dtw(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([1.0, np.nan], [1.0], "non-finite"),
+        ([1.0], [np.inf, 0.0], "non-finite"),
+        ([-np.inf], [1.0], "non-finite"),
+        # a 2-d block is not flattened into one series, nor a number taken as a length-1 series
+        (np.ones((2, 3)), np.arange(6.0), r"got shape \(2, 3\)"),
+        (3.0, 4.0, r"got shape \(\)"),
+    ],
+    ids=["nan", "inf", "-inf", "2-d", "0-d"],
+)
+def test_dtw_rejects_what_is_not_a_finite_series(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        dtw(a, b)
 
 
 def _dataset(values_list, labels=None):

@@ -113,6 +113,21 @@ def test_validation_errors():
         nqp_oracle(QuadProgram(np.eye(13), np.zeros(13), 1))
 
 
+@pytest.mark.parametrize("limit", [1.5, True, 0])
+@pytest.mark.parametrize("entry", ["QuadProgram", "column_solver", "diagonal_solve"])
+def test_sparsity_limit_is_a_positive_integer(entry, limit):
+    # unchecked, a limit of 1.5 lets nqp_solve return 2 nonzeros, and column_solver and diagonal_solve fail on it
+    # as an index
+    h = np.array([[2.0, 0.1, 0.1], [0.1, 2.0, 0.1], [0.1, 0.1, 2.0]])
+    run = {
+        "QuadProgram": lambda: nqp_solve(QuadProgram(h, -np.ones(3), limit)),
+        "column_solver": lambda: column_solver(h, limit)(-np.ones((3, 1))),
+        "diagonal_solve": lambda: diagonal_solve(np.diagonal(h), -np.ones(3), limit),
+    }[entry]
+    with pytest.raises(ValueError, match="sparsity limit"):
+        run()
+
+
 def test_monotone_improvement_over_admissions(rng):
     # growing the sparsity budget never worsens the solution
     for _ in range(20):

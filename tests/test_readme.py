@@ -11,8 +11,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def _named_in_readme() -> list[str]:
     """Every ``module.name`` of the package that a backticked span of README.md holds, in order.
 
-    A name not preceded by a word character or a dot counts, so ``kernels.dtw_many(queries,
-    references)`` names ``kernels.dtw_many``; a file name such as ``cli.py`` does not count.
+    A name not preceded by a word character or a dot counts, so ``kernels.pairwise_dtw(dataset)``
+    names ``kernels.pairwise_dtw``; a file name such as ``cli.py`` does not count.
     """
     modules = "|".join(m.name for m in pkgutil.iter_modules(mkdmts.__path__))
     pattern = re.compile(rf"(?<![\w.])(?:{modules})\.(?!py\b)[A-Za-z_]\w*")

@@ -18,7 +18,7 @@ from oracles import ExplicitCrossKernel, explicit_unseen
 from mkdmts.errors import DataError
 from mkdmts import ioutil, kernels, mkd, mtsdata, nqp, zeroshot
 from mkdmts.evalx import describe
-from mkdmts.kernels import build_kernelset, cross_kernel, dtw_many
+from mkdmts.kernels import build_kernelset, cross_kernel, dtw
 from mkdmts.mkd import Dictionary, TrainConfig, train
 from mkdmts.mtsdata import SynthConfig, TimeSeries, synth_dataset
 from mkdmts.zeroshot import (
@@ -309,7 +309,7 @@ def test_describe_through_the_lazy_kernel_equals_the_full_kernel():
     assert sum(s.sum() for s in _support(d)) < d.dims * d.n  # some values go unread
     for z in unseen.sequences:
         full = ExplicitCrossKernel(
-            cross=[np.exp(-dtw_many([z.dim(l)] * len(seen), [s.dim(l) for s in seen.sequences]) / ks.bandwidths[l])
+            cross=[np.exp(-np.array([dtw(z.dim(l), s.dim(l)) for s in seen.sequences]) / ks.bandwidths[l])
                    for l in range(seen.dims)],
             self_k=np.ones(seen.dims),
             dataset_hash=seen.hash(),
@@ -534,6 +534,17 @@ def test_a_cross_kernel_of_another_dimension_count_is_a_data_error(rng, call):
         other = ExplicitCrossKernel(np.resize(ck.cross, (dims, d.n)), np.ones(dims), ck.dataset_hash)
         with pytest.raises(DataError, match="^cross-kernel dimension count does not match the dictionary$"):
             run(other)
+
+
+@pytest.mark.parametrize("relabel", [lambda y: y * 0.1, lambda y: np.array([f"class {c}" for c in y])],
+                         ids=["float", "string"])
+def test_report_takes_integer_labels_only(seed_7_and_8, relabel):
+    """Class ids are integers: labels scaled by 0.1 would be attributed by truncation, as [0, 0] where the
+    classes give [3, 1], and string labels cannot be class ids at all."""
+    seen, _, d, ks, ck, x, _ = seed_7_and_8
+    assert reconstruction_report(d, ks, ck, x, seen.labels()).attribution == [3, 1]
+    with pytest.raises(DataError, match="need one integer label per training sample"):
+        reconstruction_report(d, ks, ck, x, relabel(seen.labels()))
 
 
 def test_report_follows_the_label_vector():
