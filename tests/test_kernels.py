@@ -170,8 +170,22 @@ def test_dtw_matches_exhaustive_enumeration(rng):
 
 
 def test_dtw_rejects_empty():
-    for a, b in (([], [1.0]), ([1.0, 2.0], [])):
-        with pytest.raises(ValueError, match=r"non-empty 1-d series, got shape \(0,\)"):
+    with pytest.raises(ValueError, match=r"non-empty 1-d series, got shape \(0,\)"):
+        dtw([], [1.0])
+
+
+@pytest.mark.parametrize(
+    "queries, refs",
+    [
+        ([[1.0, 2.0], []], [[1.0], [2.0]]),
+        ([[1.0]], [[]]),
+    ],
+)
+def test_dtw_many_rejects_empty_nonfinite_and_unpaired(queries, refs):
+    # an empty query or reference among many pairs is rejected by dtw, the entry that checks its input;
+    # the non-finite cases are in test_dtw_rejects_what_is_not_a_finite_series
+    with pytest.raises(ValueError, match=r"non-empty 1-d series, got shape \(0,\)"):
+        for a, b in zip(queries, refs):
             dtw(a, b)
 
 
