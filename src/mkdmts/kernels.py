@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ class KernelSet:
     bandwidth, or None when unknown.  ``kernels`` is a tuple of the set's
     own read-only copies of the given Grams, so one ``KernelSet`` always
     holds the same values; it compares and hashes by identity, and values
-    computed from it are kept by identity (``zeroshot``'s describe memo).
+    computed from it are kept by identity (a ``Dictionary``'s describe state).
     """
 
     kernels: tuple[np.ndarray, ...]
@@ -273,14 +274,13 @@ def check_bandwidth(bandwidth, error: type[Exception] = DataError) -> float | st
 
 
 def check_bandwidths(bandwidths, dims: int, error: type[Exception] = DataError) -> np.ndarray:
-    """``bandwidths`` as a float vector of ``dims`` entries, each positive and finite as a fixed bandwidth
-    must be; else ``error``."""
-    bandwidths = np.asarray(bandwidths, dtype=np.float64)
-    if bandwidths.shape != (dims,):
+    """``bandwidths`` as a float vector of ``dims`` entries, each a positive, finite number, not a bool or a
+    string, as a fixed bandwidth must be (``check_number``); else ``error``."""
+    if np.shape(bandwidths) != (dims,):
         raise error("bandwidth vector does not match the dimension count")
-    if not all(0.0 < b < np.inf for b in bandwidths.tolist()):
-        raise error(f"bandwidths must be positive and finite, got {bandwidths.tolist()}")
-    return bandwidths
+    with suppress(ValueError):
+        return np.array([check_number("bandwidth", b) for b in bandwidths])
+    raise error(f"bandwidths must be positive and finite, got {np.asarray(bandwidths, dtype=object).tolist()}")
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
@@ -363,11 +363,12 @@ def save_kernelset(ks: KernelSet, cache_dir: str | Path) -> None:
 
 
 def _finite_list(values, key: str, dims: int) -> np.ndarray:
-    """A metadata entry as a vector; it must be a JSON list of ``dims`` finite numbers."""
-    vec = np.asarray(values, dtype=np.float64) if isinstance(values, list) else None
-    if vec is None or vec.shape != (dims,) or not np.isfinite(vec).all():
-        raise ValueError(f"{key} must be a list of {dims} finite numbers, got {values!r}")
-    return vec
+    """A metadata entry as a vector; it must be a JSON list of ``dims`` non-negative, finite numbers
+    (``check_number``)."""
+    if isinstance(values, list) and len(values) == dims:
+        with suppress(ValueError):
+            return np.array([check_number(key, v, positive=False) for v in values])
+    raise ValueError(f"{key} must be a list of {dims} finite numbers, got {values!r}")
 
 
 def load_kernelset(cache_dir: str | Path) -> KernelSet:

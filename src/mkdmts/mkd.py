@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
-from .kernels import KernelSet
+from .kernels import KernelSet, check_bandwidths
 from .mtsdata import Dataset
 from .nqp import QuadProgram, column_solver, diagonal_solve, nqp_solve, objective
 
@@ -37,11 +37,18 @@ _N_FOLDS = 5  # cross-validation folds in tune
 
 @dataclass
 class Dictionary:
-    """Sample weights A (N x k) and dimension weights B (f x k) of k atoms."""
+    """Sample weights A (N x k) and dimension weights B (f x k) of k atoms.
+
+    ``_describe`` is ``zeroshot``'s: the dictionary-side terms of a describe
+    (``zeroshot._dictionary_side``).  It is outside ``__init__``, ``repr`` and
+    equality, so ``load_model`` and ``dataclasses.replace`` give an empty one,
+    and training never reads it.
+    """
 
     sample_weights: np.ndarray
     dim_weights: np.ndarray
     dataset_hash: str
+    _describe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.sample_weights, dtype=np.float64)
@@ -465,7 +472,8 @@ def save_model(result: TrainResult, model_dir, cfg: TrainConfig, bandwidths) -> 
 
 
 def load_model(model_dir) -> tuple[Dictionary, dict]:
-    """The dictionary and its ``meta.json``; missing or ill-typed metadata is a DataError."""
+    """The dictionary and its ``meta.json``; missing or ill-typed metadata is a DataError, and the bandwidths
+    pass ``check_bandwidths``."""
     model_dir, where = Path(model_dir), show_path(model_dir)
     meta = read_json(model_dir / "meta.json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
@@ -475,7 +483,7 @@ def load_model(model_dir) -> tuple[Dictionary, dict]:
         for key in ("k", "n", "f", "t_x"):
             if not is_integer(meta[key]) or meta[key] < 1:
                 raise ValueError(f"{key} must be an integer of at least 1, got {meta[key]!r}")
-        meta["bandwidths"] = [float(b) for b in meta["bandwidths"]]
+        meta["bandwidths"] = check_bandwidths(meta["bandwidths"], meta["f"], ValueError).tolist()
         dataset_hash = str(meta["dataset_hash"])
     a, b = read_matrix(model_dir / "sample_weights.bin"), read_matrix(model_dir / "dim_weights.bin")
     with malformed(f"{where}: malformed model weights"):

@@ -20,7 +20,6 @@ from .kernels import CrossKernel, KernelSet
 from .mkd import Dictionary, clamp_residual, code_solver, residuals, sparse_codes
 
 DEFAULT_THRESHOLD = 0.1
-_DICTIONARY_SIDE: dict = {}  # the describe memo: its one entry, under "last" (_dictionary_side)
 
 
 def check_threshold(threshold) -> float:
@@ -55,7 +54,7 @@ def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
     """A DataError unless the kernel set and the cross kernel come from the seen set that trained the
     dictionary, and all three share its dimension count, and the kernel set its sample count.
 
-    Every describe passes this rule, first, before the describe memo is read.
+    Every describe passes this rule, first, before the dictionary's describe state is read.
     """
     if d.dataset_hash != ks.dataset_hash:
         raise DataError("model and kernel cache were built on different datasets")
@@ -69,34 +68,35 @@ def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
 
 
 def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
-    """The describe memo's entry for (``ks``, A, B): the ``need`` mask and the ``solver``, ((type of t_x, t_x),
-    code solver).
+    """The dictionary's describe state for (``ks``, A, B), kept in ``d._describe``: the ``need`` mask and the
+    ``solver``, ((type of t_x, t_x), code solver).
 
     Dimension l of a cross-kernel is read only at the samples that some
     atom with B[l,t] > 0 draws on (``need``); every other entry is 0, and
     the code, residuals and encoding multiply it by an exact zero, so they
     equal the full kernel's bit for bit.  Every query of one dictionary
     shares the mask and the solver, so a pass of describes builds them
-    once.  The memo holds one entry, replaced when the key changes: the
-    kernel set by identity, its Grams being read-only, and A's and B's
-    bytes, since training updates them in place.  Callers pass
-    ``_check_provenance`` first, so the kernel set fixes N and f, and with
-    them the byte counts fix A's and B's shapes.  A caller that holds
-    an entry keeps a consistent one, whatever another thread stores.
-    Training codes with ``mkd.code_solver`` directly and never reads the memo.
+    once, and each dictionary keeps its own.  The state is replaced when
+    its key changes: the kernel set by identity, its Grams being
+    read-only, and A's and B's bytes, since training updates them in
+    place.  Callers pass ``_check_provenance`` first, so the kernel set
+    fixes N and f, and with them the byte counts fix A's and B's shapes.
+    A replacement is a new dict, so a caller that holds one keeps a
+    consistent one, whatever another thread stores.  Training codes with
+    ``mkd.code_solver`` directly and never reads this state.
     """
     a, b = d.sample_weights, d.dim_weights
     key = (ks, a.tobytes(), b.tobytes())
-    entry = _DICTIONARY_SIDE.get("last")
-    if entry is None or entry["key"] != key:
-        entry = _DICTIONARY_SIDE["last"] = {"key": key, "need": read_only((b > 0) @ (a > 0).T)}
+    entry = d._describe
+    if entry.get("key") != key:
+        entry = d._describe = {"key": key, "need": read_only((b > 0) @ (a > 0).T)}
     return entry
 
 
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
     """Sparse non-negative code of one unseen sequence.
 
-    The code solver is kept in the describe memo for the last t_x; one that
+    The code solver is kept in the dictionary's describe state for the last t_x; one that
     raises is not kept, so a non-finite atom Gram or a t_x that ``code_solver``
     rejects raises at every call.  The key holds t_x's type, as True and 2.0
     equal the valid 1 and 2.

@@ -575,7 +575,9 @@ def test_config_integer_for_a_float_flag_is_that_float(tmp_path):
                                    "tree_members_a_string", "model_meta_without_hash",
                                    "model_meta_not_an_object", "kernel_meta_f_zero", "kernel_meta_bandwidths_null",
                                    "kernel_meta_f_float", "kernel_meta_f_bool", "kernel_meta_n_string",
-                                   "kernel_meta_n_float"])
+                                   "kernel_meta_n_float", "model_meta_bandwidths_bool", "model_meta_bandwidths_string",
+                                   "model_meta_bandwidths_nan", "model_meta_bandwidths_negative",
+                                   "model_meta_bandwidths_short"])
 def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault):
     import shutil
 
@@ -619,6 +621,18 @@ def test_malformed_persisted_json_is_data_error(trained, tmp_path, capsys, fault
         args = ["train", "--manifest", data / "seen.jsonl", "--kernels", tmp_path / "kern", "--k", 2, "--tbeta", 1,
                 "--iters", 1, "--out", tmp_path / "model"]
         expected = "malformed kernel cache metadata"
+    elif fault.startswith("model_meta_bandwidths"):
+        # each was read with float() per entry: true as 1.0, a numeric string as its number, and NaN, -1.0 and one
+        # entry for f=2 as given
+        shutil.copytree(model, tmp_path / "model")
+        meta = read_json(tmp_path / "model" / "meta.json")
+        bandwidth = meta["bandwidths"][1]
+        damaged = meta | {"bandwidths": {"bool": [True, bandwidth], "string": [str(bandwidth)] * 2,
+                                         "nan": [float("nan"), bandwidth], "negative": [-1.0, bandwidth],
+                                         "short": [bandwidth]}[fault.rsplit("_", 1)[1]]}
+        (tmp_path / "model" / "meta.json").write_text(json.dumps(damaged))
+        args = _encode_args(data, kern, tmp_path / "model", tmp_path / "enc")
+        expected = "malformed model metadata"
     else:
         shutil.copytree(model, tmp_path / "model")
         meta = read_json(tmp_path / "model" / "meta.json")

@@ -205,9 +205,10 @@ def test_spectral_validates_inputs(rng):
     with pytest.raises(DataError, match="bandwidth"):
         spectral_baseline(ds, np.ones(3), 2)
     _, unseen, _ = synth_dataset(SynthConfig(seed=5))
-    for bad in (-1.0, np.inf, 0.0, np.nan):
+    for bad in (np.array([-1.0, 1.0]), np.array([np.inf, 1.0]), np.array([0.0, 1.0]), np.array([np.nan, 1.0]),
+                [True, True], ["1", "1"]):  # np.asarray reads True and "1" as 1.0
         with pytest.raises(DataError, match=r"^bandwidths must be positive and finite, got \["):
-            spectral_baseline(unseen, np.array([bad, 1.0]), 2)
+            spectral_baseline(unseen, bad, 2)
 
 
 def test_score_clustering_bundle(rng):

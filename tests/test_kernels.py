@@ -307,6 +307,33 @@ def test_cross_kernel_rejects_a_bandwidth_that_is_not_positive_and_finite(bad):
         cross_kernel(seen, unseen.sequences[0], np.array([40.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [[True, True], ["40", "40"], np.array([True, True])],
+                         ids=["bool", "string", "bool_array"])
+def test_cross_kernel_takes_only_numbers_as_bandwidths(bad):
+    """Each bandwidth passes the scalar rule: np.asarray would read True as 1.0 and "40" as 40.0."""
+    seen, unseen, _ = synth_dataset(SynthConfig(num_seen_classes=3, samples_per_class=3, length_range=(10, 14), seed=7))
+    with pytest.raises(DataError, match=r"^bandwidths must be positive and finite, got \["):
+        cross_kernel(seen, unseen.sequences[0], bad)
+
+
+@pytest.mark.parametrize("damage", [{"bandwidths": [True, True]}, {"bandwidths": ["40", "40"]},
+                                    {"repair_shift": [False, False]}, {"repair_shift": [-1e-10, -1e-10]}],
+                         ids=["bandwidths_bool", "bandwidths_string", "repair_shift_bool", "repair_shift_negative"])
+def test_cache_metadata_entries_are_numbers(tmp_path, damage):
+    """Each metadata entry passes the scalar rule.  np.asarray read true as 1.0 and "40" as 40.0, so a cache
+    built at bandwidth 40 whose meta.json says [true, true] was served with bandwidths [1, 1] for Grams built
+    at 40; and a shift below zero, which clipping never gives, this small passes the diagonal check."""
+    seen, _, _ = synth_dataset(SynthConfig(num_seen_classes=2, samples_per_class=3, dims=2, seed=7))
+    ks = build_or_load_kernelset(seen, tmp_path, 40.0)
+    write_json(tmp_path / "meta.json", read_json(tmp_path / "meta.json") | damage)
+    with pytest.raises(DataError, match="malformed kernel cache metadata"):
+        load_kernelset(tmp_path)
+    served = build_or_load_kernelset(seen, tmp_path, 40.0)
+    assert served.bandwidths.tolist() == ks.bandwidths.tolist() == [40.0, 40.0]
+    assert served.repair_shift.tolist() == ks.repair_shift.tolist() == [0.0, 0.0]
+    assert all(_bits(a) == _bits(b) for a, b in zip(served.kernels, ks.kernels))
+
+
 def test_cross_kernel_values_reject_a_mask_that_is_not_f_by_n(rng):
     ds = _dataset([rng.normal(size=(2, 5)) for _ in range(3)])
     ck = cross_kernel(ds, TimeSeries(id="z", values=rng.normal(size=(2, 4))), np.ones(2))

@@ -167,7 +167,7 @@ def test_update_codes_respects_sparsity(rng):
 
 
 def test_non_finite_atom_gram_raises_at_every_call(rng):
-    """In training and in describes, whose memo keeps no solver that failed to build."""
+    """In training and in describes, whose describe state keeps no solver that failed to build."""
     ks, vs = make_explicit_kernelset(rng, 6, 2)
     d = random_dictionary(rng, ks, 3)
     ck, _ = explicit_unseen(rng, vs)

@@ -59,16 +59,16 @@ def test_a_kernel_set_of_another_seen_set_fails_before_the_memo(seed_7_and_8, ca
         "partial_error": lambda: partial_error(d, other, ck, x, [0, 1]),
         "reconstruction_report": lambda: reconstruction_report(d, other, ck, x, seen.labels()),
     }[call]
-    zeroshot._DICTIONARY_SIDE.clear()
+    d._describe.clear()
     with pytest.raises(DataError, match="^model and kernel cache were built on different datasets$"):
         run()
-    assert zeroshot._DICTIONARY_SIDE == {}
+    assert d._describe == {}
 
 
 @pytest.mark.parametrize("t_x", [2.5, True, 0, 2.0], ids=["float", "bool", "zero", "integral_float"])
 def test_encode_and_describe_check_t_x(seed_7_and_8, t_x):
     seen, unseen, d, ks, ck, _, _ = seed_7_and_8
-    zeroshot._DICTIONARY_SIDE.clear()
+    d._describe.clear()
     message = "^t_x must be at least 1$" if t_x == 0 else f"^t_x must be an integer, got {t_x!r}$"
     with pytest.raises(ValueError, match=message):
         encode(d, ks, ck, t_x)
@@ -389,9 +389,9 @@ def test_a_pass_of_describes_computes_no_dataset_hash(monkeypatch):
 
 
 def _described(d, ks, seen, z, labels, fresh):
-    """Every output byte of one describe, optionally from an empty describe memo."""
+    """Every output byte of one describe, optionally from an empty describe state."""
     if fresh:
-        zeroshot._DICTIONARY_SIDE.clear()
+        d._describe.clear()
     ck = cross_kernel(seen, z, ks.bandwidths)
     x = encode(d, ks, ck, 2)
     rep = reconstruction_report(d, ks, ck, x, labels)
@@ -401,7 +401,7 @@ def _described(d, ks, seen, z, labels, fresh):
 
 def test_describes_equal_describes_from_a_fresh_memo(monkeypatch):
     """A pass of describes builds the atom Gram once, and every output byte equals a describe from an
-    empty memo, whatever the order of the queries."""
+    empty describe state, whatever the order of the queries."""
     seen, unseen, _, ks, result = _trained_synth(noise=0.1)
     d, labels, n = result.dictionary, seen.labels(), len(unseen)
     fresh = [_described(d, ks, seen, z, labels, fresh=True) for z in unseen.sequences]
@@ -415,16 +415,41 @@ def test_describes_equal_describes_from_a_fresh_memo(monkeypatch):
 
     monkeypatch.setattr(mkd, "atom_gram", counting)
     for order in (range(n), range(n - 1, -1, -1)):
-        zeroshot._DICTIONARY_SIDE.clear()
+        d._describe.clear()
         builds.clear()
         for i in order:
             assert _described(d, ks, seen, unseen.sequences[i], labels, fresh=False) == fresh[i]
         assert len(builds) == 1
 
 
+def test_two_dictionaries_described_in_turn_keep_their_own_state(monkeypatch):
+    """Describes that alternate two dictionaries build one code solver each, and every output byte equals a
+    describe from an empty describe state.  A copy made by ``dataclasses.replace`` starts empty."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    other = train(seen, ks, TrainConfig(k=4, t_x=2, t_a=3, t_beta=1, max_iters=10, tol=1e-7, seed=8)).dictionary
+    models, labels = (result.dictionary, other), seen.labels()
+    fresh = [[_described(d, ks, seen, z, labels, fresh=True) for z in unseen.sequences] for d in models]
+    built = []
+    code_solver = zeroshot.code_solver
+
+    def counting(d, *args):
+        built.append(d)
+        return code_solver(d, *args)
+
+    monkeypatch.setattr(zeroshot, "code_solver", counting)
+    for d in models:
+        d._describe.clear()
+    for i, z in enumerate(unseen.sequences):
+        for d, expected in zip(models, fresh):
+            assert _described(d, ks, seen, z, labels, fresh=False) == expected[i]
+    assert len(built) == 2 and all(b is d for b, d in zip(built, models))
+    assert dataclasses.replace(other)._describe == {} != other._describe
+
+
 def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng, monkeypatch):
-    """An in-place update of A or B, as training makes, and another kernel set each replace the memo's
-    entry, need mask and code solver, once; the codes, at this t_x and another, equal those from an empty memo."""
+    """An in-place update of A or B, as training makes, and another kernel set each replace the dictionary's
+    describe state, need mask and code solver, once; the codes, at this t_x and another, equal those from an
+    empty state."""
     ks, vs = make_explicit_kernelset(rng, 8, 3)
     other, _ = make_explicit_kernelset(rng, 8, 3)
     d = random_dictionary(rng, ks, 5, t_a=3, t_beta=2)
@@ -446,21 +471,21 @@ def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng, monkeypatc
     def codes(kset, t_x=2):
         return b"".join(encode(d, kset, ck, t_x).tobytes() for ck in cks)
 
-    previous = (codes(ks), grams[-1], zeroshot._DICTIONARY_SIDE["last"])
+    previous = (codes(ks), grams[-1], d._describe)
     for kset, update in ((ks, update_a), (ks, update_b), (other, None), (ks, update_a), (ks, update_b)):
         if update is not None:
             update()
         grams.clear()
         warm = [codes(kset) for _ in range(2)]
-        entry = zeroshot._DICTIONARY_SIDE["last"]
+        entry = d._describe
         assert grams == [mkd.atom_gram(d, kset).tobytes()] and entry is not previous[2]
         assert (entry["need"] == ((d.dim_weights > 0) @ (d.sample_weights > 0).T)).all()
-        zeroshot._DICTIONARY_SIDE.clear()
+        d._describe.clear()
         assert warm == [codes(kset)] * 2
         assert warm[0] != previous[0] and grams[0] != previous[1]
-        previous = (warm[0], grams[0], zeroshot._DICTIONARY_SIDE["last"])
-    fewer = codes(ks, 1)  # the memo held the solver of t_x 2
-    zeroshot._DICTIONARY_SIDE.clear()
+        previous = (warm[0], grams[0], d._describe)
+    fewer = codes(ks, 1)  # the describe state held the solver of t_x 2
+    d._describe.clear()
     assert fewer == codes(ks, 1) != codes(ks, 2)
 
 
@@ -494,29 +519,30 @@ def test_need_mask_follows_in_place_weight_updates(monkeypatch):
 
 def test_need_mask_is_kept_by_kernel_set_and_content(rng):
     """Two dictionaries whose weights share their bytes but not their shapes, each coded against its own
-    kernel set, have their own need masks."""
+    kernel set, have their own need masks, even when the second starts from the first one's describe state."""
     ks1, vs1 = make_explicit_kernelset(rng, 4, 2)
     ks2, vs2 = make_explicit_kernelset(rng, 2, 1)
     d1 = random_dictionary(rng, ks1, 2, t_a=2, t_beta=2)
     d2 = Dictionary(d1.sample_weights.reshape(2, 4), d1.dim_weights.reshape(1, 4), ks2.dataset_hash)
     ck1, ck2 = explicit_unseen(rng, vs1)[0], explicit_unseen(rng, vs2)[0]
-    warm = [encode(d, ks, ck, 2).tobytes() for d, ks, ck in ((d1, ks1, ck1), (d2, ks2, ck2))]
-    zeroshot._DICTIONARY_SIDE.clear()
-    assert encode(d2, ks2, ck2, 2).tobytes() == warm[1]
+    encode(d1, ks1, ck1, 2)
+    d2._describe = d1._describe  # only the key can tell the two apart
+    shared = encode(d2, ks2, ck2, 2).tobytes()
+    d2._describe = {}
+    assert encode(d2, ks2, ck2, 2).tobytes() == shared
 
 
 def test_a_kernel_set_of_another_shape_fails_before_the_memo(rng):
     """A dictionary whose sample or dimension count differs from the kernel set's is a DataError, and leaves
-    the describe memo as it was, so the kernel set and the weight bytes fix A's and B's shapes."""
+    its describe state as it was, so the kernel set and the weight bytes fix A's and B's shapes."""
     ks, vs = make_explicit_kernelset(rng, 4, 2)
     d = random_dictionary(rng, ks, 2, t_a=2, t_beta=2)
     ck = explicit_unseen(rng, vs)[0]
     flat = ExplicitCrossKernel(ck.cross.reshape(1, 8), np.ones(1), ks.dataset_hash)
     reshaped = Dictionary(d.sample_weights.reshape(2, 4), d.dim_weights.reshape(1, 4), ks.dataset_hash)
-    zeroshot._DICTIONARY_SIDE.clear()
     with pytest.raises(DataError, match=r"kernel set of 2 dimensions x 4 samples does not match the dictionary's 1 x 2"):
         encode(reshaped, ks, flat, 2)
-    assert zeroshot._DICTIONARY_SIDE == {}
+    assert reshaped._describe == {}
 
 
 @pytest.mark.parametrize("call", ["encode", "partial_error", "reconstruction_report"])
@@ -570,25 +596,25 @@ def test_attribution_ties_go_to_the_lowest_class(rng):
 
 
 def test_training_never_reads_the_describe_memo(monkeypatch):
-    """Training builds its own code solvers: with the describe memo unreadable it gives the same bytes."""
+    """Training builds its own code solvers: with the describe state unreadable it gives the same bytes, and
+    leaves the trained dictionary's describe state empty."""
     seen, _, _, ks, result = _trained_synth(noise=0.1)
 
-    class Unreadable(dict):
-        def fail(self, *args):
-            raise AssertionError("training read the describe memo")
+    def fail(*args):
+        raise AssertionError("training read the describe state")
 
-        get = __getitem__ = __setitem__ = __contains__ = fail
-
-    monkeypatch.setattr(zeroshot, "_DICTIONARY_SIDE", Unreadable())
+    monkeypatch.setattr(zeroshot, "_dictionary_side", fail)
     again = train(seen, ks, TrainConfig(k=6, t_x=2, t_a=2, t_beta=1, max_iters=10, tol=1e-7, seed=7))
     d = again.dictionary
     assert (d.sample_weights.tobytes(), d.dim_weights.tobytes(), again.codes.tobytes()) == (
         result.dictionary.sample_weights.tobytes(), result.dictionary.dim_weights.tobytes(), result.codes.tobytes())
+    assert d._describe == {}
 
 
-def test_only_zeroshot_binds_a_module_level_container():
-    """nqp, mkd, ioutil, kernels and mtsdata bind no module-level dict, list or set; zeroshot binds one, its
-    describe memo.  A seen set's packed block lives on its ``Dataset``, freed with it."""
+def test_no_stage_module_binds_a_module_level_container():
+    """nqp, mkd, ioutil, kernels, mtsdata and zeroshot bind no module-level dict, list or set.  A seen set's
+    packed block lives on its ``Dataset``, and a describe's dictionary-side terms on the ``Dictionary``,
+    freed with them."""
 
     def containers(module):
         literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -602,4 +628,4 @@ def test_only_zeroshot_binds_a_module_level_container():
         return names
 
     modules = (nqp, mkd, ioutil, kernels, mtsdata, zeroshot)
-    assert [containers(m) for m in modules] == [[], [], [], [], [], ["_DICTIONARY_SIDE"]]
+    assert [containers(m) for m in modules] == [[], [], [], [], [], []]
