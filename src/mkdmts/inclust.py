@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ioutil import check_int, check_number, is_integer, malformed, write_json
+from .ioutil import check_int, check_number, is_integer, malformed, median_of_sorted, write_json
 
 _SPLIT_ITERS = 50
 _CACHE_TOL = 1e-10  # largest deviation validate_caches accepts
@@ -177,12 +177,9 @@ class Dendrogram:
     # -- bookkeeping -------------------------------------------------
 
     def _typical_join(self) -> float | None:
-        """The median accepted join distance, as ``np.median`` gives it: the middle of the sorted
-        distances, or the mean ``(a + b) / 2`` of the two middle ones; None before the first join."""
-        joins, half = self._join_dists, len(self._join_dists) // 2
-        if len(joins) % 2:
-            return joins[half]
-        return (joins[half - 1] + joins[half]) / 2 if joins else None
+        """The median accepted join distance (``median_of_sorted`` of the sorted distances); None before the
+        first join."""
+        return median_of_sorted(self._join_dists) if self._join_dists else None
 
     def nodes(self) -> list[DendroNode]:
         return [node for root in self.roots for node in root.walk()]

@@ -1,4 +1,5 @@
-"""Shared on-disk formats and checks: the failure rules for files, binary matrices, JSON helpers and value checks.
+"""Shared on-disk formats and checks: the failure rules for files, binary matrices, JSON helpers, value checks
+and the median rule.
 
 Binary matrix format: two little-endian uint64 (rows, cols) followed by
 row-major little-endian float64 data.  Used by the kernel cache, persisted
@@ -136,6 +137,14 @@ def check_number(name: str, value, high: float = np.inf, *, positive: bool = Tru
             and (value > 0 if positive else value >= 0) and value <= high):
         raise error(f"{name} must be in {'(' if positive else '['}0, {high:g}{']' if high < np.inf else ')'}, got {value!r}")
     return float(value)
+
+
+def median_of_sorted(values) -> float:
+    """The median of ``values`` (sorted ascending, non-empty, no NaN), bit for bit as ``np.median`` gives it:
+    the middle value, or ``(a + b) / 2`` of the two middle ones, summed from 0.0 as numpy's mean sums them (so
+    -0.0 reads 0.0); ``np.median`` itself would import ``numpy.ma``, which nothing else here needs."""
+    half = len(values) // 2
+    return float(0.0 + values[half] if len(values) % 2 else (0.0 + values[half - 1] + values[half]) / 2)
 
 
 def read_json(path: str | Path):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ioutil import check_int, check_number, make_dir, malformed, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
+from .ioutil import check_int, check_number, make_dir, malformed, median_of_sorted, read_json, read_matrix, read_only, remove_file, show_path, write_json, write_matrix
 from .mtsdata import Dataset, TimeSeries, pack
 
 log = logging.getLogger(__name__)
@@ -284,9 +284,9 @@ def check_bandwidths(bandwidths, dims: int, error: type[Exception] = DataError) 
 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
-    n = distances.shape[0]
-    off = distances[np.triu_indices(n, k=1)]
-    med = float(np.median(off)) if off.size else 0.0
+    """The median off-diagonal DTW cost of one dimension of at least 2 sequences (``median_of_sorted`` of
+    the sorted upper triangle); 1.0, with a warning, when it is not positive."""
+    med = median_of_sorted(np.sort(distances[np.triu_indices(distances.shape[0], k=1)]))
     if med <= 0.0:
         warnings.warn(
             f"dimension {dim}: all pairwise DTW distances are zero, falling back to bandwidth 1.0"

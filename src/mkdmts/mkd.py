@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .ioutil import check_int, check_number, is_integer, make_dir, malformed, read_json, read_matrix, remove_file, show_path, write_json, write_matrix
 from .kernels import KernelSet, check_bandwidths
-from .mtsdata import Dataset
+from .mtsdata import Dataset, class_rows
 from .nqp import QuadProgram, column_solver, diagonal_solve, nqp_solve, objective
 
 log = logging.getLogger(__name__)
@@ -326,7 +326,8 @@ def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray) -> Dict
     """Atoms seeded on distinct training samples.
 
     The seeded draw is stratified by ``labels`` (classes visited
-    round-robin, seeded shuffle within each class): a uniform draw can
+    round-robin in ``class_rows`` order, seeded shuffle within each
+    class): a uniform draw can
     leave a class with too few atoms to cover its dimensions, a hole the
     alternating updates never escape because under-used twin atoms keep
     sharing codes instead of dying.
@@ -342,7 +343,7 @@ def init_dictionary(ks: KernelSet, cfg: TrainConfig, labels: np.ndarray) -> Dict
         raise DataError(f"k={cfg.k} atoms exceed the {n} training samples")
     cfg = cfg.resolve(n, ks.dims)
     rng = np.random.default_rng(cfg.seed)
-    pools = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in np.unique(labels)}
+    pools = {cls: list(rng.permutation(rows)) for cls, rows in zip(*class_rows(labels))}
     picks, atom_class = [], []
     while len(picks) < cfg.k:
         for cls, pool in pools.items():
@@ -393,17 +394,14 @@ def train(seen: Dataset, ks: KernelSet, cfg: TrainConfig) -> TrainResult:
 
 
 def _stratified_folds(labels: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Deal the samples round-robin into ``_N_FOLDS`` folds, class by class, each class after a seeded shuffle.
+    """Deal the samples round-robin into ``_N_FOLDS`` folds, class by class in ``class_rows`` order, each class
+    after a seeded shuffle.
 
     The dealing position carries over from one class to the next, so fold
     sizes differ by at most 1 and each class's counts across the folds
     differ by at most 1, however small the class.
     """
-    order = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        order.append(idx[rng.permutation(len(idx))])
-    order = np.concatenate(order).astype(np.int64)
+    order = np.concatenate([rows[rng.permutation(len(rows))] for rows in class_rows(labels)[1]])
     return [np.sort(order[f::_N_FOLDS]) for f in range(_N_FOLDS)]
 
 
@@ -421,19 +419,21 @@ def tune(seen: Dataset, ks: KernelSet, grid: list[tuple[int, int]], base: TrainC
     """Pick (k, t_x) from ``grid`` by stratified ``_N_FOLDS``-fold cross-validated held-out error.
 
     Ties prefer smaller k, then smaller t_x.  Fold assignment and training
-    are fully determined by ``base.seed``.
+    are fully determined by ``base.seed``; each fold trains on the rows
+    it does not hold out, in ascending order.
     """
     if len(seen) < 2 * _N_FOLDS:
         raise DataError(f"cross-validation needs at least {2 * _N_FOLDS} samples")
     labels = seen.labels()
     rng = np.random.default_rng(base.seed)
     folds = _stratified_folds(labels, rng)
-    all_idx = np.arange(len(seen))
     scores: dict[tuple[int, int], float] = {}
     for k, t_x in sorted(set(grid)):
         fold_errors = []
         for held in folds:
-            train_idx = np.setdiff1d(all_idx, held)
+            keep = np.ones(len(seen), dtype=bool)
+            keep[held] = False
+            train_idx = np.flatnonzero(keep)
             sub = seen.subset(train_idx)
             sub_ks = ks.subset(train_idx, sub.hash())
             cfg = replace(base, k=min(k, len(train_idx)), t_x=t_x)

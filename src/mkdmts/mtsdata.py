@@ -107,7 +107,7 @@ class Dataset:
         return self.sequences[0].dims
 
     def labels(self) -> np.ndarray:
-        """Every sequence's label; an unlabeled sequence is a DataError."""
+        """Every sequence's label; an unlabeled sequence is a DataError.  ``class_rows`` partitions them."""
         for s in self.sequences:
             if s.label is None:
                 raise DataError(f"sequence {s.id!r} has no label")
@@ -142,6 +142,17 @@ class Dataset:
             block, lengths = pack([s.dim(l) for l in range(self.dims) for s in self.sequences])
             object.__setattr__(self, "_packed", (read_only(block), read_only(lengths)))
         return self._packed
+
+
+def class_rows(labels) -> tuple[list, list[np.ndarray]]:
+    """The sorted distinct labels (Python values, as ``tolist`` gives them) and, for each, the ascending
+    rows that hold it, in one pass: what ``np.unique(labels)`` and ``np.flatnonzero(labels == c)`` give,
+    without ``np.unique``, which imports ``numpy.ma`` on its first call."""
+    members: dict = {}
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        members.setdefault(label, []).append(i)
+    classes = sorted(members)
+    return classes, [np.array(members[c], dtype=np.intp) for c in classes]
 
 
 def pack(series) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from .errors import DataError
 from .ioutil import check_number, is_integer, read_only
 from .kernels import CrossKernel, KernelSet
 from .mkd import Dictionary, clamp_residual, code_solver, residuals, sparse_codes
+from .mtsdata import class_rows
 
 DEFAULT_THRESHOLD = 0.1
 
@@ -173,11 +174,7 @@ def reconstruction_report(
                         f"got {seen_labels.dtype} labels of shape {seen_labels.shape}")
     errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
-    members: dict = {}
-    for i, label in enumerate(seen_labels.tolist()):
-        members.setdefault(label, []).append(i)
-    classes = sorted(members)  # one pass, where np.unique and a mask per class take twice as long
-    rows = [np.array(members[cls]) for cls in classes]
+    classes, rows = class_rows(seen_labels)
     passed = errors <= threshold
     attribution: list[int | None] = [None] * d.dims
     for l in np.flatnonzero(passed):

@@ -1,4 +1,4 @@
-"""Shared helpers: explicit-embedding oracles and small dataset builders.
+"""Shared helpers: explicit-embedding oracles, small dataset builders and the CPU path reader.
 
 The explicit-embedding oracle replaces each per-dimension Gram matrix with
 V_l' V_l for a random finite-dimensional V_l, so every kernel-space
@@ -8,11 +8,42 @@ embedding's cross kernel is ``oracles.explicit_unseen``.
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mkdmts.kernels import KernelSet
 from mkdmts.mkd import Dictionary, atom_gram
+
+
+# The CPU path, as ``cpu_path`` reads it, that the byte-pinned Gram and trainer digests
+# (test_kernel_bytes_pinned, test_trainer_bytes_pinned) were recorded on: their bytes pass through numpy's
+# SIMD loops and OpenBLAS kernels, whose rounding may differ on another path.
+PINNED_ON = (
+    "numpy SIMD: MMX SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42 X86_V2 AVX F16C FMA3 AVX2 LAHF CX16 MOVBE BMI BMI2 "
+    "LZCNT GFNI VPCLMULQDQ VAES X86_V3 AVX512F AVX512CD AVX512VPOPCNTDQ AVX512VL AVX512BW AVX512DQ AVX512VNNI "
+    "AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 AVX512_SKX X86_V4 AVX512_CLX "
+    "AVX512_CNL AVX512_ICL AVX512_SPR; OpenBLAS core: SkylakeX; BLAS threads: 2"
+)
+
+
+def cpu_path() -> str:
+    """The CPU path this process runs numpy on: numpy's enabled SIMD features, the core type of numpy's
+    bundled OpenBLAS and its thread count (both "unknown" when that library is not found)."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    simd = " ".join(name for name, on in __cpu_features__.items() if on)
+    core = threads = "unknown"
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    if libs:
+        blas = ctypes.CDLL(str(libs[0]))
+        corename, num_threads = blas.scipy_openblas_get_corename64_, blas.scipy_openblas_get_num_threads64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        num_threads.argtypes, num_threads.restype = [], ctypes.c_int
+        core, threads = corename().decode(), num_threads()
+    return f"numpy SIMD: {simd}; OpenBLAS core: {core}; BLAS threads: {threads}"
 
 
 def make_explicit_kernelset(rng, n, f, embed_dim_range=(3, 7), dataset_hash="explicit"):

@@ -95,6 +95,25 @@ def test_no_mkdmts_module_imports_scipy():
     assert out == "[]\n"
 
 
+def test_run_experiment_and_tune_load_no_numpy_ma(tmp_path):
+    """A fresh interpreter that runs a tiny run_experiment at the default "median" bandwidth and then a
+    two-point tune loads no numpy.ma, which np.median, a plain np.unique and np.setdiff1d import."""
+    code = ("import sys\n"
+            "from mkdmts.evalx import run_experiment\n"
+            "from mkdmts.kernels import build_kernelset\n"
+            "from mkdmts.mkd import TrainConfig, tune\n"
+            "from mkdmts.mtsdata import SynthConfig, synth_dataset\n"
+            "synth = {'seed': 3, 'num_seen_classes': 2, 'samples_per_class': 5, 'length_range': [8, 10]}\n"
+            "run_experiment({'synth': synth, 'train': {'k': 3, 't_x': 1, 't_a': 2, 't_beta': 1}}, sys.argv[1])\n"
+            "seen, _, _ = synth_dataset(SynthConfig(**synth))\n"
+            "tune(seen, build_kernelset(seen), [(2, 1), (3, 1)], TrainConfig(k=2, t_x=1, t_a=2, t_beta=1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mkdmts.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_ce_relabel_invariance(rng):
     pred = rng.integers(0, 4, size=50).tolist()
     truth = rng.integers(0, 3, size=50).tolist()

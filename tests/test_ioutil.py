@@ -3,8 +3,22 @@ import pytest
 
 from mkdmts.errors import DataError
 from mkdmts.ioutil import (
-    make_dir, malformed, read_json, read_matrix, read_text, remove_file, write_json, write_matrix, write_text,
+    make_dir, malformed, median_of_sorted, read_json, read_matrix, read_text, remove_file, write_json, write_matrix,
+    write_text,
 )
+
+
+def test_median_of_sorted_is_np_median_bit_for_bit():
+    # sizes 1-9; half the vectors draw from a few values, so ties, signed zeros and equal middles all occur
+    gen = np.random.default_rng(34)
+    few = np.array([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.25])
+    for size in range(1, 10):
+        for trial in range(60):
+            x = gen.choice(few, size) if trial % 2 else gen.normal(size=size) * 10.0 ** gen.integers(-3, 4)
+            expected = float(np.median(x))
+            for values in (np.sort(x), sorted(x.tolist())):
+                got = median_of_sorted(values)
+                assert type(got) is float and np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def test_read_json_of_a_path_with_a_nul_byte_is_data_error(tmp_path):

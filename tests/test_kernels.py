@@ -1,7 +1,10 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+
+from conftest import PINNED_ON, cpu_path
 
 from mkdmts import kernels
 from mkdmts.errors import DataError
@@ -258,7 +261,35 @@ def test_kernel_bytes_pinned():
     for z in unseen.sequences[:4]:
         for c in _all_values(cross_kernel(seen, z, ks.bandwidths), seen):
             digest.update(c.tobytes())
-    assert digest.hexdigest() == "826fc6628a2b0ed92322d4d5a68023417f74d140d4dcf73c2dd15a64a48179a0"
+    assert digest.hexdigest() == "826fc6628a2b0ed92322d4d5a68023417f74d140d4dcf73c2dd15a64a48179a0", \
+        f"recorded on [{PINNED_ON}], running on [{cpu_path()}]"
+
+
+def test_dtw_bytes_pinned_on_portable_inputs():
+    """DTW costs of 8 generator-made 2-d sequences (lengths 5-35), the Gram path's and one ``dtw`` pair's,
+    pinned by one digest that holds on every CPU path: numpy's generators give these inputs on every
+    platform, and only correctly rounded subtract, multiply, min and add touch them."""
+    gen = np.random.default_rng(34)
+    seqs = [TimeSeries(id=f"s{i}", values=gen.random((2, int(gen.integers(5, 40))))) for i in range(8)]
+    digest = hashlib.sha256(pairwise_dtw(Dataset(seqs)).tobytes())
+    digest.update(np.float64(dtw(seqs[0].dim(0), seqs[1].dim(1))).tobytes())
+    assert digest.hexdigest() == "5929508d39208236699884d412d4ea400233e20bf90331145a31a914697701ab", \
+        f"running on [{cpu_path()}]"
+
+
+def test_median_bandwidth_is_np_median_of_the_off_diagonal_costs():
+    # 1, 3, 6 and 10 off-diagonal costs; half the matrices draw from a few values, so ties and zeros occur
+    gen = np.random.default_rng(34)
+    for n in range(2, 6):
+        for trial in range(40):
+            upper = np.triu(gen.choice([0.0, 0.5, 2.0, 3.25], (n, n)) if trial % 2 else gen.uniform(0, 50, (n, n)), 1)
+            costs = upper + upper.T
+            expected = float(np.median(costs[np.triu_indices(n, k=1)]))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = kernels._median_bandwidth(costs, 0)
+            assert len(caught) == (expected <= 0.0)
+            assert np.float64(got).tobytes() == np.float64(expected if expected > 0.0 else 1.0).tobytes()
 
 
 @pytest.mark.parametrize("bandwidth", [-5.0, 0.0, np.nan, np.inf])

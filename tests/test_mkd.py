@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import explicit_atoms, explicit_data, make_explicit_kernelset, random_dictionary
+from conftest import PINNED_ON, cpu_path, explicit_atoms, explicit_data, make_explicit_kernelset, random_dictionary
 from oracles import explicit_unseen
 
 from mkdmts.errors import DataError, NumericalError
@@ -301,7 +301,7 @@ def test_trainer_bytes_pinned(synth, bandwidth, cfg, expected):
     digest = hashlib.sha256(np.array(result.loss_trace).tobytes())
     for part in (result.dictionary.sample_weights, result.dictionary.dim_weights, result.codes):
         digest.update(part.tobytes())
-    assert digest.hexdigest() == expected
+    assert digest.hexdigest() == expected, f"recorded on [{PINNED_ON}], running on [{cpu_path()}]"
 
 
 def test_train_halves_initial_loss():
@@ -379,6 +379,25 @@ def test_tune_deterministic_and_prefers_spanning_k():
     second = tune(seen, ks, grid, base)
     assert (first.k, first.t_x) == (second.k, second.t_x)
     assert first.k >= 4
+
+
+def test_tune_trains_each_fold_on_the_rows_np_setdiff1d_gives(monkeypatch):
+    seen, _, _ = synth_dataset(SynthConfig(
+        num_seen_classes=2, num_unseen_classes=1, dims=2,
+        length_range=(16, 20), samples_per_class=6, noise_std=0.05, seed=3,
+    ))
+    splits, holdout_error = [], _holdout_error
+
+    def recording(d, sub_ks, full_ks, train_idx, held_idx, t_x):
+        splits.append((train_idx, held_idx))
+        return holdout_error(d, sub_ks, full_ks, train_idx, held_idx, t_x)
+
+    monkeypatch.setattr("mkdmts.mkd._holdout_error", recording)
+    tune(seen, build_kernelset(seen, bandwidth=10.0), [(2, 1)], TrainConfig(k=2, t_x=1, t_a=2, t_beta=1, max_iters=2))
+    assert len(splits) == _N_FOLDS
+    for train_idx, held in splits:
+        expected = np.setdiff1d(np.arange(len(seen)), held)
+        assert train_idx.dtype == expected.dtype and train_idx.tobytes() == expected.tobytes()
 
 
 def test_tune_folds_balance_sizes_and_spread_small_classes():

@@ -11,10 +11,25 @@ from mkdmts.mtsdata import (
     Dataset,
     SynthConfig,
     TimeSeries,
+    class_rows,
     load_dataset,
     save_dataset,
     synth_dataset,
 )
+
+
+def test_class_rows_is_np_unique_and_flatnonzero():
+    # negative labels, gaps between labels, and a single class
+    gen = np.random.default_rng(34)
+    vectors = [gen.choice(pool, size) for pool in ([-3, -1, 0, 2], [0, 5, 100], [7], [-9, 4]) for size in (1, 2, 9, 40)]
+    for labels in vectors + [gen.integers(-5, 5, size=60)]:
+        labels = labels.astype(np.int64)
+        classes, rows = class_rows(labels)
+        assert classes == np.unique(labels).tolist() and all(type(c) is int for c in classes)
+        assert len(rows) == len(classes)
+        for c, idx in zip(classes, rows):
+            expected = np.flatnonzero(labels == c)
+            assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
 
 
 def test_timeseries_rejects_nan():
