@@ -120,13 +120,20 @@ def _max_matching(table: np.ndarray) -> int:
 
 def clustering_error(pred: dict[str, int], truth: dict[str, int]) -> float:
     """1 - accuracy of the optimal injective cluster-to-class matching."""
-    table = contingency_table(pred, truth)
+    return _error_of(contingency_table(pred, truth))
+
+
+def _error_of(table: np.ndarray) -> float:
     return 1.0 - _max_matching(table) / table.sum()
 
 
 def nmi(pred: dict[str, int], truth: dict[str, int]) -> float:
     """Mutual information normalized by sqrt of the partition entropies."""
-    table = contingency_table(pred, truth).astype(np.float64)
+    return _nmi_of(contingency_table(pred, truth))
+
+
+def _nmi_of(table: np.ndarray) -> float:
+    table = table.astype(np.float64)
     n = table.sum()
     pij = table / n
     pi = pij.sum(axis=1)
@@ -143,11 +150,9 @@ def nmi(pred: dict[str, int], truth: dict[str, int]) -> float:
 
 
 def score_clustering(pred: dict[str, int], truth: dict[str, int]) -> ClusterScore:
-    return ClusterScore(
-        ce=clustering_error(pred, truth),
-        nmi=nmi(pred, truth),
-        contingency=contingency_table(pred, truth),
-    )
+    """CE, NMI and the contingency table they are both computed from, built once."""
+    table = contingency_table(pred, truth)
+    return ClusterScore(ce=_error_of(table), nmi=_nmi_of(table), contingency=table)
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:

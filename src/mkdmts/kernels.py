@@ -100,14 +100,18 @@ class CrossKernel:
         return np.where(need, self._values, 0.0)
 
 
-# Pairs per wavefront are capped so that the gathered query and reference
-# blocks together hold at most this many float64 values (512 KiB); larger
-# pair sets run in consecutive chunks, with identical per-pair results.
-# The cap counts only the gathered blocks: the three diagonal buffers and the
-# cost scratch add about 4 * rows + 3 values per pair, about three times the
-# cap in all when queries and references are of one length.  Counting them
-# would cut the chunks to a third, which made the Gram slower.
-_WAVEFRONT_ELEMENTS = 1 << 16
+# The working set of one ``_wavefront`` call, in float64 values: per pair it
+# holds the gathered query column (rows), the flipped reference column (cols),
+# three diagonal buffers (3 * (rows + 1)), the cost scratch (rows) and its
+# output entry, 5 * rows + cols + 4 values in all.  ``_dtw_columns`` splits its
+# pairs evenly over the fewest chunks that stay within this cap (1 MiB), or
+# runs one pair per chunk when a single pair exceeds it.  A sweep of cold
+# Grams (2-vCPU Xeon, one BLAS thread) set the value.  On 24 series of 2 dims
+# and lengths 61-88 (552 pairs), 1 << 17 runs 3 chunks of 765 KiB in about
+# the time that chunks of 1.5 and 0.7 MiB took; 3 << 16 runs 2 chunks of
+# 1.1 MiB, faster there but not on 24 series of 3 dims (828 pairs), and
+# 1 << 16 runs 5 chunks, slower on both.  The bytes are the same at every value.
+_WAVEFRONT_ELEMENTS = 1 << 17
 
 
 def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -188,22 +192,24 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) 
     series' lengths, as ``pack`` builds them.  Every DTW of the package
     runs here: ``pairwise_dtw``'s pairs within a dataset's block,
     ``CrossKernel.values``' query rows against the seen block, and
-    ``dtw``'s one pair.  Each chunk of pairs gathers its query columns
-    from the rows up to the longest query and its reference columns from
-    the rows up to the longest reference, read flipped, and runs one
-    ``_wavefront`` on them.  Entry k does not depend on the other pairs,
-    their order, or how they are chunked.
+    ``dtw``'s one pair.  The pairs are split evenly over the fewest chunks
+    whose whole working set stays within ``_WAVEFRONT_ELEMENTS``, so chunk
+    sizes differ by at most one and no short tail chunk pays for a full
+    diagonal sweep.  Each chunk gathers its query columns from the rows up
+    to the longest query and its reference columns from the rows up to the
+    longest reference, read flipped, and runs one ``_wavefront`` on them.
+    Entry k does not depend on the other pairs, their order, or how they
+    are chunked.
     """
     n, m = query_lengths[qi], reference_lengths[ri]
     if not n.size:
         return np.empty(0)
     rows, cols = int(n.max()), int(m.max())
     queries, flipped = queries[:rows], references[cols - 1::-1]
-    step = max(1, _WAVEFRONT_ELEMENTS // (rows + cols))
+    chunks = -(-n.size // max(1, _WAVEFRONT_ELEMENTS // (5 * rows + cols + 4)))
     return np.concatenate([
-        _wavefront(queries.take(qi[lo: lo + step], axis=1), n[lo: lo + step],
-                   flipped.take(ri[lo: lo + step], axis=1), m[lo: lo + step])
-        for lo in range(0, n.size, step)
+        _wavefront(queries.take(q, axis=1), query_lengths[q], flipped.take(r, axis=1), reference_lengths[r])
+        for q, r in zip(np.array_split(qi, chunks), np.array_split(ri, chunks))
     ])
 
 

@@ -69,17 +69,18 @@ def _check_provenance(d: Dictionary, ks: KernelSet, ck: CrossKernel) -> None:
 
 
 def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
-    """The dictionary's describe state for (``ks``, A, B), kept in ``d._describe``: the ``need`` mask and the
-    ``solver``, ((type of t_x, t_x), code solver).
+    """The dictionary's describe state for (``ks``, A, B), kept in ``d._describe``: the ``need`` mask, the
+    ``solver``, ((type of t_x, t_x), code solver), and the ``classes``, ((dtype, bytes of the seen labels),
+    their ``class_rows`` partition), each of the last two replaced by ``_kept`` when its key changes.
 
     Dimension l of a cross-kernel is read only at the samples that some
     atom with B[l,t] > 0 draws on (``need``); every other entry is 0, and
     the code, residuals and encoding multiply it by an exact zero, so they
     equal the full kernel's bit for bit.  Every query of one dictionary
-    shares the mask and the solver, so a pass of describes builds them
-    once, and each dictionary keeps its own.  The state is replaced when
-    its key changes: the kernel set by identity, its Grams being
-    read-only, and A's and B's bytes, since training updates them in
+    shares the mask, the solver and the partition, so a pass of describes
+    builds them once, and each dictionary keeps its own.  The state is
+    replaced when its key changes: the kernel set by identity, its Grams
+    being read-only, and A's and B's bytes, since training updates them in
     place.  Callers pass ``_check_provenance`` first, so the kernel set
     fixes N and f, and with them the byte counts fix A's and B's shapes.
     A replacement is a new dict, so a caller that holds one keeps a
@@ -94,6 +95,14 @@ def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
     return entry
 
 
+def _kept(entry: dict, name: str, key, make):
+    """The value kept as ``entry[name]`` when it was made for ``key``; else ``make()``, kept for ``key``."""
+    kept = entry.get(name)
+    if kept is None or kept[0] != key:
+        kept = entry[name] = (key, make())
+    return kept[1]
+
+
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
     """Sparse non-negative code of one unseen sequence.
 
@@ -104,11 +113,8 @@ def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarra
     """
     _check_provenance(d, ks, ck)
     entry = _dictionary_side(d, ks)
-    key = (type(t_x), t_x)
-    kept = entry.get("solver")
-    if kept is None or kept[0] != key:
-        kept = entry["solver"] = (key, code_solver(d, ks, t_x))
-    return sparse_codes(d, kept[1], [c[:, None] for c in ck.values(entry["need"])])[:, 0]
+    solver = _kept(entry, "solver", (type(t_x), t_x), lambda: code_solver(d, ks, t_x))
+    return sparse_codes(d, solver, [c[:, None] for c in ck.values(entry["need"])])[:, 0]
 
 
 def _code(d: Dictionary, x) -> np.ndarray:
@@ -174,7 +180,8 @@ def reconstruction_report(
                         f"got {seen_labels.dtype} labels of shape {seen_labels.shape}")
     errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
     r = encoding_matrix(d, x).values
-    classes, rows = class_rows(seen_labels)
+    classes, rows = _kept(_dictionary_side(d, ks), "classes", (seen_labels.dtype.str, seen_labels.tobytes()),
+                          lambda: class_rows(seen_labels))
     passed = errors <= threshold
     attribution: list[int | None] = [None] * d.dims
     for l in np.flatnonzero(passed):

@@ -237,6 +237,19 @@ def test_score_clustering_bundle(rng):
     assert score.contingency.sum() == 4
 
 
+def test_score_clustering_builds_one_contingency_table(rng, monkeypatch):
+    from mkdmts import evalx
+
+    p, t = _as_dicts(rng.integers(0, 4, 60).tolist(), rng.integers(0, 3, 60).tolist())
+    built = []
+    table = evalx.contingency_table
+    monkeypatch.setattr(evalx, "contingency_table", lambda *args: built.append(args) or table(*args))
+    score = score_clustering(p, t)
+    assert len(built) == 1
+    assert (score.ce, score.nmi) == (clustering_error(p, t), nmi(p, t))
+    assert np.array_equal(score.contingency, table(p, t))
+
+
 def test_render_report_mentions_key_numbers():
     report = {
         "version": "0.1.0",

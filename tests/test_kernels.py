@@ -119,7 +119,8 @@ def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
     perm = rng.permutation(len(queries))
     shuffled = dtw_many([queries[i] for i in perm], [refs[i] for i in perm])
     assert _bits(shuffled) == _bits(whole[perm])
-    for budget in (1, 300, 5000, 1 << 16):  # one pair per chunk, a few chunks, ragged tails, the default
+    per_pair = 5 * 40 + 40 + 4  # a chunk's working set per pair; the longest query and reference hold 40 steps
+    for budget in (1, 3 * per_pair, 62 * per_pair, 1 << 17):  # 64, 22, 2 and 1 chunks (the default)
         monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", budget)
         assert _bits(dtw_many(queries, refs)) == _bits(whole)
 
@@ -140,9 +141,9 @@ def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
 def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, split):
     queries = [rng.normal(size=n) for n, _ in shapes]
     refs = [rng.normal(size=m) for _, m in shapes]
-    if split:  # three pairs per chunk, the last chunk holding one
+    if split:  # at most three pairs per chunk: the seven pairs run in chunks of 3, 2 and 2
         rows, cols = max(n for n, _ in shapes), max(m for _, m in shapes)
-        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (rows + cols))
+        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (5 * rows + cols + 4))
     got = dtw_many(queries, refs)
     assert _bits(got) == _bits([dtw_loop(a, b) for a, b in zip(queries, refs)])
 
@@ -479,14 +480,40 @@ def test_pairwise_dtw_chunks_across_dimensions_equal_per_pair_reference(rng, mon
     # 21 pairs per dimension, 63 in all: chunks of 4 or 13 pairs hold pairs of two dimensions
     seqs = [rng.normal(size=(3, int(rng.integers(5, 30)))) for _ in range(7)]
     rows, cols = max(s.shape[1] for s in seqs[:-1]), max(s.shape[1] for s in seqs[1:])
-    monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", step * (rows + cols))
+    monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", step * (5 * rows + cols + 4))
     chunks = []
     wavefront = kernels._wavefront
     monkeypatch.setattr(kernels, "_wavefront", lambda q, *rest: chunks.append(q.shape[1]) or wavefront(q, *rest))
     d = pairwise_dtw(_dataset(seqs))
-    assert chunks == [step] * (63 // step) + [63 % step]
+    # the fewest chunks of at most step pairs, split evenly: 15 of 4 and one of 3, or 3 of 13 and 2 of 12
+    assert chunks == [len(c) for c in np.array_split(np.arange(63), -(-63 // step))]
     for l in range(3):
         assert _bits(d[l]) == _bits(_reference_pairwise([s[l] for s in seqs]))
+
+
+@pytest.mark.parametrize("budget", [None, 100], ids=["default-budget", "pair-over-budget"])
+def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
+    # 4 x 6 seen sequences of 2 dims, lengths 60-90: 552 pairs, more than one chunk holds at the default
+    seen, _, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=4, num_unseen_classes=2, dims=2,
+                                           length_range=(60, 90), samples_per_class=6))
+    if budget is not None:  # below one pair's working set: every chunk holds one pair
+        monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", budget)
+    calls = []  # (rows, pairs, cols) of every _wavefront call
+    wavefront = kernels._wavefront
+
+    def spy(q, n, e, m):
+        calls.append((*q.shape, e.shape[0]))
+        return wavefront(q, n, e, m)
+
+    monkeypatch.setattr(kernels, "_wavefront", spy)
+    d = pairwise_dtw(seen)
+    sizes = [pairs for _, pairs, _ in calls]
+    assert len(calls) > 1 and sum(sizes) == 552
+    assert max(sizes) - min(sizes) <= 1
+    for rows, pairs, cols in calls:
+        assert pairs == 1 or (5 * rows + cols + 4) * pairs <= kernels._WAVEFRONT_ELEMENTS
+    monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 1 << 30)  # one chunk
+    assert _bits(pairwise_dtw(Dataset(seen.sequences))) == _bits(d)
 
 
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):

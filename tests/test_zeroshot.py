@@ -422,6 +422,26 @@ def test_describes_equal_describes_from_a_fresh_memo(monkeypatch):
         assert len(builds) == 1
 
 
+def test_a_pass_of_describes_partitions_the_labels_once(monkeypatch):
+    """A pass of describes over one dictionary builds the class partition of the seen labels once; labels of
+    the same shape and dtype but other content rebuild it, and every output byte equals a describe from an
+    empty describe state."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels = result.dictionary, seen.labels()
+    relabeled = (labels + 1) % 3
+    assert relabeled.dtype == labels.dtype and relabeled.shape == labels.shape
+    fresh = [[_described(d, ks, seen, z, lab, fresh=True) for z in unseen.sequences] for lab in (labels, relabeled)]
+    assert [row[4] for row in fresh[0]] != [row[4] for row in fresh[1]]  # the partition decides attributions
+    calls = []
+    class_rows = zeroshot.class_rows
+    monkeypatch.setattr(zeroshot, "class_rows", lambda lab: calls.append(lab) or class_rows(lab))
+    d._describe.clear()
+    for lab, expected, built in ((labels, fresh[0], 1), (relabeled, fresh[1], 2)):
+        for z, row in zip(unseen.sequences, expected):
+            assert _described(d, ks, seen, z, lab, fresh=False) == row
+        assert len(calls) == built
+
+
 def test_two_dictionaries_described_in_turn_keep_their_own_state(monkeypatch):
     """Describes that alternate two dictionaries build one code solver each, and every output byte equals a
     describe from an empty describe state.  A copy made by ``dataclasses.replace`` starts empty."""
