@@ -69,9 +69,13 @@ class CrossKernel:
     ``values(need)`` runs DTW only on the (dimension, row) pairs that the
     f x N mask ``need`` asks for and that are not known yet, all in one
     wavefront run on the query's rows and the seen set's packed block
-    (``Dataset.packed``), and keeps them.  Every value is the one the full
-    computation gives, bit for bit.  The unseen sequence's self-kernel is
-    1 in every dimension, since its DTW cost against itself is 0.
+    (``Dataset.packed``), and keeps them.  The seen set also keeps that
+    wavefront, its band views and buffers, keyed by the seen columns it
+    reads: every query of one dictionary reads the same columns, so each
+    later describe only copies its rows in and sweeps (``_dtw_columns``).
+    Every value is the one the full computation gives, bit for bit.  The
+    unseen sequence's self-kernel is 1 in every dimension, since its DTW
+    cost against itself is 0.
     """
 
     def __init__(self, seen: Dataset, z: TimeSeries, bandwidths: np.ndarray):
@@ -94,7 +98,8 @@ class CrossKernel:
         if missing.any():
             seen, z, bandwidths = self._pairs
             dims, rows = missing.nonzero()
-            dists = _dtw_columns(z.values.T, np.full(z.dims, z.length), dims, *seen.packed(), dims * len(seen) + rows)
+            dists = _dtw_columns(z.values.T, np.full(z.dims, z.length), dims, *seen.packed(), dims * len(seen) + rows,
+                                 seen._wavefront)
             self._values[dims, rows] = np.exp(-dists / bandwidths[dims])
             self._known |= missing
         return np.where(need, self._values, 0.0)
@@ -112,80 +117,132 @@ class CrossKernel:
 # 1.1 MiB, faster there but not on 24 series of 3 dims (828 pairs), and
 # 1 << 16 runs 5 chunks, slower on both.  The bytes are the same at every value.
 _WAVEFRONT_ELEMENTS = 1 << 17
+# A describe keeps its wavefront on the seen set (``_kept_wavefront``) only
+# while the kept entry holds at most 512 KiB, counted as 8 bytes per working
+# set value and ``_STEP_BYTES`` per diagonal for its step, seven array views and
+# a tuple (0.9-1.0 KB by tracemalloc, numpy 2.4 on 64-bit CPython).  Measured
+# the same way, a describe of 24 pairs at 89 rows by 87 columns keeps 0.26 MB,
+# and one of 48 pairs at 89 by 88 keeps 0.39 MB.
+_KEPT_BYTES = 1 << 19
+_STEP_BYTES = 1100
 
 
-def _wavefront(q: np.ndarray, n: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """DTW end cells of every column pair (q[:n[k], k], r_k[:m[k]]).
-
-    ``q`` is the ``rows x pairs`` query block and ``e`` the ``cols x pairs``
-    reference block read flipped, each series reversed with its zero
-    padding on top: e[cols - 1 - j, k] = r_k[j], so diagonal d reads the
-    contiguous row slices q[lo:hi] and e[cols - 1 - d + lo: cols - 1 - d + hi].
-    Cell (i, j) lies on diagonal d = i + j and depends only on
-    diagonals d-1 and d-2, so each diagonal is five array operations over
-    its band of valid rows, i in [lo, hi) with lo = max(0, d - cols + 1) and
-    hi = min(d + 1, rows), which keeps j = d - i in [0, cols), for all
-    pairs at once: subtract and square give
-    the local costs, two minimums the best neighbour, and an add the cells,
-    each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around them a diagonal
-    does only two compares for the band and one list lookup for the pairs
-    ending on it: on a describe's band (about 45 rows by 24 pairs) each
-    array call takes under half a microsecond, so any Python work between
-    the calls is a visible share of the diagonal.  Rounding is monotone, so this
-    equals the minimum over all monotone alignment paths of their
-    left-to-right accumulated costs, bit for bit.  Padded cells
-    (i >= n[k] or j >= m[k]) lie past a pair's own end cell, which depends
-    only on smaller indices, so their values never matter.
-
-    The three diagonal buffers rotate and are never re-filled.  Both band
-    edges only move up, by at most one row per diagonal, so a row above
-    the band (j < 0) has never been written and still holds its initial
-    +inf, which is what the off-grid neighbour must be; a row below the band
-    (j >= cols) may hold a value from three diagonals back, but the band of
-    the next two diagonals reads no row below the current band.  No band
-    holds row -1 (index 0), so it stays +inf except for the 0.0 seed of
-    D[0,0] on diagonal -2, which only diagonal 0 reads.  The rotation after
-    diagonal 0 turns that buffer into ``cur``, which diagonal 1 writes from
-    index 1 on and diagonal 2 first reads at index 0, so the seed is cleared
-    as ``cur[0]`` right after the rotation.  All inputs stay finite, so no
-    NaN arises.
-    """
+def _wavefront(q: np.ndarray, e: np.ndarray) -> tuple:
+    """The ``(steps, buffers)`` of one wavefront over the ``rows x pairs`` query block ``q`` and the
+    ``cols x pairs`` reference block ``e``, read flipped (``_steps``): its three diagonal buffers, one
+    ``3 x (rows + 1) x pairs`` array left unset for ``_sweep`` to fill, and the lazy generator of its
+    steps over them and one cost scratch.  The Gram and ``dtw`` run the steps as they are made; a
+    describe keeps them (``_kept_wavefront``)."""
     rows, pairs = q.shape
-    cols = e.shape[0]
-    ends = n + m - 2
-    last = int(ends.max())
-    finishing, groups = [None] * (last + 1), {}
-    for k, d in enumerate(ends.tolist()):
-        groups.setdefault(d, []).append(k)
-    for d, done in groups.items():
-        finishing[d] = np.array(done)
-    out = np.empty(pairs)
-    # D on diagonals d-2, d-1 and d by row i at index i + 1; index 0 is row -1.
-    prevprev, prev, cur = (np.full((rows + 1, pairs), np.inf) for _ in range(3))
-    prevprev[0] = 0.0
-    scratch = np.empty((rows, pairs))
-    subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
+    buffers = np.empty((3, rows + 1, pairs))
+    return _steps(q, e, np.empty((rows, pairs)), tuple(buffers)), buffers
+
+
+def _steps(q, e, scratch, buffers):
+    """For each diagonal d = 0, 1, ... of the DTW grids of the column pairs (q[:, k], r_k), the views
+    that its five array calls read and write, as one tuple: the query band, the reference band, the
+    cost scratch, the band of the current diagonal's buffer, the two views of the previous one (rows
+    i and i - 1) and the view of the one before (row i - 1), and the current buffer, from which
+    ``_sweep`` reads the pairs that end on d.
+
+    ``e`` holds each reference reversed with its zero padding on top: e[cols - 1 - j, k] = r_k[j],
+    so diagonal d reads the contiguous row slices q[lo:hi] and e[cols - 1 - d + lo: cols - 1 - d + hi].
+    Cell (i, j) lies on diagonal d = i + j and depends only on diagonals d-1 and d-2, so diagonal d
+    covers its band of valid rows, i in [lo, hi) with lo = max(0, d - cols + 1) and
+    hi = min(d + 1, rows), which keeps j = d - i in [0, cols), for all pairs at once.  The buffers
+    hold D on diagonals d-2, d-1 and d by row i at index i + 1 (index 0 is row -1) and rotate: on
+    diagonal d they are ``buffers[d % 3]``, ``buffers[(d + 1) % 3]`` and ``buffers[(d + 2) % 3]``.
+    Diagonal 0 reads D[-1,-1] = 0 from a row of zeros of its own, so the buffers need no seed.  The
+    steps depend only on the blocks' shapes and these arrays, not on their values, so a kept list of
+    them runs again on new values written into ``q``.
+    """
+    rows, cols = len(q), len(e)
     skew = cols - 1
-    for d in range(last + 1):
+    origin = np.zeros((1, q.shape[1]))
+    for d in range(rows + cols - 1):
         lo = d - cols + 1 if d >= cols else 0
         hi = d + 1 if d < rows else rows
-        cost = scratch[: hi - lo]
-        band = cur[lo + 1: hi + 1]
-        subtract(q[lo:hi], e[skew - d + lo: skew - d + hi], cost)
-        multiply(cost, cost, cost)
-        minimum(prev[lo + 1: hi + 1], prev[lo:hi], out=band)
-        minimum(band, prevprev[lo:hi], out=band)
-        add(cost, band, band)
-        done = finishing[d]
-        if done is not None:
-            out[done] = cur[n[done], done]
-        prevprev, prev, cur = prev, cur, prevprev
-        if d == 0:
-            cur[0] = np.inf
+        prevprev, prev, cur = buffers[d % 3], buffers[(d + 1) % 3], buffers[(d + 2) % 3]
+        yield (q[lo:hi], e[skew - d + lo: skew - d + hi], scratch[: hi - lo], cur[lo + 1: hi + 1],
+               prev[lo + 1: hi + 1], prev[lo:hi], prevprev[lo:hi] if d else origin, cur)
+
+
+def _sweep(steps, buffers, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """DTW end cells of every column pair (q[:n[k], k], r_k[:m[k]]) of the blocks that ``steps`` and
+    ``buffers`` came from (``_wavefront``), running the steps up to the last pair's end.
+
+    Each diagonal is five array operations: subtract and square give the local costs, two minimums
+    the best neighbour, and an add the cells, each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around
+    them a diagonal does one list lookup for the pairs ending on it, and one ``take`` of their end
+    cells when there are any: on a describe's band (about 45 rows by 24 pairs) each array call takes
+    about half a microsecond, so any Python work between the calls is a visible share of the
+    diagonal.  Rounding is monotone, so this equals the minimum over all monotone alignment paths of
+    their left-to-right accumulated costs, bit for bit.  Padded cells (i >= n[k] or j >= m[k]) lie
+    past a pair's own end cell, which depends only on smaller indices, so their values never matter,
+    whatever the padding holds.
+
+    The sweep fills the buffers with +inf once; they rotate and are not filled again.  Both band
+    edges only move up, by at most one row per diagonal, so a row above the band (j < 0) has never
+    been written and still holds +inf, which is what the off-grid neighbour must be; a row below the
+    band (j >= cols) may hold a value from three diagonals back, but the band of the next two
+    diagonals reads no row below the current band.  No band holds row -1 (index 0), so it stays +inf; diagonal 0 reads its
+    diagonal neighbour D[-1,-1] = 0 from a row of zeros of its own (``_steps``), not from a buffer.
+    A cost that overflows float64 is +inf (its kernel value exactly 0) without a warning, and since
+    every cost is non-negative no NaN arises.
+    """
+    pairs = n.size
+    ends = (n + m - 2).tolist()
+    # pairs by end diagonal, stably; sorted, not np.argsort, whose first call in a process raised a cold
+    # Gram's peak RSS by about 0.5 MB (the sort code it pages in)
+    order = sorted(range(pairs), key=ends.__getitem__)
+    flat, ended = n[order] * pairs + order, np.empty(pairs)
+    finishing, a = [None] * (ends[order[-1]] + 1), 0
+    for b in range(1, pairs + 1):
+        if b == pairs or ends[order[b]] != ends[order[a]]:
+            finishing[ends[order[a]]] = flat[a:b], ended[a:b]
+            a = b
+    buffers.fill(np.inf)
+    subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
+    with np.errstate(over="ignore"):
+        for (q, e, cost, band, left, up, diag, cur), at in zip(steps, finishing):
+            subtract(q, e, cost)
+            multiply(cost, cost, cost)
+            minimum(left, up, out=band)
+            minimum(band, diag, out=band)
+            add(cost, band, band)
+            if at is not None:
+                cur.take(at[0], None, at[1], "clip")
+    out = np.empty(pairs)
+    out[order] = ended
     return out
 
 
-def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) -> np.ndarray:
+def _kept_wavefront(kept, queries, qi, flipped, ri, rows, cols):
+    """The kept wavefront of a describe, checked out of the seen set's one-entry slot ``kept``, with
+    the query columns ``qi`` of ``queries`` (cut to ``rows`` rows) copied into its query block; None
+    when it would hold more than ``_KEPT_BYTES``.
+
+    The entry is (key, capacity, query block, steps, buffers), keyed by the reference columns ``ri``,
+    which fix its reference block, and built for at least ``rows`` query rows: a longer query
+    replaces it with one of its own length.  A shorter query leaves stale, finite values in the
+    rows past its end, which only padded cells read.  While a describe runs the entry, it is out of
+    the slot, so a concurrent describe finds the slot empty and builds its own; the caller puts it
+    back with ``kept.append``, and the slot holds one entry at most.
+    """
+    pairs, key = ri.size, ri.tobytes()
+    if 8 * (5 * rows + cols + 4) * pairs + (rows + cols) * _STEP_BYTES > _KEPT_BYTES:
+        return None
+    with suppress(IndexError):
+        entry = kept.pop()
+        if entry[0] == key and entry[1] >= rows:
+            entry[2][:rows] = queries[:, qi]
+            return entry
+    q = queries.take(qi, axis=1)
+    steps, buffers = _wavefront(q, flipped.take(ri, axis=1))
+    return key, rows, q, list(steps), buffers
+
+
+def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri, kept=None) -> np.ndarray:
     """DTW cost of each pair (column qi[k] of ``queries``, column ri[k] of ``references``), as ``dtw`` defines it.
 
     Both blocks are zero-padded ``steps x series`` blocks with their
@@ -197,9 +254,16 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) 
     sizes differ by at most one and no short tail chunk pays for a full
     diagonal sweep.  Each chunk gathers its query columns from the rows up
     to the longest query and its reference columns from the rows up to the
-    longest reference, read flipped, and runs one ``_wavefront`` on them.
-    Entry k does not depend on the other pairs, their order, or how they
-    are chunked.
+    longest reference, read flipped, and sweeps its wavefront as its steps
+    are made (``_wavefront``, ``_sweep``).  A describe passes its seen
+    set's one-entry slot ``kept`` (a ``collections.deque(maxlen=1)`` on the
+    ``Dataset`` whose packed block is ``references``): its wavefront is
+    then built once and kept there, and each later describe with the same
+    reference columns only copies its query in and sweeps the kept steps
+    (``_kept_wavefront``), while its pairs fit one chunk and the entry
+    holds at most ``_KEPT_BYTES``.  Entry k does not depend on the other
+    pairs, their order, how they are chunked or whether the steps were
+    kept.
     """
     n, m = query_lengths[qi], reference_lengths[ri]
     if not n.size:
@@ -207,8 +271,14 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri) 
     rows, cols = int(n.max()), int(m.max())
     queries, flipped = queries[:rows], references[cols - 1::-1]
     chunks = -(-n.size // max(1, _WAVEFRONT_ELEMENTS // (5 * rows + cols + 4)))
+    if kept is not None and chunks == 1:
+        entry = _kept_wavefront(kept, queries, qi, flipped, ri, rows, cols)
+        if entry is not None:
+            out = _sweep(*entry[3:], n, m)
+            kept.append(entry)
+            return out
     return np.concatenate([
-        _wavefront(queries.take(q, axis=1), query_lengths[q], flipped.take(r, axis=1), reference_lengths[r])
+        _sweep(*_wavefront(queries.take(q, axis=1), flipped.take(r, axis=1)), query_lengths[q], reference_lengths[r])
         for q, r in zip(np.array_split(qi, chunks), np.array_split(ri, chunks))
     ])
 
@@ -221,7 +291,7 @@ def dtw(a, b) -> float:
     root).  It is bit-identical to a scalar double-loop DP with
     D[i,j] = fl((a_i - b_j)^2 + min(neighbours)), and so is every cost
     ``_dtw_columns`` returns, however its pairs are chunked: the pair is
-    packed into one block (``pack``) and run there, and ``_wavefront`` is
+    packed into one block (``pack``) and run there, and ``_sweep`` is
     the package's only DTW dynamic program.
     """
     series = [np.asarray(s, dtype=np.float64) for s in (a, b)]
@@ -291,8 +361,13 @@ def check_bandwidths(bandwidths, dims: int, error: type[Exception] = DataError) 
 
 def _median_bandwidth(distances: np.ndarray, dim: int) -> float:
     """The median off-diagonal DTW cost of one dimension of at least 2 sequences (``median_of_sorted`` of
-    the sorted upper triangle); 1.0, with a warning, when it is not positive."""
-    med = median_of_sorted(np.sort(distances[np.triu_indices(distances.shape[0], k=1)]))
+    the sorted upper triangle); 1.0, with a warning, when it is not positive, and a DataError when it is
+    +inf, as it is when the costs of at least half the pairs overflow."""
+    with np.errstate(over="ignore"):  # the two middle costs may be finite and sum past float64
+        med = median_of_sorted(np.sort(distances[np.triu_indices(distances.shape[0], k=1)]))
+    if not np.isfinite(med):
+        raise DataError(f"dimension {dim}: the median DTW cost overflows float64; rescale the data "
+                        f"or pass a fixed bandwidth")
     if med <= 0.0:
         warnings.warn(
             f"dimension {dim}: all pairwise DTW distances are zero, falling back to bandwidth 1.0"

@@ -136,6 +136,27 @@ def test_bad_bandwidth_is_usage_error(tmp_path):
                  "--bandwidth", "wide"]) == 1
 
 
+@pytest.mark.parametrize("bandwidth, code", [("40", 0), ("median", 2)], ids=["fixed", "median"])
+def test_kernels_on_overflowing_dtw_costs(tmp_path, capsys, bandwidth, code):
+    """A seen value of 1e200 is finite, so the manifest loads, and its squared differences overflow: those
+    costs are +inf and their kernel values 0 with no RuntimeWarning (tier-1 makes one an error); under
+    "median", where two of dimension 0's three costs are +inf, the median is a data error naming it."""
+    records = []
+    for i, scale in enumerate([1.0, 1.0, 1e200]):
+        steps = [(scale * t / 7 + i, (7 - t) / 7 + i) for t in range(8)]
+        (tmp_path / f"s{i}.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in steps))
+        records.append(json.dumps({"id": f"s{i}", "path": f"s{i}.csv", "label": min(i, 1)}) + "\n")
+    (tmp_path / "m.jsonl").write_text("".join(records))
+    assert _run(["kernels", "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "k", "--bandwidth", bandwidth]) \
+        == code
+    err = capsys.readouterr().err
+    if code:
+        _one_error_line(err, "data error: dimension 0: the median DTW cost overflows float64")
+        assert not (tmp_path / "k" / "meta.json").exists()
+    else:
+        assert "Warning" not in err and read_json(tmp_path / "k" / "meta.json")["bandwidths"] == [40.0, 40.0]
+
+
 def test_report_renders_eval_directory(tmp_path, capsys):
     (tmp_path / "score.json").write_text(json.dumps({
         "ce": 0.25, "nmi": 0.5, "num_clusters": 2, "num_classes": 2, "contingency": [[3, 1], [1, 3]],

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,6 +294,30 @@ def test_median_bandwidth_is_np_median_of_the_off_diagonal_costs():
             assert np.float64(got).tobytes() == np.float64(expected if expected > 0.0 else 1.0).tobytes()
 
 
+def test_overflowing_dtw_costs_are_inf_and_their_kernel_values_zero():
+    """A finite value of 1e200 squares past float64: its DTW costs are +inf, with no warning (tier-1 makes
+    a RuntimeWarning an error), and its kernel values exactly 0; under "median", a dimension whose median
+    cost is +inf is a DataError that names it."""
+    ramp = np.linspace(0.0, 1.0, 8)
+    seqs = [np.vstack([ramp * scale + i, ramp[::-1] + i]) for i, scale in enumerate([1.0, 1.0, 1e200])]
+    ds = _dataset(seqs, labels=[0, 1, 1])
+    assert dtw([1e200], [-1e200]) == np.inf
+    d = pairwise_dtw(ds)
+    assert d[0, 2, :2].tolist() == d[0, :2, 2].tolist() == [np.inf, np.inf] and np.isfinite(d[1]).all()
+    ks = build_kernelset(ds, bandwidth=40.0)
+    assert all(np.isfinite(k).all() for k in ks.kernels)
+    z = TimeSeries(id="z", values=seqs[2])
+    cross = _all_values(cross_kernel(ds, z, ks.bandwidths), ds)
+    assert cross[0].tolist() == [0.0, 0.0, 1.0] and (cross[1] > 0).all()
+    with pytest.raises(DataError, match="^dimension 0: the median DTW cost overflows float64"):
+        build_kernelset(ds)
+    assert kernels._median_bandwidth(np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 5.0], [1e308, 5.0, 0.0]]), 1) \
+        == 1e308
+    with pytest.raises(DataError, match="^dimension 3: "):  # two finite middle costs whose sum overflows
+        kernels._median_bandwidth(np.array([[0.0, 1e308, 0.0, 0.0], [1e308, 0.0, 1e308, 1e308],
+                                            [0.0, 1e308, 0.0, 1e308], [0.0, 1e308, 1e308, 0.0]]), 3)
+
+
 @pytest.mark.parametrize("bandwidth", [-5.0, 0.0, np.nan, np.inf])
 def test_bad_fixed_bandwidth_is_data_error(tmp_path, rng, bandwidth):
     ds = _dataset([rng.normal(size=(2, 6)) for _ in range(3)])
@@ -494,16 +519,16 @@ def test_pairwise_dtw_chunks_across_dimensions_equal_per_pair_reference(rng, mon
 @pytest.mark.parametrize("budget", [None, 100], ids=["default-budget", "pair-over-budget"])
 def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
     # 4 x 6 seen sequences of 2 dims, lengths 60-90: 552 pairs, more than one chunk holds at the default
-    seen, _, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=4, num_unseen_classes=2, dims=2,
-                                           length_range=(60, 90), samples_per_class=6))
+    seen, unseen, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=4, num_unseen_classes=2, dims=2,
+                                                length_range=(60, 90), samples_per_class=6))
     if budget is not None:  # below one pair's working set: every chunk holds one pair
         monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", budget)
-    calls = []  # (rows, pairs, cols) of every _wavefront call
+    calls = []  # (rows, pairs, cols) of every wavefront built
     wavefront = kernels._wavefront
 
-    def spy(q, n, e, m):
+    def spy(q, e):
         calls.append((*q.shape, e.shape[0]))
-        return wavefront(q, n, e, m)
+        return wavefront(q, e)
 
     monkeypatch.setattr(kernels, "_wavefront", spy)
     d = pairwise_dtw(seen)
@@ -512,8 +537,44 @@ def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
     assert max(sizes) - min(sizes) <= 1
     for rows, pairs, cols in calls:
         assert pairs == 1 or (5 * rows + cols + 4) * pairs <= kernels._WAVEFRONT_ELEMENTS
+    # the kept wavefront: describes of all 48 pairs keep one entry, and only while it fits one chunk
+    calls.clear()
+    for z in unseen.sequences:
+        _all_values(cross_kernel(seen, z, np.full(2, 40.0)), seen)
+    assert len(seen._wavefront) == (budget is None)
+    for rows, pairs, cols in calls:
+        assert pairs == 1 or (5 * rows + cols + 4) * pairs <= kernels._WAVEFRONT_ELEMENTS
+    if budget is None:  # one build per query longer than every query before it
+        longest = np.maximum.accumulate([z.length for z in unseen.sequences])
+        assert len(calls) == 1 + np.count_nonzero(np.diff(longest))
     monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 1 << 30)  # one chunk
     assert _bits(pairwise_dtw(Dataset(seen.sequences))) == _bits(d)
+
+
+@pytest.mark.parametrize("seen_classes", [4, 14], ids=["kept", "too-large-to-keep"])
+def test_kept_wavefront_holds_at_most_half_a_megabyte(seen_classes):
+    """A describe keeps one wavefront entry on its seen set, of at most 512 KiB as tracemalloc counts it
+    (2 dims x 6 samples per class, lengths 60-90: 48 pairs are kept, 168 pairs are not), and its
+    values equal those of a describe that keeps nothing."""
+    seen, unseen, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=seen_classes, num_unseen_classes=2,
+                                                dims=2, length_range=(60, 90), samples_per_class=6))
+    z, bandwidths = max(unseen.sequences, key=lambda s: s.length), np.full(2, 40.0)
+    expected = [np.exp(-np.array([dtw(z.dim(l), s.dim(l)) for s in seen.sequences]) / 40.0) for l in range(2)]
+    _all_values(cross_kernel(Dataset(seen.sequences), z, bandwidths), seen)  # numpy's first-call state
+    fresh = Dataset(seen.sequences)
+    fresh.packed()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = _all_values(cross_kernel(fresh, z, bandwidths), fresh)
+        kept = tracemalloc.get_traced_memory()[0] - before - got.nbytes
+    finally:
+        tracemalloc.stop()
+    assert _bits(got) == _bits(expected)
+    assert len(fresh._wavefront) == (seen_classes == 4)
+    assert kept <= (kernels._KEPT_BYTES if seen_classes == 4 else 4096)
+    _all_values(cross_kernel(fresh, z, bandwidths), fresh)
+    assert len(fresh._wavefront) <= 1
 
 
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):

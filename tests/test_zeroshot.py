@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import inspect
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -466,6 +468,86 @@ def test_two_dictionaries_described_in_turn_keep_their_own_state(monkeypatch):
     assert dataclasses.replace(other)._describe == {} != other._describe
 
 
+def _wavefronts_built(monkeypatch):
+    """The (rows, pairs) of every DTW wavefront built (``kernels._wavefront``), one list entry per build."""
+    built, wavefront = [], kernels._wavefront
+    monkeypatch.setattr(kernels, "_wavefront", lambda q, e: built.append(q.shape) or wavefront(q, e))
+    return built
+
+
+def test_describes_reuse_the_kept_wavefront_and_equal_describes_on_a_fresh_seen_set(monkeypatch):
+    """Describes against one seen set keep one wavefront on it: in order of rising query length each longer
+    query grows it, the shorter queries after the longest reuse it, and two dictionaries described in turn,
+    whose reference columns differ, rebuild it at each switch.  Every output byte equals a describe against
+    a fresh seen set of the same sequences, which keeps nothing yet."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    other = train(seen, ks, TrainConfig(k=4, t_x=2, t_a=3, t_beta=1, max_iters=10, tol=1e-7, seed=8)).dictionary
+    models, labels = (result.dictionary, other), seen.labels()
+    assert np.array(_support(models[0])).tobytes() != np.array(_support(models[1])).tobytes()  # other seen columns
+    fresh = [[_described(d, ks, mtsdata.Dataset(seen.sequences), z, labels, fresh=True) for z in unseen.sequences]
+             for d in models]
+    lengths = [z.length for z in unseen.sequences]
+    rising = sorted(range(len(unseen)), key=lengths.__getitem__)
+    built = _wavefronts_built(monkeypatch)
+    for i in rising + rising[::-1]:
+        assert _described(result.dictionary, ks, seen, unseen.sequences[i], labels, fresh=False) == fresh[0][i]
+    assert [rows for rows, _ in built] == sorted(set(lengths))
+    built.clear()
+    for i in rising[::-1]:
+        for d, expected in zip(models, fresh):
+            assert _described(d, ks, seen, unseen.sequences[i], labels, fresh=False) == expected[i]
+    assert len(built) == 2 * len(unseen) - 1 and len(seen._wavefront) == 1
+
+
+def test_concurrent_describes_against_one_seen_set_equal_serial_describes(monkeypatch):
+    """Four threads describing different queries against one seen set give the bytes of serial describes.  A
+    describe checks the kept wavefront out of its slot while it sweeps: thread 0 holds it in its first sweep
+    until thread 1 has described once, which so builds its own, and then all run on, switching every
+    microsecond.  The slot keeps one entry at most."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    d, labels = result.dictionary, seen.labels()
+    serial = [_described(d, ks, seen, z, labels, fresh=False) for z in unseen.sequences]
+    built = _wavefronts_built(monkeypatch)
+    workers = 4
+    got, errors, holding, described = [[] for _ in range(workers)], [], threading.Event(), threading.Event()
+    sweep = kernels._sweep
+
+    def sweep_after_thread_1(*args):
+        if threading.current_thread() is threads[0] and not holding.is_set():
+            holding.set()
+            described.wait(60)
+        return sweep(*args)
+
+    def describe_every_fourth(t):
+        try:
+            if t == 1:
+                holding.wait(60)
+            for _ in range(5):
+                for z in unseen.sequences[t::workers]:
+                    got[t].append(_described(d, ks, seen, z, labels, fresh=False))
+                    if t == 1:
+                        described.set()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    monkeypatch.setattr(kernels, "_sweep", sweep_after_thread_1)
+    threads = [threading.Thread(target=describe_every_fourth, args=(t,)) for t in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and described.is_set()
+    for t in range(workers):
+        assert got[t] == serial[t::workers] * 5
+    assert built and len(seen._wavefront) == 1
+
+
 def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng, monkeypatch):
     """An in-place update of A or B, as training makes, and another kernel set each replace the dictionary's
     describe state, need mask and code solver, once; the codes, at this t_x and another, equal those from an
@@ -633,8 +715,8 @@ def test_training_never_reads_the_describe_memo(monkeypatch):
 
 def test_no_stage_module_binds_a_module_level_container():
     """nqp, mkd, ioutil, kernels, mtsdata and zeroshot bind no module-level dict, list or set.  A seen set's
-    packed block lives on its ``Dataset``, and a describe's dictionary-side terms on the ``Dictionary``,
-    freed with them."""
+    packed block and kept DTW wavefront live on its ``Dataset``, and a describe's dictionary-side terms on the
+    ``Dictionary``, freed with them."""
 
     def containers(module):
         literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
