@@ -38,7 +38,7 @@ from .kernels import (
 from .mkd import Dictionary, TrainConfig, train
 from .mtsdata import Dataset, SynthConfig, check_ids, save_dataset, synth_dataset
 from .zeroshot import (
-    DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, check_threshold, encode, encoding_matrix,
+    DEFAULT_THRESHOLD, EncodingMatrix, ReconstructionReport, check_threshold, encode, encoding_matrix, prepare,
     reconstruction_report,
 )
 
@@ -241,19 +241,23 @@ class Description(NamedTuple):
 def describe(seen: Dataset, ks: KernelSet, d: Dictionary, unseen: Dataset, t_x: int, threshold: float) -> list[Description]:
     """Code, encode and score every unseen sequence against a trained dictionary.
 
-    Per sequence, in order: ``cross_kernel``, ``encode``, ``encoding_matrix``
-    and ``reconstruction_report``, called through this module's names so
-    that instrumentation rebinding them (perfbench) sees every call.  The
-    seen set must be labeled; ``encode`` checks that the model, ``ks`` and
-    the cross kernels come from one seen set, and ``mkd.code_solver`` checks ``t_x``.
+    First ``zeroshot.prepare`` checks the inputs and builds the dictionary's
+    describe state for the unseen sequences' lengths, so no describe pays
+    for set-up.  Then per sequence, in order: ``cross_kernel``, ``encode``,
+    ``encoding_matrix`` and ``reconstruction_report`` (given the R just
+    built), called through this module's names so that instrumentation
+    rebinding them (perfbench) sees every call.  The seen set must be
+    labeled; the model, ``ks`` and the cross kernels must come from one
+    seen set, and ``mkd.code_solver`` checks ``t_x``.
     """
     labels = seen.labels()
+    prepare(d, ks, seen, labels, t_x, threshold, [seq.length for seq in unseen.sequences])
     out = []
     for seq in unseen.sequences:
         ck = cross_kernel(seen, seq, ks.bandwidths)
         x = encode(d, ks, ck, t_x)
         enc = encoding_matrix(d, x, seq.id)
-        out.append(Description(seq.id, x, enc, reconstruction_report(d, ks, ck, x, labels, threshold)))
+        out.append(Description(seq.id, x, enc, reconstruction_report(d, ks, ck, x, labels, threshold, r=enc.values)))
     return out
 
 

@@ -16,6 +16,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,22 +67,24 @@ class KernelSet:
 class CrossKernel:
     """Kernel values between every seen sequence and one unseen sequence, per dimension, computed on demand.
 
-    ``values(need)`` runs DTW only on the (dimension, row) pairs that the
-    f x N mask ``need`` asks for and that are not known yet, all in one
+    ``values(need, kept)`` runs DTW only on the (dimension, row) pairs that
+    the f x N mask ``need`` asks for and that are not known yet, all in one
     wavefront run on the query's rows and the seen set's packed block
-    (``Dataset.packed``), and keeps them.  The seen set also keeps that
-    wavefront, its band views and buffers, keyed by the seen columns it
-    reads: every query of one dictionary reads the same columns, so each
-    later describe only copies its rows in and sweeps (``_dtw_columns``).
-    Every value is the one the full computation gives, bit for bit.  The
-    unseen sequence's self-kernel is 1 in every dimension, since its DTW
-    cost against itself is 0.
+    (``Dataset.packed``), and keeps them.  ``kept`` is the one-entry
+    wavefront slot of the describe state whose mask ``need`` is
+    (``zeroshot._dictionary_side``): every query of one dictionary reads
+    the same seen columns, so a describe's first call, which computes every
+    needed pair, only copies its rows into the wavefront kept there and
+    sweeps (``_dtw_columns``).  Every value is the one the full computation
+    gives, bit for bit.  The unseen sequence's self-kernel is 1 in every
+    dimension, since its DTW cost against itself is 0.
     """
 
     def __init__(self, seen: Dataset, z: TimeSeries, bandwidths: np.ndarray):
         self._pairs = (seen, z, bandwidths)
         self._values = np.zeros((seen.dims, len(seen)))
         self._known = np.zeros(self._values.shape, dtype=bool)
+        self._swept = False
         self.self_k = np.ones(seen.dims)
         self.dataset_hash = seen.hash()
 
@@ -89,8 +92,10 @@ class CrossKernel:
     def dims(self) -> int:
         return len(self._values)
 
-    def values(self, need: np.ndarray) -> np.ndarray:
-        """f x N values at the entries where the f x N mask ``need`` is True, and 0 elsewhere."""
+    def values(self, need: np.ndarray, kept=None) -> np.ndarray:
+        """f x N values at the entries where the f x N mask ``need`` is True, and 0 elsewhere; the slot
+        ``kept`` of ``need``'s describe state is swept only by the first call that computes anything, whose
+        missing pairs are all of ``need``'s."""
         need = np.asarray(need, dtype=bool)
         if need.shape != self._values.shape:
             raise ValueError(f"need mask has shape {need.shape}, expected {self._values.shape}")
@@ -99,9 +104,10 @@ class CrossKernel:
             seen, z, bandwidths = self._pairs
             dims, rows = missing.nonzero()
             dists = _dtw_columns(z.values.T, np.full(z.dims, z.length), dims, *seen.packed(), dims * len(seen) + rows,
-                                 seen._wavefront)
+                                 None if self._swept else kept)
             self._values[dims, rows] = np.exp(-dists / bandwidths[dims])
             self._known |= missing
+            self._swept = True
         return np.where(need, self._values, 0.0)
 
 
@@ -117,14 +123,18 @@ class CrossKernel:
 # 1.1 MiB, faster there but not on 24 series of 3 dims (828 pairs), and
 # 1 << 16 runs 5 chunks, slower on both.  The bytes are the same at every value.
 _WAVEFRONT_ELEMENTS = 1 << 17
-# A describe keeps its wavefront on the seen set (``_kept_wavefront``) only
-# while the kept entry holds at most 512 KiB, counted as 8 bytes per working
-# set value and ``_STEP_BYTES`` per diagonal for its step, seven array views and
-# a tuple (0.9-1.0 KB by tracemalloc, numpy 2.4 on 64-bit CPython).  Measured
-# the same way, a describe of 24 pairs at 89 rows by 87 columns keeps 0.26 MB,
-# and one of 48 pairs at 89 by 88 keeps 0.39 MB.
+# A describe keeps its wavefront in its dictionary's describe state (``_kept_wavefront``)
+# only while the kept entry holds at most 512 KiB, counted as 8 bytes per working
+# set value, ``_STEP_BYTES`` per diagonal for its step, seven array views and a
+# tuple (0.9-1.0 KB by tracemalloc, numpy 2.4 on 64-bit CPython), and its
+# end-diagonal schedules (``_schedule``), each counted as 8 bytes per diagonal and
+# ``_GROUP_BYTES`` per pair, the most a group of pairs that end on one diagonal
+# holds per pair (a tuple of two array views, 0.25 KB, when every pair ends alone).
+# Measured the same way, a describe of 24 pairs at 89 rows by 87 columns keeps
+# 0.26 MB, and one of 48 pairs at 89 by 88 keeps 0.39 MB, before their schedules.
 _KEPT_BYTES = 1 << 19
 _STEP_BYTES = 1100
+_GROUP_BYTES = 300
 
 
 def _wavefront(q: np.ndarray, e: np.ndarray) -> tuple:
@@ -167,9 +177,30 @@ def _steps(q, e, scratch, buffers):
                prev[lo + 1: hi + 1], prev[lo:hi], prevprev[lo:hi] if d else origin, cur)
 
 
-def _sweep(steps, buffers, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """DTW end cells of every column pair (q[:n[k], k], r_k[:m[k]]) of the blocks that ``steps`` and
-    ``buffers`` came from (``_wavefront``), running the steps up to the last pair's end.
+def _schedule(n: np.ndarray, m: np.ndarray) -> tuple:
+    """The end-diagonal schedule of the column pairs (q[:n[k], k], r_k[:m[k]]) that ``_sweep`` runs: for
+    each diagonal up to the last pair's end, None or the flat indices in the current buffer of the pairs
+    that end on it and their slots in one output array; the pairs in that order; and that output array.
+
+    Pairs are grouped by end diagonal stably; sorted, not np.argsort, whose first call in a process raised
+    a cold Gram's peak RSS by about 0.5 MB (the sort code it pages in).  The schedule depends only on the
+    lengths, so a describe keeps it per query length (``_dtw_columns``)."""
+    pairs = n.size
+    ends = (n + m - 2).tolist()
+    order = sorted(range(pairs), key=ends.__getitem__)
+    flat, ended = n[order] * pairs + order, np.empty(pairs)
+    finishing, a = [None] * (ends[order[-1]] + 1), 0
+    for b in range(1, pairs + 1):
+        if b == pairs or ends[order[b]] != ends[order[a]]:
+            finishing[ends[order[a]]] = flat[a:b], ended[a:b]
+            a = b
+    return finishing, np.array(order, dtype=np.intp), ended
+
+
+def _sweep(steps, buffers, schedule) -> np.ndarray:
+    """DTW end cells of every column pair of the blocks that ``steps`` and ``buffers`` came from
+    (``_wavefront``), in the pairs' order, running the steps up to the last pair's end along
+    ``schedule`` (``_schedule`` of the pairs' lengths).
 
     Each diagonal is five array operations: subtract and square give the local costs, two minimums
     the best neighbour, and an add the cells, each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around
@@ -190,17 +221,7 @@ def _sweep(steps, buffers, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     A cost that overflows float64 is +inf (its kernel value exactly 0) without a warning, and since
     every cost is non-negative no NaN arises.
     """
-    pairs = n.size
-    ends = (n + m - 2).tolist()
-    # pairs by end diagonal, stably; sorted, not np.argsort, whose first call in a process raised a cold
-    # Gram's peak RSS by about 0.5 MB (the sort code it pages in)
-    order = sorted(range(pairs), key=ends.__getitem__)
-    flat, ended = n[order] * pairs + order, np.empty(pairs)
-    finishing, a = [None] * (ends[order[-1]] + 1), 0
-    for b in range(1, pairs + 1):
-        if b == pairs or ends[order[b]] != ends[order[a]]:
-            finishing[ends[order[a]]] = flat[a:b], ended[a:b]
-            a = b
+    finishing, order, ended = schedule
     buffers.fill(np.inf)
     subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
     with np.errstate(over="ignore"):
@@ -212,34 +233,81 @@ def _sweep(steps, buffers, n: np.ndarray, m: np.ndarray) -> np.ndarray:
             add(cost, band, band)
             if at is not None:
                 cur.take(at[0], None, at[1], "clip")
-    out = np.empty(pairs)
+    out = np.empty(order.size)
     out[order] = ended
     return out
 
 
-def _kept_wavefront(kept, queries, qi, flipped, ri, rows, cols):
-    """The kept wavefront of a describe, checked out of the seen set's one-entry slot ``kept``, with
-    the query columns ``qi`` of ``queries`` (cut to ``rows`` rows) copied into its query block; None
-    when it would hold more than ``_KEPT_BYTES``.
+class _Kept(NamedTuple):
+    """A describe's kept wavefront (``_kept_wavefront``)."""
 
-    The entry is (key, capacity, query block, steps, buffers), keyed by the reference columns ``ri``,
-    which fix its reference block, and built for at least ``rows`` query rows: a longer query
-    replaces it with one of its own length.  A shorter query leaves stale, finite values in the
-    rows past its end, which only padded cells read.  While a describe runs the entry, it is out of
-    the slot, so a concurrent describe finds the slot empty and builds its own; the caller puts it
-    back with ``kept.append``, and the slot holds one entry at most.
+    capacity: int  # query rows its steps cover
+    q: np.ndarray  # its query block, capacity x pairs
+    steps: list  # its steps (``_steps``)
+    buffers: np.ndarray  # its diagonal buffers
+    schedules: dict  # query length -> ``_schedule`` of the describe's pairs at that length
+    room: int  # most schedules kept within ``_KEPT_BYTES``
+
+
+def _kept_wavefront(kept, rows, references, reference_lengths, ri):
+    """The wavefront of a describe's pairs (its query column k against column ri[k] of the packed
+    ``references``), checked out of its describe state's one-entry slot ``kept`` when the entry there
+    covers ``rows`` query rows, else built for ``rows`` rows; None, leaving the slot as it was, when it
+    would need more than one chunk or hold more than ``_KEPT_BYTES``.
+
+    The entry is a ``_Kept``.  The slot lives beside the mask that fixes ``ri``, so the entry is not
+    keyed by it; a longer query replaces it with one of its own length.  The query block starts as
+    zeros, and a shorter query leaves stale, finite values in the rows past its end, which only padded
+    cells read.  Its ``schedules`` (``_kept_schedule``) stay within ``_KEPT_BYTES``.  While a describe
+    runs the entry, it is out of the slot, so a concurrent describe finds the slot empty and builds its
+    own; the caller puts it back with ``kept.append``, and the slot holds one entry at most.
     """
-    pairs, key = ri.size, ri.tobytes()
-    if 8 * (5 * rows + cols + 4) * pairs + (rows + cols) * _STEP_BYTES > _KEPT_BYTES:
-        return None
+    entry = None
     with suppress(IndexError):
         entry = kept.pop()
-        if entry[0] == key and entry[1] >= rows:
-            entry[2][:rows] = queries[:, qi]
+        if entry.capacity >= rows:
             return entry
-    q = queries.take(qi, axis=1)
-    steps, buffers = _wavefront(q, flipped.take(ri, axis=1))
-    return key, rows, q, list(steps), buffers
+    pairs, cols = ri.size, int(reference_lengths[ri].max())
+    work = 5 * rows + cols + 4
+    held = 8 * work * pairs + (rows + cols) * _STEP_BYTES
+    if pairs > max(1, _WAVEFRONT_ELEMENTS // work) or held > _KEPT_BYTES:
+        if entry is not None:
+            kept.append(entry)
+        return None
+    q = np.zeros((rows, pairs))
+    steps, buffers = _wavefront(q, references[cols - 1::-1].take(ri, axis=1))
+    return _Kept(rows, q, list(steps), buffers, {}, (_KEPT_BYTES - held) // (8 * (rows + cols) + _GROUP_BYTES * pairs))
+
+
+def _kept_schedule(entry, rows: int, n: np.ndarray, m: np.ndarray) -> tuple:
+    """The ``_schedule`` of a describe's pairs, whose query lengths ``n`` all equal ``rows``, kept in the
+    wavefront entry (``_kept_wavefront``) per query length: at most ``room`` of them, the oldest dropped
+    first."""
+    schedules = entry.schedules
+    schedule = schedules.get(rows)
+    if schedule is None:
+        schedule = _schedule(n, m)
+        if entry.room:
+            if len(schedules) >= entry.room:
+                del schedules[next(iter(schedules))]
+            schedules[rows] = schedule
+    return schedule
+
+
+def keep_wavefront(seen: Dataset, need: np.ndarray, kept, lengths) -> None:
+    """Make ready, in the describe slot ``kept`` of the f x N mask ``need``, what describes of queries of
+    the given ``lengths`` against ``seen`` sweep (``CrossKernel.values``): the wavefront, kept there when
+    it covers the longest, else built for it (``_kept_wavefront``), unless it is too large to keep, and
+    the schedules of the lengths in order of first appearance, as many as it keeps.  It runs no DTW."""
+    dims, cols = np.nonzero(need)
+    if dims.size:
+        references, reference_lengths = seen.packed()
+        ri = dims * len(seen) + cols
+        entry = _kept_wavefront(kept, max(lengths), references, reference_lengths, ri)
+        if entry is not None:
+            for rows in list(dict.fromkeys(lengths))[:entry.room]:
+                _kept_schedule(entry, rows, np.full(ri.size, rows), reference_lengths[ri])
+            kept.append(entry)
 
 
 def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri, kept=None) -> np.ndarray:
@@ -255,30 +323,34 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri, 
     diagonal sweep.  Each chunk gathers its query columns from the rows up
     to the longest query and its reference columns from the rows up to the
     longest reference, read flipped, and sweeps its wavefront as its steps
-    are made (``_wavefront``, ``_sweep``).  A describe passes its seen
-    set's one-entry slot ``kept`` (a ``collections.deque(maxlen=1)`` on the
-    ``Dataset`` whose packed block is ``references``): its wavefront is
-    then built once and kept there, and each later describe with the same
-    reference columns only copies its query in and sweeps the kept steps
+    are made (``_wavefront``, ``_sweep``).  A describe of one query passes
+    its describe state's one-entry slot ``kept`` (a
+    ``collections.deque(maxlen=1)``): its wavefront is then built once, or
+    before the first query (``keep_wavefront``), and kept there, and each
+    later describe only copies its query in and sweeps the kept steps
     (``_kept_wavefront``), while its pairs fit one chunk and the entry
-    holds at most ``_KEPT_BYTES``.  Entry k does not depend on the other
-    pairs, their order, how they are chunked or whether the steps were
-    kept.
+    holds at most ``_KEPT_BYTES``.  Its pairs share the query's length, so
+    the entry also keeps their schedule per query length.  Entry k does
+    not depend on the other pairs, their order, how they are chunked or
+    whether the steps were kept.
     """
-    n, m = query_lengths[qi], reference_lengths[ri]
+    n = query_lengths[qi]
     if not n.size:
         return np.empty(0)
-    rows, cols = int(n.max()), int(m.max())
+    rows = int(n.max())
+    entry = None if kept is None else _kept_wavefront(kept, rows, references, reference_lengths, ri)
+    if entry is not None:
+        entry.q[:rows] = queries[:rows, qi]
+        out = _sweep(entry.steps, entry.buffers, _kept_schedule(entry, rows, n, reference_lengths[ri]))
+        kept.append(entry)
+        return out
+    m = reference_lengths[ri]
+    cols = int(m.max())
     queries, flipped = queries[:rows], references[cols - 1::-1]
     chunks = -(-n.size // max(1, _WAVEFRONT_ELEMENTS // (5 * rows + cols + 4)))
-    if kept is not None and chunks == 1:
-        entry = _kept_wavefront(kept, queries, qi, flipped, ri, rows, cols)
-        if entry is not None:
-            out = _sweep(*entry[3:], n, m)
-            kept.append(entry)
-            return out
     return np.concatenate([
-        _sweep(*_wavefront(queries.take(q, axis=1), flipped.take(r, axis=1)), query_lengths[q], reference_lengths[r])
+        _sweep(*_wavefront(queries.take(q, axis=1), flipped.take(r, axis=1)),
+               _schedule(query_lengths[q], reference_lengths[r]))
         for q, r in zip(np.array_split(qi, chunks), np.array_split(ri, chunks))
     ])
 
@@ -351,9 +423,13 @@ def check_bandwidth(bandwidth, error: type[Exception] = DataError) -> float | st
 
 def check_bandwidths(bandwidths, dims: int, error: type[Exception] = DataError) -> np.ndarray:
     """``bandwidths`` as a float vector of ``dims`` entries, each a positive, finite number, not a bool or a
-    string, as a fixed bandwidth must be (``check_number``); else ``error``."""
+    string, as a fixed bandwidth must be (``check_number``); else ``error``.  A float64 vector, as a kernel
+    set holds, is tested in one pass; any other input, or one that fails that test, entry by entry."""
     if np.shape(bandwidths) != (dims,):
         raise error("bandwidth vector does not match the dimension count")
+    if isinstance(bandwidths, np.ndarray) and bandwidths.dtype == np.float64 and (
+            (bandwidths > 0.0) & (bandwidths < np.inf)).all():
+        return bandwidths.copy()
     with suppress(ValueError):
         return np.array([check_number("bandwidth", b) for b in bandwidths])
     raise error(f"bandwidths must be positive and finite, got {np.asarray(bandwidths, dtype=object).tolist()}")

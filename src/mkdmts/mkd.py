@@ -40,9 +40,9 @@ class Dictionary:
     """Sample weights A (N x k) and dimension weights B (f x k) of k atoms.
 
     ``_describe`` is ``zeroshot``'s: the dictionary-side terms of a describe
-    (``zeroshot._dictionary_side``).  It is outside ``__init__``, ``repr`` and
-    equality, so ``load_model`` and ``dataclasses.replace`` give an empty one,
-    and training never reads it.
+    and its kept DTW wavefront (``zeroshot._dictionary_side``).  It is
+    outside ``__init__``, ``repr`` and equality, so ``load_model`` and
+    ``dataclasses.replace`` give an empty one, and training never reads it.
     """
 
     sample_weights: np.ndarray

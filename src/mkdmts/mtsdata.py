@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,16 +80,12 @@ class Dataset:
 
     Ids pass ``check_ids``.  Labels are optional here; whatever needs them
     reads them through ``labels``, which rejects an unlabeled sequence.
-    ``_wavefront`` is ``kernels``' one-entry slot for the DTW wavefront that
-    describes against this set keep beside its packed block; nothing else
-    reads it.
     """
 
     sequences: tuple[TimeSeries, ...]
     label_names: dict[int, str] | None = None
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
     _packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _wavefront: deque = field(default_factory=lambda: deque(maxlen=1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", tuple(self.sequences))

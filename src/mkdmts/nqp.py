@@ -329,17 +329,21 @@ def column_solver(h: np.ndarray, limit: int):
     The H side is built here, once: the usable indices, the padded supports
     and, while the supports of at most ``limit`` indices number at most
     ``_EXACT_SUPPORTS``, the blocks H_SS of all supports S and their batched
-    inverse.  ``solve`` then gives every column its exact optimum: each
-    column solves H_SS y = -c_S on every support, and it keeps its lowest
-    objective with y_S >= 0.  Ties go to the first support, in order of
-    size and then lexicographically, and a larger support wins only if it
-    lowers the objective by more than 1e-12, the bar ``nqp_solve`` sets for
-    admitting an index.  A singular block costs only its own support: an
-    optimum on it is also reached on a smaller support.
+    inverse, kept slot by slot (column j of every block, contiguous).
+    ``solve`` then gives every column its exact optimum: each column solves
+    H_SS y = -c_S on every support, and it keeps its lowest objective with
+    y_S >= 0.  Ties go to the first support, in order of size and then
+    lexicographically, and a larger support wins only if it lowers the
+    objective by more than 1e-12, the bar ``nqp_solve`` sets for admitting
+    an index.  A singular block costs only its own support: an optimum on
+    it is also reached on a smaller support.
     Coordinates with a vanishing diagonal never enter, as in ``nqp_solve``.
-    Past the inverse, a column's arithmetic is elementwise, so its result
-    does not depend on the other columns or on earlier calls.  Above
-    ``_EXACT_SUPPORTS`` each column runs ``nqp_solve``.
+    Past the inverse, a column's arithmetic is elementwise, the same
+    operations in the same order for one column as for many, so its result
+    does not depend on the other columns or on earlier calls; one column,
+    as a describe codes, drops the column axis and picks its support size
+    by scalar compares.  Above ``_EXACT_SUPPORTS`` each column runs
+    ``nqp_solve``.
     """
     h = np.array(h, dtype=np.float64)  # the solver's own copy: later writes to the caller's H do not reach it
     n = h.shape[0] if h.ndim == 2 else -1
@@ -347,15 +351,29 @@ def column_solver(h: np.ndarray, limit: int):
     if h.shape != (n, n) or not 1 <= limit <= n:
         raise ValueError(f"need a square H and a sparsity limit from 1 to its size, got {h.shape} and {limit}")
     usable = np.flatnonzero(np.diagonal(h) > _DIAG_FLOOR)
-    u, slots = usable.size, range(limit)
+    u = usable.size
     exact = sum(math.comb(u, s) for s in range(1, limit + 1)) <= _EXACT_SUPPORTS
     if exact:
         sets, ranges = _supports(u, limit)
         h_pad = np.eye(u + limit)
         h_pad[:u, :u] = h[usable][:, usable]
         h_ss = h_pad[sets[:, :, None], sets[:, None, :]]
-        inv = _blockwise(np.linalg.inv, h_ss)
+        # slot j of every support: column j of its block and of its inverse, contiguous
+        h_slots = list(h_ss.transpose(2, 0, 1).copy())
+        inv_slots = list(_blockwise(np.linalg.inv, h_ss).transpose(2, 0, 1).copy())
         step = max(1, _EXACT_ELEMENTS // (len(sets) * limit))
+
+    def enumerate_supports(c_pad, at):
+        """Every support's solution of H_SS y = -c_S and its objective, infinite unless y_S >= 0 (a NaN
+        from a singular block included), for the padded columns ``c_pad`` (one column, or a column axis
+        that ``at`` appends to the slot views)."""
+        c_s = c_pad[sets]
+        vals = -sum(inv_j[at] * c_s[:, j, None] for j, inv_j in enumerate(inv_slots))
+        h_vals = sum(h_j[at] * vals[:, j, None] for j, h_j in enumerate(h_slots))
+        terms = vals * (0.5 * h_vals + c_s)
+        obj = sum(terms[:, j] for j in range(limit))
+        obj[~(vals >= 0.0).all(axis=1)] = np.inf
+        return vals, obj
 
     def solve(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
@@ -369,26 +387,34 @@ def column_solver(h: np.ndarray, limit: int):
             return y
         if u == 0:
             return y
-        for lo in range(0, m, step):
-            c_pad = np.zeros((u + limit, min(step, m - lo)))
-            c_pad[:u] = c[usable, lo:lo + step]
-            c_s = c_pad[sets]
-            vals = -sum(inv[:, :, j, None] * c_s[:, None, j] for j in slots)
-            h_vals = sum(h_ss[:, :, j, None] * vals[:, None, j] for j in slots)
-            terms = vals * (0.5 * h_vals + c_s)
-            obj = sum(terms[:, j] for j in slots)
-            obj[~(vals >= 0.0).all(axis=1)] = np.inf  # infeasible, or NaN from a singular block
-            cols = np.arange(c_pad.shape[1])
-            best, pick = np.zeros(cols.size), np.full(cols.size, -1)
-            for first, end in ranges:
-                r = first + np.argmin(obj[first:end], axis=0)
-                low = obj[r, cols]
-                win = low < best - _MIN_DECREASE
-                best[win], pick[win] = low[win], r[win]
-            won = np.flatnonzero(pick >= 0)
-            y_pad = np.zeros(c_pad.shape)
-            y_pad[sets[pick[won]], won[:, None]] = vals[pick[won], :, won]
-            y[usable, lo:lo + step] = y_pad[:u]
+        if m == 1:
+            c_pad = np.zeros(u + limit)
+            c_pad[:u] = c[usable, 0]
+            vals, obj = enumerate_supports(c_pad, ())
+            best, pick = 0.0, None
+            for size, (first, end) in enumerate(ranges, 1):
+                r = first + int(obj[first:end].argmin())
+                if obj[r] < best - _MIN_DECREASE:
+                    best, pick = obj[r], (r, size)
+            if pick is not None:
+                r, size = pick
+                y[usable[sets[r, :size]], 0] = vals[r, :size]
+        else:
+            for lo in range(0, m, step):
+                c_pad = np.zeros((u + limit, min(step, m - lo)))
+                c_pad[:u] = c[usable, lo:lo + step]
+                vals, obj = enumerate_supports(c_pad, (slice(None), slice(None), None))
+                cols = np.arange(c_pad.shape[1])
+                best, pick = np.zeros(cols.size), np.full(cols.size, -1)
+                for first, end in ranges:
+                    r = first + np.argmin(obj[first:end], axis=0)
+                    low = obj[r, cols]
+                    win = low < best - _MIN_DECREASE
+                    best[win], pick[win] = low[win], r[win]
+                won = np.flatnonzero(pick >= 0)
+                y_pad = np.zeros(c_pad.shape)
+                y_pad[sets[pick[won]], won[:, None]] = vals[pick[won], :, won]
+                y[usable, lo:lo + step] = y_pad[:u]
         y[np.abs(y) < 1e-15] = 0.0
         return y
 

@@ -74,9 +74,10 @@ def nqp_oracle(p: QuadProgram) -> np.ndarray:
 class ExplicitCrossKernel:
     """Explicit cross-kernel values: the members ``encode`` and ``reconstruction_report`` read.
 
-    ``cross`` holds one length-N vector per dimension; ``values(need)``
+    ``cross`` holds one length-N vector per dimension; ``values(need, kept)``
     returns them where ``need`` is True and 0 elsewhere, as
-    ``kernels.CrossKernel.values`` does.
+    ``kernels.CrossKernel.values`` does; it runs no DTW, so it keeps no
+    wavefront in ``kept``.
     """
 
     def __init__(self, cross, self_k, dataset_hash: str):
@@ -88,7 +89,7 @@ class ExplicitCrossKernel:
     def dims(self) -> int:
         return len(self.cross)
 
-    def values(self, need: np.ndarray) -> np.ndarray:
+    def values(self, need: np.ndarray, kept=None) -> np.ndarray:
         return np.where(need, self.cross, 0.0)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mkdmts.kernels import (
     KernelSet,
     build_kernelset,
     build_or_load_kernelset,
+    check_bandwidths,
     cross_kernel,
     dtw,
     load_kernelset,
@@ -69,9 +71,10 @@ def dtw_loop(a, b):
     return d[-1][-1]
 
 
-def _all_values(ck, seen):
-    """Every value of a cross kernel against ``seen``, one length-N row per dimension."""
-    return ck.values(np.ones((seen.dims, len(seen)), dtype=bool))
+def _all_values(ck, seen, kept=None):
+    """Every value of a cross kernel against ``seen``, one length-N row per dimension, keeping its wavefront in
+    the describe slot ``kept`` when one is given."""
+    return ck.values(np.ones((seen.dims, len(seen)), dtype=bool), kept)
 
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
@@ -364,6 +367,29 @@ def test_cross_kernel_rejects_a_bandwidth_that_is_not_positive_and_finite(bad):
         cross_kernel(seen, unseen.sequences[0], np.array([40.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -40.0],
+                         ids=["nan", "inf", "minus_inf", "zero", "minus_zero", "negative"])
+def test_check_bandwidths_rejects_a_float64_vector_as_entry_by_entry(bad):
+    """A float64 vector is tested in one pass; one that fails it gets the entry-by-entry message, and a list
+    of the same numbers the same one."""
+    vector = np.array([40.0, bad, 2.5])
+    message = f"bandwidths must be positive and finite, got {[40.0, float(bad), 2.5]}"
+    for bandwidths in (vector, vector.tolist()):
+        with pytest.raises(DataError) as caught:
+            check_bandwidths(bandwidths, 3)
+        assert str(caught.value) == message
+
+
+def test_check_bandwidths_returns_its_own_float64_copy():
+    """A valid float64 vector comes back as a copy with the same bytes as the entry-by-entry rule gives."""
+    vector = np.array([40.0, 1e-300, 1.7976931348623157e308])
+    checked = check_bandwidths(vector, 3)
+    assert checked is not vector and checked.dtype == np.float64
+    assert _bits(checked) == _bits(np.array([float(b) for b in vector])) == _bits(check_bandwidths(vector.tolist(), 3))
+    vector[0] = -1.0
+    assert checked[0] == 40.0
+
+
 @pytest.mark.parametrize("bad", [[True, True], ["40", "40"], np.array([True, True])],
                          ids=["bool", "string", "bool_array"])
 def test_cross_kernel_takes_only_numbers_as_bandwidths(bad):
@@ -539,9 +565,10 @@ def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
         assert pairs == 1 or (5 * rows + cols + 4) * pairs <= kernels._WAVEFRONT_ELEMENTS
     # the kept wavefront: describes of all 48 pairs keep one entry, and only while it fits one chunk
     calls.clear()
+    kept = deque(maxlen=1)
     for z in unseen.sequences:
-        _all_values(cross_kernel(seen, z, np.full(2, 40.0)), seen)
-    assert len(seen._wavefront) == (budget is None)
+        _all_values(cross_kernel(seen, z, np.full(2, 40.0)), seen, kept)
+    assert len(kept) == (budget is None)
     for rows, pairs, cols in calls:
         assert pairs == 1 or (5 * rows + cols + 4) * pairs <= kernels._WAVEFRONT_ELEMENTS
     if budget is None:  # one build per query longer than every query before it
@@ -553,28 +580,36 @@ def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
 
 @pytest.mark.parametrize("seen_classes", [4, 14], ids=["kept", "too-large-to-keep"])
 def test_kept_wavefront_holds_at_most_half_a_megabyte(seen_classes):
-    """A describe keeps one wavefront entry on its seen set, of at most 512 KiB as tracemalloc counts it
-    (2 dims x 6 samples per class, lengths 60-90: 48 pairs are kept, 168 pairs are not), and its
-    values equal those of a describe that keeps nothing."""
+    """A describe keeps one wavefront entry in its describe slot, of at most 512 KiB as tracemalloc counts it
+    (2 dims x 6 samples per class, lengths 60-90: 48 pairs are kept, 168 pairs are not), also once queries
+    of every shorter length have added their schedules, and its values equal those of a describe that keeps
+    nothing."""
     seen, unseen, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=seen_classes, num_unseen_classes=2,
                                                 dims=2, length_range=(60, 90), samples_per_class=6))
     z, bandwidths = max(unseen.sequences, key=lambda s: s.length), np.full(2, 40.0)
     expected = [np.exp(-np.array([dtw(z.dim(l), s.dim(l)) for s in seen.sequences]) / 40.0) for l in range(2)]
     _all_values(cross_kernel(Dataset(seen.sequences), z, bandwidths), seen)  # numpy's first-call state
-    fresh = Dataset(seen.sequences)
+    fresh, slot = Dataset(seen.sequences), deque(maxlen=1)
     fresh.packed()
+    shorter = [TimeSeries("cut", z.values[:, :length]) for length in range(1, z.length)] if seen_classes == 4 else []
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        got = _all_values(cross_kernel(fresh, z, bandwidths), fresh)
+        got = _all_values(cross_kernel(fresh, z, bandwidths), fresh, slot)
         kept = tracemalloc.get_traced_memory()[0] - before - got.nbytes
+        for cut in shorter:
+            _all_values(cross_kernel(fresh, cut, bandwidths), fresh, slot)
+        scheduled = tracemalloc.get_traced_memory()[0] - before - got.nbytes
     finally:
         tracemalloc.stop()
     assert _bits(got) == _bits(expected)
-    assert len(fresh._wavefront) == (seen_classes == 4)
+    assert len(slot) == (seen_classes == 4)
     assert kept <= (kernels._KEPT_BYTES if seen_classes == 4 else 4096)
-    _all_values(cross_kernel(fresh, z, bandwidths), fresh)
-    assert len(fresh._wavefront) <= 1
+    assert scheduled <= (kernels._KEPT_BYTES if seen_classes == 4 else 4096)
+    if shorter:
+        assert len(slot[0].schedules) == min(slot[0].room, len(shorter))  # as many schedules as fit
+    _all_values(cross_kernel(fresh, z, bandwidths), fresh, slot)
+    assert len(slot) <= 1
 
 
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):

@@ -586,3 +586,35 @@ def test_columns_keep_nqp_solves_conventions(h, c, limit, expected):
     c = np.array(c)
     assert column_solver(h, limit)(c[:, None])[:, 0].tolist() == expected
     assert nqp_solve(QuadProgram(h, c, limit)).tolist() == expected
+
+
+def test_one_column_equals_that_column_among_many(rng):
+    """On seeded programs with n <= 12 and limit <= 3, among them singular blocks (a repeated coordinate),
+    vanishing diagonals and columns with no improving support (c >= 0), and on ``nqp_solve``'s conventions,
+    ``solve`` of one column gives the bytes of that column solved inside a many-column C."""
+    for i in range(60):
+        n = int(rng.integers(2, 13))
+        limit = int(min(rng.integers(1, 4), n))
+        w = rng.normal(size=(n, n + 2))
+        h = w @ w.T / (n + 2)
+        c = rng.normal(size=(n, 7))
+        c[:, 0] = np.abs(c[:, 0])  # no support lowers the objective
+        if i % 3 == 1:
+            j = int(rng.integers(n))
+            h[j, :] = h[:, j] = 0.0
+        if i % 3 == 2 and n > 2:
+            h[-1, :], c[-1] = h[0, :], c[0]
+            h[:, -1] = h[:, 0]
+        solve = column_solver(h, limit)
+        together = solve(c)
+        assert not together[:, 0].any()
+        for j in range(c.shape[1]):
+            assert solve(c[:, j:j + 1]).tobytes() == together[:, j:j + 1].tobytes()
+    # nqp_solve's conventions, each beside a random column: a tie, the 1e-12 bar, a vanishing diagonal
+    for h, c, limit in ((np.eye(3), [-1.0, -1.0, -1.0], 1), (np.eye(2), [-1.0, -1e-7], 2),
+                        (np.diag([1.0, 1e-15]), [-1.0, -1.0], 2)):
+        c = np.stack([c, rng.normal(size=len(c))], axis=1)
+        solve = column_solver(h, limit)
+        together = solve(c)
+        for j in range(2):
+            assert solve(c[:, j:j + 1]).tobytes() == together[:, j:j + 1].tobytes()

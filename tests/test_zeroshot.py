@@ -18,7 +18,7 @@ from conftest import (
 from oracles import ExplicitCrossKernel, explicit_unseen
 
 from mkdmts.errors import DataError
-from mkdmts import ioutil, kernels, mkd, mtsdata, nqp, zeroshot
+from mkdmts import evalx, ioutil, kernels, mkd, mtsdata, nqp, zeroshot
 from mkdmts.evalx import describe
 from mkdmts.kernels import build_kernelset, cross_kernel, dtw
 from mkdmts.mkd import Dictionary, TrainConfig, train
@@ -476,10 +476,10 @@ def _wavefronts_built(monkeypatch):
 
 
 def test_describes_reuse_the_kept_wavefront_and_equal_describes_on_a_fresh_seen_set(monkeypatch):
-    """Describes against one seen set keep one wavefront on it: in order of rising query length each longer
-    query grows it, the shorter queries after the longest reuse it, and two dictionaries described in turn,
-    whose reference columns differ, rebuild it at each switch.  Every output byte equals a describe against
-    a fresh seen set of the same sequences, which keeps nothing yet."""
+    """Describes of one dictionary keep one wavefront in its describe state: in order of rising query length
+    each longer query grows it, and the shorter queries after the longest reuse it.  Two dictionaries
+    described in turn, whose seen columns differ, each keep their own, so only the second builds one.  Every
+    output byte equals a describe against a fresh seen set of the same sequences, which keeps nothing yet."""
     seen, unseen, _, ks, result = _trained_synth(noise=0.1)
     other = train(seen, ks, TrainConfig(k=4, t_x=2, t_a=3, t_beta=1, max_iters=10, tol=1e-7, seed=8)).dictionary
     models, labels = (result.dictionary, other), seen.labels()
@@ -489,14 +489,35 @@ def test_describes_reuse_the_kept_wavefront_and_equal_describes_on_a_fresh_seen_
     lengths = [z.length for z in unseen.sequences]
     rising = sorted(range(len(unseen)), key=lengths.__getitem__)
     built = _wavefronts_built(monkeypatch)
+    result.dictionary._describe.clear()
     for i in rising + rising[::-1]:
         assert _described(result.dictionary, ks, seen, unseen.sequences[i], labels, fresh=False) == fresh[0][i]
     assert [rows for rows, _ in built] == sorted(set(lengths))
     built.clear()
+    other._describe.clear()
     for i in rising[::-1]:
         for d, expected in zip(models, fresh):
             assert _described(d, ks, seen, unseen.sequences[i], labels, fresh=False) == expected[i]
-    assert len(built) == 2 * len(unseen) - 1 and len(seen._wavefront) == 1
+    assert [rows for rows, _ in built] == [max(lengths)]
+    assert [len(d._describe["wavefront"]) for d in models] == [1, 1]
+
+
+def test_two_dictionaries_described_in_turn_build_one_wavefront_each(monkeypatch):
+    """24 describes that alternate a k=8 and a k=6 model over the 12 unseen sequences of synth seed 7 (4 x 6
+    seen, 2 dims, lengths 60-90), longest query first, build 2 wavefronts: each dictionary keeps its own,
+    where one slot per seen set rebuilt it at every switch, 24 times."""
+    seen, unseen, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=4, num_unseen_classes=2, dims=2,
+                                                length_range=(60, 90), samples_per_class=6))
+    ks = build_kernelset(seen, bandwidth=40.0)
+    models = [train(seen, ks, TrainConfig(k=k, t_x=2, t_a=4, t_beta=1, seed=7)).dictionary for k in (8, 6)]
+    labels = seen.labels()
+    expected = {(i, k): _described(dataclasses.replace(d), ks, mtsdata.Dataset(seen.sequences), z, labels, False)
+                for k, d in enumerate(models) for i, z in enumerate(unseen.sequences)}
+    built = _wavefronts_built(monkeypatch)
+    for i in sorted(range(len(unseen)), key=lambda i: -unseen.sequences[i].length):
+        for k, d in enumerate(models):
+            assert _described(d, ks, seen, unseen.sequences[i], labels, fresh=False) == expected[i, k]
+    assert len(built) == 2
 
 
 def test_concurrent_describes_against_one_seen_set_equal_serial_describes(monkeypatch):
@@ -545,7 +566,7 @@ def test_concurrent_describes_against_one_seen_set_equal_serial_describes(monkey
     assert errors == [] and described.is_set()
     for t in range(workers):
         assert got[t] == serial[t::workers] * 5
-    assert built and len(seen._wavefront) == 1
+    assert built and len(d._describe["wavefront"]) == 1
 
 
 def test_codes_follow_in_place_weight_updates_and_the_kernel_set(rng, monkeypatch):
@@ -715,7 +736,7 @@ def test_training_never_reads_the_describe_memo(monkeypatch):
 
 def test_no_stage_module_binds_a_module_level_container():
     """nqp, mkd, ioutil, kernels, mtsdata and zeroshot bind no module-level dict, list or set.  A seen set's
-    packed block and kept DTW wavefront live on its ``Dataset``, and a describe's dictionary-side terms on the
+    packed block lives on its ``Dataset``, and a describe's dictionary-side terms and kept DTW wavefront on the
     ``Dictionary``, freed with them."""
 
     def containers(module):
@@ -731,3 +752,108 @@ def test_no_stage_module_binds_a_module_level_container():
 
     modules = (nqp, mkd, ioutil, kernels, mtsdata, zeroshot)
     assert [containers(m) for m in modules] == [[], [], [], [], [], []]
+
+
+# the three benchmark workloads' shapes: synth config, seen samples kept per class (None: all), bandwidth,
+# training config and threshold
+_WORKLOAD_SHAPES = {
+    "quickstart": (dict(seed=7, num_seen_classes=4, num_unseen_classes=2, dims=2, length_range=(60, 90),
+                        samples_per_class=6), None, 40.0, dict(k=8, t_x=2, t_a=4, t_beta=1, seed=7), 0.1),
+    "many_short": (dict(seed=5, num_seen_classes=6, num_unseen_classes=2, dims=2, length_range=(10, 14),
+                        samples_per_class=6), None, 4.0, dict(k=10, t_x=2, t_a=5, t_beta=1, seed=5), 0.1),
+    "novel_stream": (dict(seed=11, num_seen_classes=4, num_unseen_classes=4, dims=3, length_range=(60, 90),
+                          samples_per_class=8), 6, 40.0, dict(k=8, t_x=2, t_a=3, t_beta=1, seed=11), 0.1),
+}
+
+
+def _workload(name):
+    """The seen set, the unseen set, the kernel set, the trained dictionary, t_x and threshold of a workload."""
+    synth, keep, bandwidth, train_cfg, threshold = _WORKLOAD_SHAPES[name]
+    seen, unseen, _ = synth_dataset(SynthConfig(**synth))
+    if keep is not None:
+        per_class = synth["samples_per_class"]
+        seen = seen.subset([c * per_class + i for c in range(synth["num_seen_classes"]) for i in range(keep)])
+    ks = build_kernelset(seen, bandwidth=bandwidth)
+    return seen, unseen, ks, train(seen, ks, TrainConfig(**train_cfg)).dictionary, train_cfg["t_x"], threshold
+
+
+def _resampled(z: TimeSeries, length: int, sid: str) -> TimeSeries:
+    """``z`` linearly resampled to ``length`` steps."""
+    grid, at = np.linspace(0.0, 1.0, z.length), np.linspace(0.0, 1.0, length)
+    return TimeSeries(sid, np.array([np.interp(at, grid, row) for row in z.values]))
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_SHAPES))
+def test_describe_equals_the_per_query_path_on_a_fresh_state(name):
+    """``evalx.describe``, which prepares the describe state first, gives every output byte of the per-query
+    module path on a fresh dictionary and seen set, for every unseen sequence of the workload and for one
+    query a step longer than every seen series and one a step shorter than the shortest."""
+    seen, unseen, ks, d, t_x, threshold = _workload(name)
+    lengths = [s.length for s in seen.sequences]
+    z = unseen.sequences[0]
+    queries = mtsdata.Dataset(unseen.sequences + (_resampled(z, max(lengths) + 1, "long"),
+                                                  _resampled(z, min(lengths) - 1, "short")))
+    described = describe(seen, ks, d, queries, t_x, threshold)
+    fresh, fresh_seen, labels = dataclasses.replace(d), mtsdata.Dataset(seen.sequences), seen.labels()
+    assert [row.id for row in described] == queries.ids()
+    for row, z in zip(described, queries.sequences):
+        ck = cross_kernel(fresh_seen, z, ks.bandwidths)
+        x = encode(fresh, ks, ck, t_x)
+        r = encoding_matrix(fresh, x, z.id)
+        rep = reconstruction_report(fresh, ks, ck, x, labels, threshold)
+        assert (row.code.tobytes(), row.encoding.values.tobytes(), row.encoding.source_id) == (
+            x.tobytes(), r.values.tobytes(), z.id)
+        assert row.report.per_dim_error.tobytes() == rep.per_dim_error.tobytes()
+        assert (row.report.dra, row.report.attribution, row.report.threshold) == (
+            rep.dra, rep.attribution, rep.threshold)
+
+
+def test_describe_prepares_the_state_before_its_first_query(monkeypatch):
+    """One ``evalx.describe`` call on a fresh dictionary builds the code solver and the DTW wavefront once
+    each, and the end-diagonal schedule of each query length, before its first ``cross_kernel``, and no
+    wavefront or schedule inside any describe, as its longest query fits ``_KEPT_BYTES``; a second call on
+    the same dictionary builds none of them."""
+    seen, unseen, ks, d, t_x, threshold = _workload("quickstart")
+    lengths = {z.length for z in unseen.sequences}
+    events = []
+    code_solver, wavefront, schedule = zeroshot.code_solver, kernels._wavefront, kernels._schedule
+    cross = evalx.cross_kernel
+    monkeypatch.setattr(zeroshot, "code_solver", lambda *args: events.append("solver") or code_solver(*args))
+    monkeypatch.setattr(kernels, "_wavefront", lambda *args: events.append("wavefront") or wavefront(*args))
+    monkeypatch.setattr(kernels, "_schedule", lambda *args: events.append("schedule") or schedule(*args))
+    monkeypatch.setattr(evalx, "cross_kernel", lambda *args: events.append("describe") or cross(*args))
+    fresh = dataclasses.replace(d)
+    for setup in (["solver", "wavefront"] + ["schedule"] * len(lengths), []):
+        events.clear()
+        describe(seen, ks, fresh, unseen, t_x, threshold)
+        assert events == setup + ["describe"] * len(unseen)
+    kept = fresh._describe["wavefront"][0]
+    assert kept.capacity == max(lengths) and set(kept.schedules) == lengths and len(lengths) <= kept.room
+
+
+def test_describe_builds_each_r_once(monkeypatch):
+    """``evalx.describe`` passes the R it built to ``reconstruction_report``, so each describe makes one
+    ``encoding_matrix`` call."""
+    seen, unseen, _, ks, result = _trained_synth(noise=0.1)
+    calls = []
+    encoding = zeroshot.encoding_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return encoding(*args, **kwargs)
+
+    monkeypatch.setattr(zeroshot, "encoding_matrix", counting)
+    monkeypatch.setattr(evalx, "encoding_matrix", counting)
+    assert len(describe(seen, ks, result.dictionary, unseen, 2, 0.1)) == len(calls) == len(unseen)
+
+
+def test_report_takes_r_of_the_code(seed_7_and_8):
+    """A report given the code's R equals one that builds it; an R of another shape is a ValueError."""
+    seen, _, d, ks, ck, x, _ = seed_7_and_8
+    labels, r = seen.labels(), encoding_matrix(d, x).values
+    built, given = reconstruction_report(d, ks, ck, x, labels), reconstruction_report(d, ks, ck, x, labels, r=r)
+    assert (given.per_dim_error.tobytes(), given.dra, given.attribution) == (
+        built.per_dim_error.tobytes(), built.dra, built.attribution)
+    for bad in (r.T, r[:, :1], r.ravel()):
+        with pytest.raises(ValueError, match=rf"^R has shape {re.escape(str(bad.shape))}, expected \({d.n}, {d.dims}\)$"):
+            reconstruction_report(d, ks, ck, x, labels, r=bad)
