@@ -242,7 +242,7 @@ def describe(seen: Dataset, ks: KernelSet, d: Dictionary, unseen: Dataset, t_x: 
     """Code, encode and score every unseen sequence against a trained dictionary.
 
     First ``zeroshot.prepare`` checks the inputs and builds the dictionary's
-    describe state for the unseen sequences' lengths, so no describe pays
+    describe state for the longest unseen sequence, so no describe pays
     for set-up.  Then per sequence, in order: ``cross_kernel``, ``encode``,
     ``encoding_matrix`` and ``reconstruction_report`` (given the R just
     built), called through this module's names so that instrumentation
@@ -251,7 +251,7 @@ def describe(seen: Dataset, ks: KernelSet, d: Dictionary, unseen: Dataset, t_x: 
     seen set, and ``mkd.code_solver`` checks ``t_x``.
     """
     labels = seen.labels()
-    prepare(d, ks, seen, labels, t_x, threshold, [seq.length for seq in unseen.sequences])
+    prepare(d, ks, seen, labels, t_x, threshold, max(seq.length for seq in unseen.sequences))
     out = []
     for seq in unseen.sequences:
         ck = cross_kernel(seen, seq, ks.bandwidths)

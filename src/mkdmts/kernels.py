@@ -15,6 +15,7 @@ import logging
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,8 +75,9 @@ class CrossKernel:
     wavefront slot of the describe state whose mask ``need`` is
     (``zeroshot._dictionary_side``): every query of one dictionary reads
     the same seen columns, so a describe's first call, which computes every
-    needed pair, only copies its rows into the wavefront kept there and
-    sweeps (``_dtw_columns``).  Every value is the one the full computation
+    needed pair, only copies its values, flipped, into the query block of
+    the wavefront kept there, whose one schedule serves every query length,
+    and sweeps (``_dtw_columns``).  Every value is the one the full computation
     gives, bit for bit.  The unseen sequence's self-kernel is 1 in every
     dimension, since its DTW cost against itself is 0.
     """
@@ -125,16 +127,15 @@ class CrossKernel:
 _WAVEFRONT_ELEMENTS = 1 << 17
 # A describe keeps its wavefront in its dictionary's describe state (``_kept_wavefront``)
 # only while the kept entry holds at most 512 KiB, counted as 8 bytes per working
-# set value, ``_STEP_BYTES`` per diagonal for its step, seven array views and a
-# tuple (0.9-1.0 KB by tracemalloc, numpy 2.4 on 64-bit CPython), and its
-# end-diagonal schedules (``_schedule``), each counted as 8 bytes per diagonal and
-# ``_GROUP_BYTES`` per pair, the most a group of pairs that end on one diagonal
-# holds per pair (a tuple of two array views, 0.25 KB, when every pair ends alone).
-# Measured the same way, a describe of 24 pairs at 89 rows by 87 columns keeps
-# 0.26 MB, and one of 48 pairs at 89 by 88 keeps 0.39 MB, before their schedules.
+# set value and ``_STEP_BYTES`` per diagonal for its step, seven array views and a
+# tuple (0.9-1.0 KB by tracemalloc, numpy 2.4 on 64-bit CPython).  Its one
+# end-diagonal schedule (``_schedule``) is left out of the count: a list slot per
+# seen row and two array views per group of pairs that end together, 5-6 KB in
+# the two describes below.  Measured the same way, schedule included, a describe
+# of 24 pairs at 90 query steps by 89 seen rows keeps 0.27 MB, and one of 48 pairs
+# at 89 by 88 keeps 0.39 MB.
 _KEPT_BYTES = 1 << 19
 _STEP_BYTES = 1100
-_GROUP_BYTES = 300
 
 
 def _wavefront(q: np.ndarray, e: np.ndarray) -> tuple:
@@ -164,7 +165,7 @@ def _steps(q, e, scratch, buffers):
     diagonal d they are ``buffers[d % 3]``, ``buffers[(d + 1) % 3]`` and ``buffers[(d + 2) % 3]``.
     Diagonal 0 reads D[-1,-1] = 0 from a row of zeros of its own, so the buffers need no seed.  The
     steps depend only on the blocks' shapes and these arrays, not on their values, so a kept list of
-    them runs again on new values written into ``q``.
+    them runs again on new values written into ``e`` (``_kept_wavefront``).
     """
     rows, cols = len(q), len(e)
     skew = cols - 1
@@ -184,7 +185,8 @@ def _schedule(n: np.ndarray, m: np.ndarray) -> tuple:
 
     Pairs are grouped by end diagonal stably; sorted, not np.argsort, whose first call in a process raised
     a cold Gram's peak RSS by about 0.5 MB (the sort code it pages in).  The schedule depends only on the
-    lengths, so a describe keeps it per query length (``_dtw_columns``)."""
+    lengths; a kept wavefront, whose pairs all end on the query's last step, keeps one for a one-step
+    query and sweeps it shifted for every query length (``_kept_wavefront``)."""
     pairs = n.size
     ends = (n + m - 2).tolist()
     order = sorted(range(pairs), key=ends.__getitem__)
@@ -197,10 +199,11 @@ def _schedule(n: np.ndarray, m: np.ndarray) -> tuple:
     return finishing, np.array(order, dtype=np.intp), ended
 
 
-def _sweep(steps, buffers, schedule) -> np.ndarray:
+def _sweep(steps, buffers, schedule, shift: int = 0) -> np.ndarray:
     """DTW end cells of every column pair of the blocks that ``steps`` and ``buffers`` came from
     (``_wavefront``), in the pairs' order, running the steps up to the last pair's end along
-    ``schedule`` (``_schedule`` of the pairs' lengths).
+    ``schedule`` (``_schedule`` of the pairs' lengths), whose diagonals lie ``shift`` diagonals later
+    in a kept wavefront's grid (``_kept_wavefront``).
 
     Each diagonal is five array operations: subtract and square give the local costs, two minimums
     the best neighbour, and an add the cells, each D[i,j] = fl(c[i,j] + min(up, left, diag)).  Around
@@ -225,7 +228,7 @@ def _sweep(steps, buffers, schedule) -> np.ndarray:
     buffers.fill(np.inf)
     subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
     with np.errstate(over="ignore"):
-        for (q, e, cost, band, left, up, diag, cur), at in zip(steps, finishing):
+        for (q, e, cost, band, left, up, diag, cur), at in zip(steps, chain(repeat(None, shift), finishing)):
             subtract(q, e, cost)
             multiply(cost, cost, cost)
             minimum(left, up, out=band)
@@ -239,74 +242,62 @@ def _sweep(steps, buffers, schedule) -> np.ndarray:
 
 
 class _Kept(NamedTuple):
-    """A describe's kept wavefront (``_kept_wavefront``)."""
+    """A describe's kept wavefront (``_kept_wavefront``), transposed: the seen columns on the row axis and
+    the query, flipped, on the column axis."""
 
-    capacity: int  # query rows its steps cover
-    q: np.ndarray  # its query block, capacity x pairs
+    capacity: int  # query steps its steps cover
+    e: np.ndarray  # its flipped query block, capacity x pairs
     steps: list  # its steps (``_steps``)
     buffers: np.ndarray  # its diagonal buffers
-    schedules: dict  # query length -> ``_schedule`` of the describe's pairs at that length
-    room: int  # most schedules kept within ``_KEPT_BYTES``
+    schedule: tuple  # ``_schedule`` of its pairs against a one-step query
 
 
 def _kept_wavefront(kept, rows, references, reference_lengths, ri):
-    """The wavefront of a describe's pairs (its query column k against column ri[k] of the packed
-    ``references``), checked out of its describe state's one-entry slot ``kept`` when the entry there
-    covers ``rows`` query rows, else built for ``rows`` rows; None, leaving the slot as it was, when it
-    would need more than one chunk or hold more than ``_KEPT_BYTES``.
+    """The wavefront of a describe's pairs (column ri[k] of the packed ``references`` against its query
+    column k), checked out of its describe state's one-entry slot ``kept`` when the entry there covers
+    ``rows`` query steps, else built for ``rows`` steps; None, leaving the slot as it was, when it would
+    need more than one chunk or hold more than ``_KEPT_BYTES``.
 
-    The entry is a ``_Kept``.  The slot lives beside the mask that fixes ``ri``, so the entry is not
-    keyed by it; a longer query replaces it with one of its own length.  The query block starts as
-    zeros, and a shorter query leaves stale, finite values in the rows past its end, which only padded
-    cells read.  Its ``schedules`` (``_kept_schedule``) stay within ``_KEPT_BYTES``.  While a describe
-    runs the entry, it is out of the slot, so a concurrent describe finds the slot empty and builds its
-    own; the caller puts it back with ``kept.append``, and the slot holds one entry at most.
+    The entry is a ``_Kept``, whose grids are the transposes of the ones ``dtw`` sweeps: the seen
+    columns run down the rows and the query along the flipped columns.  Symmetric DTW gives the same
+    bits either way: fl(a - b) = -fl(b - a), so the squared costs are equal, and ``np.minimum`` is
+    commutative, as no NaN and no -0 arise.  Every pair so ends on the last query step, at buffer row
+    m_k on diagonal m_k - 1 + rows - 1, and one schedule, of a one-step query, serves every query
+    length, shifted by rows - 1 (``_sweep``).  The slot lives beside the mask that fixes ``ri``, so the
+    entry is not keyed by it; a longer query replaces it with one of its own length.  The query block
+    starts as zeros, and a shorter query leaves stale, finite values in the columns past its end, which
+    only padded cells read.  While a describe runs the entry, it is out of the slot, so a concurrent
+    describe finds the slot empty and builds its own; the caller puts it back with ``kept.append``, and
+    the slot holds one entry at most.
     """
     entry = None
     with suppress(IndexError):
         entry = kept.pop()
         if entry.capacity >= rows:
             return entry
-    pairs, cols = ri.size, int(reference_lengths[ri].max())
-    work = 5 * rows + cols + 4
+    pairs, m = ri.size, reference_lengths[ri]
+    cols = int(m.max())
+    work = 5 * cols + rows + 4
     held = 8 * work * pairs + (rows + cols) * _STEP_BYTES
     if pairs > max(1, _WAVEFRONT_ELEMENTS // work) or held > _KEPT_BYTES:
         if entry is not None:
             kept.append(entry)
         return None
-    q = np.zeros((rows, pairs))
-    steps, buffers = _wavefront(q, references[cols - 1::-1].take(ri, axis=1))
-    return _Kept(rows, q, list(steps), buffers, {}, (_KEPT_BYTES - held) // (8 * (rows + cols) + _GROUP_BYTES * pairs))
+    e = np.zeros((rows, pairs))
+    steps, buffers = _wavefront(references[:cols].take(ri, axis=1), e)
+    return _Kept(rows, e, list(steps), buffers, _schedule(m, np.ones_like(m)))
 
 
-def _kept_schedule(entry, rows: int, n: np.ndarray, m: np.ndarray) -> tuple:
-    """The ``_schedule`` of a describe's pairs, whose query lengths ``n`` all equal ``rows``, kept in the
-    wavefront entry (``_kept_wavefront``) per query length: at most ``room`` of them, the oldest dropped
-    first."""
-    schedules = entry.schedules
-    schedule = schedules.get(rows)
-    if schedule is None:
-        schedule = _schedule(n, m)
-        if entry.room:
-            if len(schedules) >= entry.room:
-                del schedules[next(iter(schedules))]
-            schedules[rows] = schedule
-    return schedule
-
-
-def keep_wavefront(seen: Dataset, need: np.ndarray, kept, lengths) -> None:
-    """Make ready, in the describe slot ``kept`` of the f x N mask ``need``, what describes of queries of
-    the given ``lengths`` against ``seen`` sweep (``CrossKernel.values``): the wavefront, kept there when
-    it covers the longest, else built for it (``_kept_wavefront``), unless it is too large to keep, and
-    the schedules of the lengths in order of first appearance, as many as it keeps.  It runs no DTW."""
+def keep_wavefront(seen: Dataset, need: np.ndarray, kept, longest: int) -> None:
+    """Make ready, in the describe slot ``kept`` of the f x N mask ``need``, the wavefront that describes
+    of queries of at most ``longest`` steps against ``seen`` sweep (``CrossKernel.values``): the one kept
+    there when it covers them, else one built for them (``_kept_wavefront``), unless it is too large to
+    keep.  It runs no DTW."""
     dims, cols = np.nonzero(need)
     if dims.size:
         references, reference_lengths = seen.packed()
-        ri = dims * len(seen) + cols
-        entry = _kept_wavefront(kept, max(lengths), references, reference_lengths, ri)
+        entry = _kept_wavefront(kept, longest, references, reference_lengths, dims * len(seen) + cols)
         if entry is not None:
-            for rows in list(dict.fromkeys(lengths))[:entry.room]:
-                _kept_schedule(entry, rows, np.full(ri.size, rows), reference_lengths[ri])
             kept.append(entry)
 
 
@@ -329,8 +320,10 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri, 
     before the first query (``keep_wavefront``), and kept there, and each
     later describe only copies its query in and sweeps the kept steps
     (``_kept_wavefront``), while its pairs fit one chunk and the entry
-    holds at most ``_KEPT_BYTES``.  Its pairs share the query's length, so
-    the entry also keeps their schedule per query length.  Entry k does
+    holds at most ``_KEPT_BYTES``.  The kept grids are transposed, the
+    seen columns on the rows and the query flipped on the columns, so
+    every pair, all of the query's length, ends on the last query step,
+    and one schedule of the seen lengths serves every query.  Entry k does
     not depend on the other pairs, their order, how they are chunked or
     whether the steps were kept.
     """
@@ -340,8 +333,8 @@ def _dtw_columns(queries, query_lengths, qi, references, reference_lengths, ri, 
     rows = int(n.max())
     entry = None if kept is None else _kept_wavefront(kept, rows, references, reference_lengths, ri)
     if entry is not None:
-        entry.q[:rows] = queries[:rows, qi]
-        out = _sweep(entry.steps, entry.buffers, _kept_schedule(entry, rows, n, reference_lengths[ri]))
+        entry.e[entry.capacity - rows:] = queries[rows - 1::-1, qi]
+        out = _sweep(entry.steps, entry.buffers, entry.schedule, rows - 1)
         kept.append(entry)
         return out
     m = reference_lengths[ri]

@@ -82,7 +82,9 @@ def _dictionary_side(d: Dictionary, ks: KernelSet) -> dict:
     equal the full kernel's bit for bit.  Every query of one dictionary
     shares the mask, and so the seen columns its DTW reads: ``wavefront``
     is the one-entry slot (a ``deque(maxlen=1)``) where its describes keep
-    their DTW wavefront (``kernels.CrossKernel.values``).  They share the
+    their DTW wavefront (``kernels.CrossKernel.values``), whose one
+    end-diagonal schedule serves queries of every length, as the seen
+    columns lie on its rows (``kernels._kept_wavefront``).  They share the
     solver and the partition too, so a pass of describes builds each of
     them once, and each dictionary keeps its own.  ``prepare`` builds them
     all before a pass's first query.  The state is replaced when its key
@@ -133,16 +135,16 @@ def _classes(entry: dict, seen_labels: np.ndarray) -> tuple[list, list[np.ndarra
     return _kept(entry, "classes", (seen_labels.dtype.str, seen_labels.tobytes()), lambda: class_rows(seen_labels))
 
 
-def prepare(d: Dictionary, ks: KernelSet, seen: Dataset, seen_labels, t_x: int, threshold: float, lengths) -> None:
-    """Build the dictionary's describe state for describes of queries of the given ``lengths`` against
+def prepare(d: Dictionary, ks: KernelSet, seen: Dataset, seen_labels, t_x: int, threshold: float, longest: int) -> None:
+    """Build the dictionary's describe state for describes of queries of at most ``longest`` steps against
     ``seen``, before the first: what the first describe, and the first longer than all before it, would
     build.  A pass of describes then pays for its queries only.
 
     It checks what those describes check, in their order: the bandwidths (``check_bandwidths``), the
     provenance rule, t_x (``code_solver``), the threshold and the labels.  It keeps the ``need`` mask,
     the code solver and the class partition, made as the describes make them (``_dictionary_side``,
-    ``_kept``), and makes ready the DTW wavefront of the seen columns the mask reads, sized for the
-    longest query, with the schedules of their lengths (``kernels.keep_wavefront``).  It runs no DTW.
+    ``_kept``), and makes ready the DTW wavefront of the seen columns the mask reads, sized for
+    ``longest`` query steps (``kernels.keep_wavefront``).  It runs no DTW.
     """
     check_bandwidths(ks.bandwidths, seen.dims)
     _check_provenance(d, ks, seen.hash(), seen.dims)
@@ -150,7 +152,7 @@ def prepare(d: Dictionary, ks: KernelSet, seen: Dataset, seen_labels, t_x: int, 
     _solver(d, ks, entry, t_x)
     check_threshold(threshold)
     _classes(entry, _labels(d, seen_labels))
-    keep_wavefront(seen, entry["need"], entry["wavefront"], lengths)
+    keep_wavefront(seen, entry["need"], entry["wavefront"], longest)
 
 
 def encode(d: Dictionary, ks: KernelSet, ck: CrossKernel, t_x: int) -> np.ndarray:
@@ -172,13 +174,14 @@ def _code(d: Dictionary, x) -> np.ndarray:
     return x
 
 
-def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x) -> np.ndarray:
-    """Per-dimension residuals (length f) of one coded unseen sequence, unclamped."""
+def _dim_residuals(d: Dictionary, ks: KernelSet, ck: CrossKernel, x) -> tuple[np.ndarray, dict]:
+    """Per-dimension residuals (length f) of one coded unseen sequence, unclamped, and the dictionary's
+    describe state they read (``_dictionary_side``)."""
     codes = _code(d, x)[:, None]
     _check_provenance(d, ks, ck.dataset_hash, ck.dims)
     entry = _dictionary_side(d, ks)
     cross = [c[:, None] for c in ck.values(entry["need"], entry["wavefront"])]
-    return residuals(d, ks.kernels, cross, ck.self_k[:, None], codes)[:, 0]
+    return residuals(d, ks.kernels, cross, ck.self_k[:, None], codes)[:, 0], entry
 
 
 def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, dims) -> float:
@@ -194,7 +197,7 @@ def partial_error(d: Dictionary, ks: KernelSet, ck: CrossKernel, x: np.ndarray, 
     if not all(is_integer(l) and 0 <= l < d.dims for l in dims):
         raise ValueError(f"dimension subset must hold integers in 0..{d.dims - 1}, got {dims!r}")
     dims = sorted(set(dims))
-    numer = clamp_residual(np.sum(_dim_residuals(d, ks, ck, x)[dims]), "partial error")
+    numer = clamp_residual(np.sum(_dim_residuals(d, ks, ck, x)[0][dims]), "partial error")
     return float(numer) / float(np.sum(ck.self_k[dims]))
 
 
@@ -228,12 +231,13 @@ def reconstruction_report(
     """
     threshold = check_threshold(threshold)
     seen_labels = _labels(d, seen_labels)
-    errors = clamp_residual(_dim_residuals(d, ks, ck, x), "partial error") / ck.self_k
+    residual, entry = _dim_residuals(d, ks, ck, x)
+    errors = clamp_residual(residual, "partial error") / ck.self_k
     if r is None:
         r = encoding_matrix(d, x).values
     elif np.shape(r) != (d.n, d.dims):
         raise ValueError(f"R has shape {np.shape(r)}, expected ({d.n}, {d.dims})")
-    classes, rows = _classes(_dictionary_side(d, ks), seen_labels)
+    classes, rows = _classes(entry, seen_labels)
     passed = errors <= threshold
     attribution: list[int | None] = [None] * d.dims
     for l in np.flatnonzero(passed):

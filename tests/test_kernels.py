@@ -141,11 +141,21 @@ def test_dtw_many_independent_of_pair_order_and_chunks(rng, monkeypatch):
     ],
     ids=["all-1x1", "rows-much-longer", "cols-much-longer"],
 )
-@pytest.mark.parametrize("split", [False, True], ids=["default-budget", "split-block"])
-def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, split):
+@pytest.mark.parametrize("path", ["default-budget", "split-block", "kept-wavefront"])
+def test_dtw_many_lopsided_and_single_cell_blocks(rng, monkeypatch, shapes, path):
     queries = [rng.normal(size=n) for n, _ in shapes]
     refs = [rng.normal(size=m) for _, m in shapes]
-    if split:  # at most three pairs per chunk: the seven pairs run in chunks of 3, 2 and 2
+    if path == "kept-wavefront":
+        # each query against every reference, as a describe runs them, longest query first through one kept
+        # wavefront: 1-step queries, queries longer than every reference and 1-step references, on the
+        # transposed grids that the kept wavefront sweeps, with stale steps past the shorter queries' ends
+        (q, n), (r, m), slot = pack(queries), pack(refs), deque(maxlen=1)
+        for i in sorted(range(len(queries)), key=lambda i: -queries[i].size):
+            got = kernels._dtw_columns(q, n, np.full(len(refs), i), r, m, np.arange(len(refs)), slot)
+            assert _bits(got) == _bits([dtw(queries[i], b) for b in refs])
+        assert slot[0].capacity == max(n)
+        return
+    if path == "split-block":  # at most three pairs per chunk: the seven pairs run in chunks of 3, 2 and 2
         rows, cols = max(n for n, _ in shapes), max(m for _, m in shapes)
         monkeypatch.setattr("mkdmts.kernels._WAVEFRONT_ELEMENTS", 3 * (5 * rows + cols + 4))
     got = dtw_many(queries, refs)
@@ -580,36 +590,41 @@ def test_wavefront_working_set_stays_within_the_cap(monkeypatch, budget):
 
 @pytest.mark.parametrize("seen_classes", [4, 14], ids=["kept", "too-large-to-keep"])
 def test_kept_wavefront_holds_at_most_half_a_megabyte(seen_classes):
-    """A describe keeps one wavefront entry in its describe slot, of at most 512 KiB as tracemalloc counts it
-    (2 dims x 6 samples per class, lengths 60-90: 48 pairs are kept, 168 pairs are not), also once queries
-    of every shorter length have added their schedules, and its values equal those of a describe that keeps
-    nothing."""
+    """A describe keeps one wavefront entry in its describe slot, its one end-diagonal schedule inside, of at
+    most 512 KiB as tracemalloc counts it (2 dims x 6 samples per class, lengths 60-90: 48 pairs are kept,
+    168 pairs are not).  Queries of every shorter length, cut from the longest, sweep it with stale query
+    steps past their ends and add nothing to it, and every value, the longest query's and theirs, equals
+    ``dtw``'s."""
     seen, unseen, _ = synth_dataset(SynthConfig(seed=7, num_seen_classes=seen_classes, num_unseen_classes=2,
                                                 dims=2, length_range=(60, 90), samples_per_class=6))
     z, bandwidths = max(unseen.sequences, key=lambda s: s.length), np.full(2, 40.0)
-    expected = [np.exp(-np.array([dtw(z.dim(l), s.dim(l)) for s in seen.sequences]) / 40.0) for l in range(2)]
+    shorter = [TimeSeries("cut", z.values[:, :length]) for length in range(1, z.length)] if seen_classes == 4 else []
+    expected = [np.exp(-np.array([[dtw(q.dim(l), s.dim(l)) for s in seen.sequences] for l in range(2)]) / 40.0)
+                for q in [z] + shorter]
     _all_values(cross_kernel(Dataset(seen.sequences), z, bandwidths), seen)  # numpy's first-call state
     fresh, slot = Dataset(seen.sequences), deque(maxlen=1)
     fresh.packed()
-    shorter = [TimeSeries("cut", z.values[:, :length]) for length in range(1, z.length)] if seen_classes == 4 else []
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         got = _all_values(cross_kernel(fresh, z, bandwidths), fresh, slot)
         kept = tracemalloc.get_traced_memory()[0] - before - got.nbytes
-        for cut in shorter:
-            _all_values(cross_kernel(fresh, cut, bandwidths), fresh, slot)
-        scheduled = tracemalloc.get_traced_memory()[0] - before - got.nbytes
+        differ = [cut.length for cut, want in zip(shorter, expected[1:])
+                  if _bits(_all_values(cross_kernel(fresh, cut, bandwidths), fresh, slot)) != _bits(want)]
+        held = len(slot)
+        swept = tracemalloc.get_traced_memory()[0]
+        slot.clear()
+        swept -= tracemalloc.get_traced_memory()[0]  # what the entry holds after the shorter queries
     finally:
         tracemalloc.stop()
-    assert _bits(got) == _bits(expected)
-    assert len(slot) == (seen_classes == 4)
+    assert _bits(got) == _bits(expected[0])
+    assert differ == []
+    assert held == (seen_classes == 4)
     assert kept <= (kernels._KEPT_BYTES if seen_classes == 4 else 4096)
-    assert scheduled <= (kernels._KEPT_BYTES if seen_classes == 4 else 4096)
-    if shorter:
-        assert len(slot[0].schedules) == min(slot[0].room, len(shorter))  # as many schedules as fit
+    if held:  # the shorter queries reuse the entry and its one schedule, so it has not grown
+        assert 0 < swept <= kept
     _all_values(cross_kernel(fresh, z, bandwidths), fresh, slot)
-    assert len(slot) <= 1
+    assert len(slot) == held
 
 
 def test_spectral_baseline_affinity_uses_per_pair_reference(rng, monkeypatch):

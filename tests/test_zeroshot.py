@@ -469,9 +469,10 @@ def test_two_dictionaries_described_in_turn_keep_their_own_state(monkeypatch):
 
 
 def _wavefronts_built(monkeypatch):
-    """The (rows, pairs) of every DTW wavefront built (``kernels._wavefront``), one list entry per build."""
+    """The (query steps, pairs) of every DTW wavefront built (``kernels._wavefront``), one list entry per build;
+    a describe's kept wavefront holds the seen columns in ``q`` and its query, flipped, in ``e``."""
     built, wavefront = [], kernels._wavefront
-    monkeypatch.setattr(kernels, "_wavefront", lambda q, e: built.append(q.shape) or wavefront(q, e))
+    monkeypatch.setattr(kernels, "_wavefront", lambda q, e: built.append((e.shape[0], q.shape[1])) or wavefront(q, e))
     return built
 
 
@@ -809,12 +810,10 @@ def test_describe_equals_the_per_query_path_on_a_fresh_state(name):
 
 
 def test_describe_prepares_the_state_before_its_first_query(monkeypatch):
-    """One ``evalx.describe`` call on a fresh dictionary builds the code solver and the DTW wavefront once
-    each, and the end-diagonal schedule of each query length, before its first ``cross_kernel``, and no
-    wavefront or schedule inside any describe, as its longest query fits ``_KEPT_BYTES``; a second call on
-    the same dictionary builds none of them."""
+    """One ``evalx.describe`` call on a fresh dictionary builds the code solver, the DTW wavefront and its one
+    end-diagonal schedule once each, before its first ``cross_kernel``, and none of them inside any describe,
+    as its longest query fits ``_KEPT_BYTES``; a second call on the same dictionary builds none of them."""
     seen, unseen, ks, d, t_x, threshold = _workload("quickstart")
-    lengths = {z.length for z in unseen.sequences}
     events = []
     code_solver, wavefront, schedule = zeroshot.code_solver, kernels._wavefront, kernels._schedule
     cross = evalx.cross_kernel
@@ -823,12 +822,11 @@ def test_describe_prepares_the_state_before_its_first_query(monkeypatch):
     monkeypatch.setattr(kernels, "_schedule", lambda *args: events.append("schedule") or schedule(*args))
     monkeypatch.setattr(evalx, "cross_kernel", lambda *args: events.append("describe") or cross(*args))
     fresh = dataclasses.replace(d)
-    for setup in (["solver", "wavefront"] + ["schedule"] * len(lengths), []):
+    for setup in (["solver", "wavefront", "schedule"], []):
         events.clear()
         describe(seen, ks, fresh, unseen, t_x, threshold)
         assert events == setup + ["describe"] * len(unseen)
-    kept = fresh._describe["wavefront"][0]
-    assert kept.capacity == max(lengths) and set(kept.schedules) == lengths and len(lengths) <= kept.room
+    assert fresh._describe["wavefront"][0].capacity == max(z.length for z in unseen.sequences)
 
 
 def test_describe_builds_each_r_once(monkeypatch):
